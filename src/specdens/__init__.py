@@ -5,7 +5,7 @@ outer-product/functional split for curvature analysis."""
 __version__ = "0.1.0"
 
 from .data import LabeledDataset
-from .deflation import TopSpectrum, low_rank_deflation, subspace_iteration
+from .deflation import TopSpectrum, low_rank_deflation, top_eigenpairs
 from .errors import (
     AsymmetricInputError,
     ConvergenceError,
@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatchError,
     InputFormatError,
     NumericalError,
-    RankDeficiencyError,
     SpecdensError,
     TrainingDivergedError,
     UsageError,
@@ -36,7 +35,6 @@ from .linalg import (
     dense_eig,
     eig_tridiagonal,
     householder_tridiagonalize,
-    qr_orthonormalize,
 )
 from .net import (
     Checkpoint,

@@ -9,7 +9,8 @@ run that produced it. Wall time lives only in the sidecar.
 Exit codes: 0 success; 2 usage or configuration (bad flags, unknown
 config keys, unknown ensemble kind, missing input files); 3 malformed
 input (bad magic, truncation, checkpoint/dataset mismatch); 4 numerical
-failure (degenerate spectrum, non-convergence, training divergence).
+failure (degenerate spectrum, non-convergence, non-finite operator output,
+training divergence).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -70,20 +70,7 @@ DENSITY_CSV_SCHEMA = "density-csv/v1"
 ORACLE_CSV_SCHEMA = "oracle-spectrum-csv/v1"
 METRICS_CSV_SCHEMA = "metrics-csv/v1"
 DENSITY_JSON_SCHEMA = "density-report/v1"
-TOP_JSON_SCHEMA = "top-spectrum/v1"
-
-
-def _workers() -> int:
-    raw = os.environ.get("SPECDENS_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        w = int(raw)
-    except ValueError:
-        raise UsageError(f"SPECDENS_WORKERS must be an integer, got {raw!r}")
-    if w < 1:
-        raise UsageError(f"SPECDENS_WORKERS must be >= 1, got {w}")
-    return w
+TOP_JSON_SCHEMA = "top-spectrum/v2"
 
 
 def _require_file(path, what: str) -> Path:
@@ -232,7 +219,6 @@ def _density_rows(density: SpectralDensity) -> list:
 
 def cmd_spectrum(args) -> int:
     start = time.monotonic()
-    workers = _workers()
     op, in_params, inputs = _spectrum_operator(args)
 
     steps = args.steps
@@ -256,12 +242,11 @@ def cmd_spectrum(args) -> int:
     if args.log:
         density = approx_log_spectrum(
             op, steps=steps, grid_points=args.grid_points, n_vec=args.n_vec,
-            kappa=args.kappa, epsilon=args.epsilon, seed=args.seed,
-            workers=workers)
+            kappa=args.kappa, epsilon=args.epsilon, seed=args.seed)
     else:
         density = approx_spectrum(
             op, steps=steps, grid_points=args.grid_points, n_vec=args.n_vec,
-            kappa=args.kappa, seed=args.seed, workers=workers)
+            kappa=args.kappa, seed=args.seed)
 
     csv_path = out / "density.csv"
     atomic_write_text(csv_path, csv_text(

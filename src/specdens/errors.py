@@ -40,17 +40,6 @@ class DegenerateSpectrumError(NumericalError):
     """Spectral range collapsed to a point; normalization impossible."""
 
 
-class RankDeficiencyError(NumericalError):
-    """A column vanished during orthonormalization.
-
-    ``column`` holds the offending column index so callers can resample.
-    """
-
-    def __init__(self, column: int, message: str | None = None):
-        self.column = column
-        super().__init__(message or f"column {column} numerically dependent")
-
-
 class TrainingDivergedError(NumericalError):
     """Training loss became non-finite; the last good state is attached."""
 

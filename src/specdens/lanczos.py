@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .linalg import EigenPairs, TridiagonalMatrix, eig_tridiagonal
 from .operators import NormalizationMap, SymmetricOperator, affine_operator
 
@@ -144,7 +143,8 @@ def _three_term(op: SymmetricOperator, v1: np.ndarray, steps: int,
 
     ``collect(i, v)`` is called with each basis vector before it is
     consumed, which lets callers rebuild Ritz vectors in a second pass
-    without ever storing the basis.
+    without ever storing the basis. A non-finite matvec raises
+    :class:`NumericalError` at the step that produced it.
     """
     alpha: list[float] = []
     beta: list[float] = []
@@ -155,6 +155,10 @@ def _three_term(op: SymmetricOperator, v1: np.ndarray, steps: int,
         if collect is not None:
             collect(m - 1, v)
         w = op.apply(v)
+        if not np.isfinite(w).all():
+            raise NumericalError(
+                f"operator {op.label or '<anon>'} returned a non-finite "
+                f"vector at Lanczos step {m}")
         if m > 1:
             w = w - beta[-1] * v_prev
         a = float(w @ v)
@@ -336,30 +340,12 @@ def accumulate_bumps(centers: np.ndarray, weights: np.ndarray,
     return values / h
 
 
-def _run_repetitions(aop: SymmetricOperator, m_eff: int, seed: int,
-                     n_vec: int, workers: int) -> list:
-    """The n_vec Lanczos passes; independent, so they may run on threads.
-
-    Results come back indexed by repetition and are reduced in that fixed
-    order afterwards, so the output is bit-identical for any worker count.
-    """
-
-    def run(l):
-        return fast_lanczos(aop, m_eff, [seed, 1 + l])
-
-    if workers > 1 and n_vec > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(n_vec)))
-    return [run(l) for l in range(n_vec)]
-
-
 def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
                     grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                     kappa: float = DEFAULT_KAPPA, seed: int = 0,
                     normalization: NormalizationMap | None = None,
                     range_steps: int = DEFAULT_RANGE_STEPS,
-                    range_tau: float = DEFAULT_RANGE_TAU,
-                    workers: int = 1) -> SpectralDensity:
+                    range_tau: float = DEFAULT_RANGE_TAU) -> SpectralDensity:
     """Smoothed spectral density of a symmetric operator, matrix-free.
 
     Normalizes the spectrum to [-1, 1] (estimating the range unless a map
@@ -389,7 +375,8 @@ def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
     t_grid = np.linspace(-1.0, 1.0, grid_points)
     acc = np.zeros(grid_points)
     summaries = []
-    for _, summary in _run_repetitions(aop, m_eff, seed, n_vec, workers):
+    for l in range(n_vec):
+        _, summary = fast_lanczos(aop, m_eff, [seed, 1 + l])
         acc += accumulate_bumps(summary.theta, summary.weights, t_grid, sigma)
         summaries.append(summary)
     values = acc / (n_vec * normalization.half_width)
@@ -423,8 +410,7 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
                         epsilon: float = DEFAULT_LOG_EPSILON, seed: int = 0,
                         normalization: NormalizationMap | None = None,
                         range_steps: int = DEFAULT_RANGE_STEPS,
-                        range_tau: float = DEFAULT_RANGE_TAU,
-                        workers: int = 1) -> SpectralDensity:
+                        range_tau: float = DEFAULT_RANGE_TAU) -> SpectralDensity:
     """Spectral density over u = log(lambda + epsilon).
 
     Same machinery as :func:`approx_spectrum`, but Ritz values are placed
@@ -459,7 +445,8 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
     neg_acc = np.zeros(grid_points)
     neg_mass = 0.0
     summaries = []
-    for _, summary in _run_repetitions(aop, m_eff, seed, n_vec, workers):
+    for l in range(n_vec):
+        _, summary = fast_lanczos(aop, m_eff, [seed, 1 + l])
         lam = lin_map.denormalize(summary.theta)
         w = summary.weights
         pos = lam > -epsilon

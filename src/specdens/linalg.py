@@ -1,4 +1,4 @@
-"""Dense and tridiagonal symmetric eigensolvers, plus orthonormalization.
+"""Dense and tridiagonal symmetric eigensolvers.
 
 Two independent routes to eigenvalues live here on purpose. The tridiagonal
 path (`householder_tridiagonalize` + `eig_tridiagonal`) is written from
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInputError,
-    ConvergenceError,
-    RankDeficiencyError,
-    UsageError,
-)
+from .errors import AsymmetricInputError, ConvergenceError, UsageError
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -235,7 +230,9 @@ def dense_eig(A: np.ndarray, vectors: bool = False,
 
     The validation-side route: refuses matrices larger than ``size_cap``
     (default 4096) — beyond that, use the matrix-free estimators in
-    :mod:`specdens.lanczos`, which is what they are for.
+    :mod:`specdens.lanczos`, which is what they are for. Without
+    ``vectors`` only the eigenvalues are computed, and ``first_components``
+    are NaN as in :func:`eig_tridiagonal`'s ``"none"`` mode.
     """
     A = np.asarray(A, dtype=np.float64)
     _require_symmetric(A)
@@ -244,38 +241,8 @@ def dense_eig(A: np.ndarray, vectors: bool = False,
             f"dense_eig refuses p = {A.shape[0]} > {size_cap}; "
             "use the matrix-free spectrum estimators for operators this large"
         )
+    if not vectors:
+        w = np.linalg.eigvalsh(A)
+        return EigenPairs(values=w, first_components=np.full(w.size, np.nan))
     w, V = np.linalg.eigh(A)
-    return EigenPairs(
-        values=w,
-        first_components=V[0, :].copy(),
-        vectors=V if vectors else None,
-    )
-
-
-def qr_orthonormalize(V: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of V by modified Gram-Schmidt.
-
-    Each column gets a second orthogonalization pass ("twice is enough"),
-    which keeps Q^T Q = I to ~1e-15 even for badly conditioned inputs. A
-    column whose norm collapses below 1e-14 after orthogonalization raises
-    :class:`RankDeficiencyError` carrying the column index, so callers can
-    resample that column and retry.
-    """
-    V = np.array(V, dtype=np.float64, copy=True)
-    if V.ndim != 2:
-        raise UsageError("expected a 2-d array of columns")
-    p, k = V.shape
-    if k > p:
-        raise UsageError(f"cannot orthonormalize {k} columns in dimension {p}")
-    Q = np.empty((p, k))
-    for j in range(k):
-        q = V[:, j]
-        n0 = float(np.linalg.norm(q))
-        for _ in range(2):
-            if j:
-                q = q - Q[:, :j] @ (Q[:, :j].T @ q)
-        nq = float(np.linalg.norm(q))
-        if nq <= 1e-14 * max(1.0, n0):
-            raise RankDeficiencyError(j)
-        Q[:, j] = q / nq
-    return Q
+    return EigenPairs(values=w, first_components=V[0, :].copy(), vectors=V)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -463,7 +464,7 @@ def load_checkpoint(path) -> Checkpoint:
                 velocity=velocity,
                 meta=json.loads(str(z["meta_json"])),
             )
-    except (OSError, KeyError, ValueError) as err:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
         raise InputFormatError(f"unreadable checkpoint {path}: {err}") from err
     if ck.theta.shape != (spec.param_count,):
         raise InputFormatError(

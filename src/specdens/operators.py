@@ -1,7 +1,7 @@
 """Matrix-free symmetric linear operators and their combinators.
 
 An operator is a dimension plus a matvec; everything downstream (Lanczos,
-subspace iteration, deflation) touches matrices only through `apply`. The
+top-eigenpair extraction, deflation) touches matrices only through `apply`. The
 combinators preserve symmetry by construction, and `symmetry_defect` gives
 the probabilistic check used by the hygiene tests.
 """

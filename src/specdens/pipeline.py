@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,10 +101,14 @@ def _read_maybe_gzip(path) -> bytes:
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
-        if head == b"\x1f\x8b":
+        if head != b"\x1f\x8b":
+            return fh.read()
+        try:
             with gzip.open(fh) as gz:
                 return gz.read()
-        return fh.read()
+        except (EOFError, gzip.BadGzipFile, zlib.error) as err:
+            raise InputFormatError(f"{path}: corrupt or truncated gzip "
+                                   f"data ({err})") from err
 
 
 def load_idx(images_path, labels_path,

@@ -4,12 +4,18 @@ Everything runs in-process through ``main(argv)`` so exit codes and
 stderr are observable without spawning interpreters.
 """
 
+import gzip
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specdens
 from specdens.cli import main
 from specdens.decomp import validate_report
 from specdens.errors import InputFormatError, UsageError
@@ -195,26 +201,6 @@ class TestSpectrum:
         np.testing.assert_allclose(rows[:, 1], report["density"]["values"])
         assert rows[:, 0].min() >= -2.6 and rows[:, 0].max() <= 2.6
 
-    def test_worker_count_does_not_change_bytes(self, goe_dir, tmp_path,
-                                                monkeypatch):
-        args = ["spectrum", "--matrix", str(goe_dir / "matrix.spdm"),
-                "--steps", "32", "--n-vec", "4", "--grid-points", "128"]
-        a, b = tmp_path / "serial", tmp_path / "pooled"
-        assert main(args + ["--out-dir", str(a)]) == 0
-        monkeypatch.setenv("SPECDENS_WORKERS", "4")
-        assert main(args + ["--out-dir", str(b)]) == 0
-        assert (a / "density.csv").read_bytes() == (b / "density.csv").read_bytes()
-
-    def test_invalid_worker_env_is_usage_error(self, goe_dir, tmp_path,
-                                               monkeypatch, capsys):
-        args = ["spectrum", "--matrix", str(goe_dir / "matrix.spdm"),
-                "--out-dir", str(tmp_path)]
-        monkeypatch.setenv("SPECDENS_WORKERS", "two")
-        assert main(args) == 2
-        monkeypatch.setenv("SPECDENS_WORKERS", "0")
-        assert main(args) == 2
-        capsys.readouterr()
-
     def test_deflate_extracts_the_spikes(self, spiked_dir, tmp_path):
         rc = main(["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
                    "--deflate", "2", "--steps", "48", "--n-vec", "2",
@@ -222,8 +208,10 @@ class TestSpectrum:
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         top = json.loads((tmp_path / "top_spectrum.json").read_text())
-        assert top["schema"] == "top-spectrum/v1"
+        assert top["schema"] == "top-spectrum/v2"
         assert top["count"] == 2
+        assert top["matvecs"] >= 2
+        assert max(top["residuals"]) <= 1e-10 * max(top["values"])
         _, _, _, oracle = read_csv(spiked_dir / "oracle_spectrum.csv")
         expected = np.sort(oracle[:, 1])[::-1][:2]
         np.testing.assert_allclose(top["values"], expected, rtol=1e-6)
@@ -231,6 +219,51 @@ class TestSpectrum:
         report = json.loads((tmp_path / "density.json").read_text())
         assert report["mass"] == pytest.approx(1.0, abs=0.01)
         assert max(report["density"]["grid"]) < min(top["values"]) - 1.0
+
+    def test_deflate_rerun_is_byte_identical(self, spiked_dir, tmp_path):
+        args = ["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
+                "--deflate", "2", "--steps", "24", "--grid-points", "64",
+                "--seed", "4"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out-dir", str(a)]) == 0
+        assert main(args + ["--out-dir", str(b)]) == 0
+        for name in ("top_spectrum.json", "density.csv", "density.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_deflation_solver_is_imported_only_when_deflating(self, goe_dir,
+                                                              tmp_path):
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "args = ['spectrum', '--matrix', sys.argv[1], '--steps', '16',\n"
+            "        '--grid-points', '32', '--out-dir', sys.argv[2]]\n"
+            "assert main(args) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "assert main(args + ['--deflate', '1']) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+        )
+        src = Path(specdens.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(goe_dir / "matrix.spdm"),
+             str(tmp_path)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("deflate", [[], ["--deflate", "2"]],
+                             ids=["plain", "deflated"])
+    def test_non_finite_operator_is_numerical_failure(self, tmp_path, capsys,
+                                                      deflate):
+        A = np.eye(20)
+        A[3, 5] = A[5, 3] = np.nan
+        path = tmp_path / "nan.spdm"
+        write_matrix(path, A)
+        rc = main(["spectrum", "--matrix", str(path), *deflate,
+                   "--steps", "16", "--out-dir", str(tmp_path / "out")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "matrix:nan.spdm" in err and "non-finite" in err
 
     def test_deflate_must_be_positive(self, spiked_dir, tmp_path, capsys):
         rc = main(["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
@@ -373,6 +406,33 @@ class TestCheckpointAnalysis:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "input error" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_input_error(self, train_run, tmp_path,
+                                                 capsys):
+        half = tmp_path / "half.npz"
+        blob = train_run["final"].read_bytes()
+        half.write_bytes(blob[:len(blob) // 2])
+        rc = main(["spectrum", "--checkpoint", str(half),
+                   "--data", str(train_run["data"]),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert "input error" in capsys.readouterr().err
+
+    def test_truncated_gzip_idx_is_input_error(self, train_run, tmp_path,
+                                               capsys):
+        images = struct.pack(">IIII", 0x803, 6, 2, 2) + bytes(range(24))
+        labels = struct.pack(">II", 0x801, 6) + bytes([0, 1, 2, 0, 1, 2])
+        packed = gzip.compress(images)
+        (tmp_path / "images.gz").write_bytes(packed[:len(packed) // 2])
+        (tmp_path / "labels").write_bytes(labels)
+        data = tmp_path / "idx.json"
+        data.write_text(json.dumps({"kind": "idx",
+                                    "images": str(tmp_path / "images.gz"),
+                                    "labels": str(tmp_path / "labels")}))
+        rc = main(["spectrum", "--checkpoint", str(train_run["final"]),
+                   "--data", str(data), "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert "gzip" in capsys.readouterr().err
 
     def test_bad_split_value(self, train_run, tmp_path, capsys):
         wrong = tmp_path / "weird.json"

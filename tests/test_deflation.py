@@ -1,13 +1,13 @@
-"""Subspace iteration and two-sided deflation against dense oracles."""
+"""Top-eigenpair extraction and two-sided deflation against dense oracles."""
 
 import numpy as np
 import pytest
 
-from specdens.errors import UsageError
+from specdens.errors import ConvergenceError, UsageError
 from specdens.lanczos import approx_spectrum
 from specdens.linalg import dense_eig
 from specdens.operators import deflated_operator, dense_operator
-from specdens.deflation import low_rank_deflation, subspace_iteration
+from specdens.deflation import RESIDUAL_TOL, low_rank_deflation, top_eigenpairs
 
 from oracles import op_to_dense
 
@@ -19,28 +19,30 @@ def spiked_diagonal(p, spikes):
 
 
 class TestSubspaceIteration:
+    """Top-eigenpair extraction by :func:`top_eigenpairs`."""
+
     def test_three_spikes_recovered(self):
         op = dense_operator(spiked_diagonal(100, [5.0, 4.0, 3.0]))
-        top = subspace_iteration(op, 3, seed=0)
-        np.testing.assert_allclose(top.values, [5.0, 4.0, 3.0], atol=1e-8)
-        assert np.all(top.residuals <= 1e-8)
+        top = top_eigenpairs(op, 3, seed=0)
+        np.testing.assert_allclose(top.values, [5.0, 4.0, 3.0], atol=1e-12)
+        assert np.all(top.residuals <= 1e-12)
         assert top.count == 3
 
     def test_identity_any_subspace_is_exact(self):
-        top = subspace_iteration(dense_operator(np.eye(20)), 2, seed=1)
+        top = top_eigenpairs(dense_operator(np.eye(20)), 2, seed=1)
         np.testing.assert_allclose(top.values, [1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(top.residuals, 0.0, atol=1e-12)
 
     def test_magnitude_ordering_keeps_sign(self):
         op = dense_operator(spiked_diagonal(50, [-5.0, 2.0]))
-        top = subspace_iteration(op, 2, seed=2)
-        assert top.values[0] == pytest.approx(-5.0, abs=1e-8)
-        assert top.values[1] == pytest.approx(2.0, abs=1e-8)
+        top = top_eigenpairs(op, 2, seed=2)
+        assert top.values[0] == pytest.approx(-5.0, abs=1e-12)
+        assert top.values[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_basis_is_orthonormal_and_rayleigh_consistent(self, rng):
         A = rng.standard_normal((60, 60))
         op = dense_operator((A + A.T) / 2)
-        top = subspace_iteration(op, 4, seed=3)
+        top = top_eigenpairs(op, 4, seed=3)
         Q = top.basis
         assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-12
         for k in range(4):
@@ -48,48 +50,52 @@ class TestSubspaceIteration:
             assert rq == pytest.approx(top.values[k], abs=1e-12)
 
     def test_residuals_small_when_gap_is_clear(self, rng):
-        # eigenvalue ratio >= 1.2 across the cut: residuals converge fast
         A = rng.standard_normal((80, 80))
         A = (A + A.T) / 2
         scale = np.abs(dense_eig(A).values).max()
         B = A + np.diag([3.0 * scale, 2.5 * scale] + [0.0] * 78)
         op = dense_operator(B)
-        top = subspace_iteration(op, 2, iters=128, seed=4)
+        top = top_eigenpairs(op, 2, seed=4)
         norm_b = np.abs(dense_eig(B).values).max()
-        assert np.all(top.residuals <= 1e-6 * norm_b)
+        assert np.all(top.residuals <= RESIDUAL_TOL * norm_b)
 
     def test_matches_dense_oracle_on_random_matrix(self, rng):
-        # no planted gap here, so convergence is slow; tolerance reflects
-        # the (|l4|/|l3|)^iters rate rather than solver quality
         A = rng.standard_normal((70, 70))
         A = (A + A.T) / 2
         oracle = dense_eig(A).values
         by_magnitude = oracle[np.argsort(-np.abs(oracle), kind="stable")][:3]
-        top = subspace_iteration(dense_operator(A), 3, iters=400, seed=5)
-        np.testing.assert_allclose(top.values, by_magnitude, rtol=1e-4)
+        top = top_eigenpairs(dense_operator(A), 3, seed=5)
+        np.testing.assert_allclose(top.values, by_magnitude, rtol=1e-10)
 
     def test_count_bounds(self):
         op = dense_operator(np.eye(5))
         with pytest.raises(UsageError):
-            subspace_iteration(op, 0)
+            top_eigenpairs(op, 0)
         with pytest.raises(UsageError):
-            subspace_iteration(op, 5)
-        with pytest.raises(UsageError):
-            subspace_iteration(op, 2, iters=0)
+            top_eigenpairs(op, 5)
 
     def test_deterministic_in_seed(self):
-        op = dense_operator(spiked_diagonal(40, [6.0, 3.0]))
-        a = subspace_iteration(op, 2, seed=9)
-        b = subspace_iteration(op, 2, seed=9)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.basis, b.basis)
+        # the degenerate identity makes ARPACK draw restart vectors
+        for A, k in ((spiked_diagonal(40, [6.0, 3.0]), 2), (np.eye(20), 2)):
+            op = dense_operator(A)
+            a = top_eigenpairs(op, k, seed=9)
+            b = top_eigenpairs(op, k, seed=9)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.basis, b.basis)
+            assert np.array_equal(a.residuals, b.residuals)
+            assert a.matvecs == b.matvecs
 
     def test_to_dict_round_trips_values(self):
         op = dense_operator(spiked_diagonal(30, [4.0]))
-        top = subspace_iteration(op, 1, seed=0)
+        top = top_eigenpairs(op, 1, seed=0)
         d = top.to_dict()
-        assert set(d) == {"values", "residuals", "power_norms"}
+        assert set(d) == {"values", "residuals", "matvecs"}
         np.testing.assert_allclose(d["values"], top.values)
+        assert d["matvecs"] == top.matvecs >= 1
+
+    def test_zero_operator_fails_to_converge(self):
+        with pytest.raises(ConvergenceError):
+            top_eigenpairs(dense_operator(np.zeros((10, 10))), 2)
 
 
 class TestLowRankDeflation:
@@ -135,7 +141,7 @@ class TestLowRankDeflation:
         A = X.T @ X / n
         oracle = dense_eig(A).values
         op = dense_operator(A)
-        top, defl = low_rank_deflation(op, 3, iters=256, seed=0)
+        top, defl = low_rank_deflation(op, 3, seed=0)
         np.testing.assert_allclose(top.values, oracle[-1:-4:-1], rtol=1e-8)
         # gamma = 1 bulk edge is 4; everything left sits below the smallest
         # extracted outlier

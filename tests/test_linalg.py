@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdens.errors import AsymmetricInputError, RankDeficiencyError, UsageError
+from specdens.errors import AsymmetricInputError, UsageError
 from specdens.linalg import (
     TridiagonalMatrix,
     dense_eig,
     eig_tridiagonal,
     householder_tridiagonalize,
-    qr_orthonormalize,
 )
 
 from oracles import bisection_eigenvalues, tridiag_to_dense
@@ -166,6 +165,8 @@ class TestDenseEig:
     def test_identity(self):
         pairs = dense_eig(np.eye(10))
         np.testing.assert_array_equal(pairs.values, np.ones(10))
+        assert np.all(np.isnan(pairs.first_components))
+        assert pairs.vectors is None
 
     def test_spiked_diagonal(self):
         A = np.diag([5.0, 4.0, 3.0] + [0.0] * 7)
@@ -198,56 +199,3 @@ class TestDenseEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInputError):
             dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
-# qr_orthonormalize
-# ---------------------------------------------------------------------------
-
-class TestQrOrthonormalize:
-    def test_orthonormal_input_fixed_up_to_sign(self):
-        Q0 = np.linalg.qr(np.random.default_rng(1).standard_normal((20, 4)))[0]
-        Q = qr_orthonormalize(Q0)
-        np.testing.assert_allclose(np.abs(np.diag(Q.T @ Q0)), 1.0, atol=1e-12)
-
-    def test_hand_gram_schmidt(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        V = np.column_stack([e1, e1 + e2])
-        Q = qr_orthonormalize(V)
-        np.testing.assert_allclose(np.abs(Q[:, 0]), e1, atol=1e-15)
-        np.testing.assert_allclose(np.abs(Q[:, 1]), e2, atol=1e-15)
-
-    def test_random_block_orthonormal(self):
-        V = np.random.default_rng(8).standard_normal((200, 5))
-        Q = qr_orthonormalize(V)
-        assert np.linalg.norm(Q.T @ Q - np.eye(5)) <= 1e-12
-
-    def test_idempotent_subspace(self):
-        V = np.random.default_rng(12).standard_normal((50, 3))
-        Q1 = qr_orthonormalize(V)
-        Q2 = qr_orthonormalize(Q1)
-        # same subspace: projector difference is tiny
-        P1 = Q1 @ Q1.T
-        P2 = Q2 @ Q2.T
-        assert np.linalg.norm(P1 - P2) <= 1e-10
-
-    def test_rank_deficiency_names_column(self):
-        V = np.column_stack([np.ones(6), 2.0 * np.ones(6)])
-        with pytest.raises(RankDeficiencyError) as err:
-            qr_orthonormalize(V)
-        assert err.value.column == 1
-
-    def test_more_columns_than_rows_rejected(self):
-        with pytest.raises(UsageError):
-            qr_orthonormalize(np.ones((2, 3)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 31 - 1))
-    def test_span_preserved(self, k, seed):
-        rng = np.random.default_rng(seed)
-        V = rng.standard_normal((12, k))
-        Q = qr_orthonormalize(V)
-        # every original column lies in span(Q)
-        resid = V - Q @ (Q.T @ V)
-        assert np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(V))
