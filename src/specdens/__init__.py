@@ -29,13 +29,7 @@ from .lanczos import (
     slow_lanczos,
     tv_distance,
 )
-from .linalg import (
-    EigenPairs,
-    TridiagonalMatrix,
-    dense_eig,
-    eig_tridiagonal,
-    householder_tridiagonalize,
-)
+from .linalg import EigenPairs, TridiagonalMatrix, dense_eig, eig_tridiagonal
 from .net import (
     Checkpoint,
     MlpSpec,

@@ -1,26 +1,23 @@
-"""Dense and tridiagonal symmetric eigensolvers.
+"""Dense and tridiagonal symmetric eigensolvers, both on LAPACK.
 
-Two independent routes to eigenvalues live here on purpose. The tridiagonal
-path (`householder_tridiagonalize` + `eig_tridiagonal`) is written from
-scratch and powers the estimators; `dense_eig` wraps LAPACK and serves as
-the validation oracle. Keeping both honest against each other is a standing
-test obligation, so neither may be rewritten in terms of the other.
+`eig_tridiagonal` powers the estimators: it turns each Lanczos tridiagonal
+into Ritz values and weights in O(M) memory, with bits that do not depend
+on the BLAS thread count. `dense_eig` is the validation-side route for
+explicit matrices. The independent checks on both (a hand-written QL
+iteration, Householder reduction and Sturm bisection) live with the tests,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AsymmetricInputError, ConvergenceError, UsageError
-
-_EPS = float(np.finfo(np.float64).eps)
-
-# sweeps per eigenvalue before QL iteration gives up; generous — classic
-# implementations converge in 2-3
-_MAX_SWEEPS = 50
 
 _DENSE_SIZE_CAP = 4096
 
@@ -71,157 +68,121 @@ class EigenPairs:
     vectors: np.ndarray | None = None
 
 
-def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
-    """Eigendecomposition of a symmetric tridiagonal matrix.
+@functools.cache
+def _lapack():
+    """``(dstev, dpttrf, dbdsqr)`` from the LAPACK that scipy ships.
 
-    Implicit-shift QL iteration with Wilkinson shifts. ``vectors`` selects
-    how much eigenvector information is accumulated:
+    Imported on first use rather than with the module: ``scipy.linalg``
+    costs about 0.35 s and 28 MB at start-up, which commands that never
+    solve a tridiagonal problem should not pay. ``scipy.linalg.lapack``
+    does not wrap ``dbdsqr``, so it is taken from the C entry points that
+    ``scipy.linalg.cython_lapack`` exports as capsules (LP64 ``int``).
+    """
+    from scipy.linalg import cython_lapack, lapack
+
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__["dbdsqr"]
+    address = get_pointer(capsule, get_name(capsule))
+    # dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work,
+    # info): int* arguments take ctypes.c_int, double* ones a data address
+    i, d = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    dbdsqr = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, i, i, i, d, d, d, i,
+                              d, i, d, i, d, i)(address)
+    return lapack.dstev, lapack.dpttrf, dbdsqr
+
+
+def _times_eigenvectors(alpha: np.ndarray, beta: np.ndarray,
+                        U: np.ndarray) -> None:
+    """Overwrite ``U`` (Fortran order, ``nru`` x n) with ``U @ Q``, where
+    the columns of Q are the eigenvectors of T in *descending* order.
+
+    T + s I, shifted by twice its Gershgorin radius, is strictly diagonally
+    dominant, so its Cholesky factor B = L D^(1/2) is stable, and the left
+    singular vectors of B are the eigenvectors of T. ``dbdsqr`` applies its
+    rotations to U one at a time: no BLAS-3, so the bits do not depend on
+    the BLAS thread count, and only U and 4n doubles of work are held.
+    """
+    _, dpttrf, dbdsqr = _lapack()
+    n = alpha.size
+    pad = np.zeros(n + 1)
+    pad[1:-1] = beta
+    radius = float(np.max(np.abs(alpha) + pad[:-1] + pad[1:]))
+    shift = 2.0 * radius if radius > 0.0 else 1.0
+    D, L, info = dpttrf(alpha + shift, beta)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dpttrf failed (info={info})")
+    np.sqrt(D, out=D)
+    L *= D[:-1]
+    work = np.empty(4 * n)
+    nru = U.shape[0]
+    one, info = ctypes.c_int(1), ctypes.c_int(0)
+    # no right vectors (ncvt=0) and no C (ncc=0): VT and C are never read
+    dbdsqr(b"L", ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(nru),
+           ctypes.c_int(0), D.ctypes.data, L.ctypes.data, work.ctypes.data,
+           one, U.ctypes.data, ctypes.c_int(max(nru, 1)), work.ctypes.data,
+           one, work.ctypes.data, info)
+    if info.value != 0:
+        raise ConvergenceError(f"LAPACK dbdsqr failed (info={info.value})")
+
+
+def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
+    """Eigendecomposition of a symmetric tridiagonal matrix (LAPACK).
+
+    Eigenvalues come from ``dstev`` without vectors (root-free QR,
+    ``dsterf``). ``vectors`` selects how much eigenvector information is
+    computed besides:
 
     - ``"none"``  : eigenvalues only (first_components returned as NaN),
-    - ``"first"`` : first components only — O(M) extra memory, the right
-      mode for Ritz weights,
+    - ``"first"`` : first components only — O(M) memory, the right mode
+      for Ritz weights,
     - ``"full"``  : complete eigenvector matrix, O(M^2).
 
-    Ties in the eigenvalues are broken by ascending pre-sort index so the
-    output is deterministic.
+    Eigenvectors come from the bidiagonal SVD of a shifted Cholesky factor
+    (see :func:`_times_eigenvectors`). The output bits are the same for any
+    BLAS thread count. A LAPACK failure raises :class:`ConvergenceError`.
     """
     if vectors not in ("none", "first", "full"):
         raise UsageError(f"unknown vectors mode {vectors!r}")
     n = T.order
-    # work in plain Python floats: the scalar recurrence dominates and
-    # ndarray scalar indexing is several times slower
-    d = [float(x) for x in T.alpha]
-    e = [float(x) for x in T.beta] + [0.0]
-
-    z_first: list[float] | None = None
-    Z: np.ndarray | None = None
-    if vectors == "first":
-        z_first = [0.0] * n
-        z_first[0] = 1.0
-    elif vectors == "full":
-        Z = np.eye(n)
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _MAX_SWEEPS:
-                raise ConvergenceError(
-                    f"QL iteration exceeded {_MAX_SWEEPS} sweeps at index {l}"
-                )
-            # shift from the leading 2x2 of the active block
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early; deflate and restart
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z_first is not None:
-                    f = z_first[i + 1]
-                    z_first[i + 1] = s * z_first[i] + c * f
-                    z_first[i] = c * z_first[i] - s * f
-                elif Z is not None:
-                    col = Z[:, i + 1].copy()
-                    Z[:, i + 1] = s * Z[:, i] + c * col
-                    Z[:, i] = c * Z[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    values = np.array(d)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    if z_first is not None:
-        first = np.array(z_first)[order]
-        return EigenPairs(values=values, first_components=first)
-    if Z is not None:
-        Z = Z[:, order]
-        return EigenPairs(values=values, first_components=Z[0].copy(), vectors=Z)
-    return EigenPairs(values=values, first_components=np.full(n, np.nan))
+    if n == 1:
+        # the LAPACK wrappers reject an empty subdiagonal
+        Z = np.ones((1, 1))
+        first = np.full(1, np.nan) if vectors == "none" else Z[0].copy()
+        return EigenPairs(values=T.alpha.copy(), first_components=first,
+                          vectors=Z if vectors == "full" else None)
+    dstev = _lapack()[0]
+    values, _, info = dstev(T.alpha, T.beta, compute_v=0)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dstev failed (info={info})")
+    if vectors == "none":
+        return EigenPairs(values=values, first_components=np.full(n, np.nan))
+    U = np.eye(n, order="F") if vectors == "full" else np.eye(1, n, order="F")
+    _times_eigenvectors(T.alpha, T.beta, U)
+    # dbdsqr orders singular values, hence eigenvalues, descending
+    U = U[:, ::-1]
+    return EigenPairs(values=values, first_components=U[0].copy(),
+                      vectors=U if vectors == "full" else None)
 
 
 def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {A.shape}")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    defect = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    if not A.size:
+        return
+    # max(max, -min) rather than max|A|: no |A| temporary, and NaN propagates
+    scale = max(float(A.max()), -float(A.min()))
+    if not math.isfinite(scale):
+        raise UsageError("matrix has non-finite entries")
+    D = np.subtract(A, A.T)
+    defect = float(np.abs(D, out=D).max())
     if defect > tol * max(scale, 1e-300):
         raise AsymmetricInputError(
             f"matrix asymmetric: max|A - A^T| = {defect:.3e} vs scale {scale:.3e}"
         )
-
-
-def householder_tridiagonalize(A: np.ndarray) -> tuple[TridiagonalMatrix, np.ndarray]:
-    """Reduce a dense symmetric matrix to tridiagonal form: A = Q T Q^T.
-
-    Classic Householder reduction working on the trailing block; columns that
-    are already tridiagonal are skipped, so an input that is tridiagonal to
-    begin with comes back unchanged with Q = I. A final sign pass flips basis
-    vectors so every subdiagonal entry is nonnegative.
-    """
-    A = np.array(A, dtype=np.float64, copy=True)
-    _require_symmetric(A)
-    n = A.shape[0]
-    Q = np.eye(n)
-    for k in range(n - 2):
-        x = A[k + 1:, k]
-        tail = float(np.linalg.norm(x[1:]))
-        if tail == 0.0:
-            continue
-        a0 = -math.copysign(math.hypot(float(x[0]), tail), float(x[0]) or 1.0)
-        v = x.copy()
-        v[0] -= a0
-        v /= np.linalg.norm(v)
-        B = A[k + 1:, k + 1:]            # view: updates land in A
-        u = B @ v
-        w = u - (v @ u) * v
-        B -= 2.0 * np.outer(v, w)
-        B -= 2.0 * np.outer(w, v)
-        A[k + 1, k] = A[k, k + 1] = a0
-        A[k + 2:, k] = 0.0
-        A[k, k + 2:] = 0.0
-        Qv = Q[:, k + 1:] @ v
-        Q[:, k + 1:] -= 2.0 * np.outer(Qv, v)
-
-    alpha = np.diag(A).copy()
-    beta = np.diag(A, -1).copy()
-    if n > 1:
-        # flip basis signs to make the subdiagonal nonnegative; a diagonal
-        # similarity, so eigenvalues are untouched
-        signs = np.ones(n)
-        for j in range(n - 1):
-            signs[j + 1] = signs[j] * (1.0 if beta[j] >= 0.0 else -1.0)
-        Q *= signs
-        beta = np.abs(beta)
-    return TridiagonalMatrix(alpha=alpha, beta=beta), Q
 
 
 def dense_eig(A: np.ndarray, vectors: bool = False,

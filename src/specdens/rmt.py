@@ -69,17 +69,24 @@ def sample(spec: EnsembleSpec) -> np.ndarray:
     if spec.kind == "goe":
         Z = rng.standard_normal((spec.p, spec.p))
         # entry variance 1/p off the diagonal => bulk support [-2, 2]
-        return (Z + Z.T) / math.sqrt(2.0 * spec.p)
+        Y = Z + Z.T
+        Y /= math.sqrt(2.0 * spec.p)
+        return Y
     if spec.kind == "spiked_wishart":
         Z = rng.standard_normal((spec.p, spec.n))
-        Y = (Z @ Z.T) / spec.n
+        Y = Z @ Z.T
+        Y /= spec.n
         for j, s in enumerate(spec.spikes):
             Y[j, j] += s
         return Y
-    # pareto_wishart: iid classic Pareto entries via inverse CDF
-    U = rng.random((spec.p, spec.n))
-    Z = (1.0 - U) ** (-1.0 / spec.alpha)
-    return (Z @ Z.T) / spec.n
+    # pareto_wishart: iid classic Pareto entries via inverse CDF, built in
+    # place so only one p x n array is alive
+    Z = rng.random((spec.p, spec.n))
+    np.subtract(1.0, Z, out=Z)
+    Z **= -1.0 / spec.alpha
+    Y = Z @ Z.T
+    Y /= spec.n
+    return Y
 
 
 # ---------------------------------------------------------------------------

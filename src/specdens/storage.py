@@ -85,6 +85,9 @@ def read_matrix(path) -> np.ndarray:
             f"({len(blob)} bytes, expected {expected} for dim {dim})"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=16)
+    # max and min propagate NaN and expose +-inf without a temporary
+    if flat.size and not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
+        raise InputFormatError(f"{path}: matrix has non-finite entries")
     return flat.reshape(dim, dim).astype(np.float64)
 
 

@@ -1,7 +1,8 @@
 """Command surface end to end: exit codes, outputs, provenance, reruns.
 
-Everything runs in-process through ``main(argv)`` so exit codes and
-stderr are observable without spawning interpreters.
+Almost everything runs in-process through ``main(argv)`` so exit codes
+and stderr are observable without spawning interpreters. The checks on
+what a command imports and on BLAS thread counts need a fresh one.
 """
 
 import gzip
@@ -20,6 +21,7 @@ from specdens.cli import main
 from specdens.decomp import validate_report
 from specdens.errors import InputFormatError, UsageError
 from specdens.net import load_checkpoint
+from specdens.rmt import EnsembleSpec, sample
 from specdens.storage import (
     MATRIX_MAGIC,
     build_manifest,
@@ -39,6 +41,18 @@ def read_csv(path):
 
 def manifest_of(out_dir, command):
     return json.loads((out_dir / f"{command}.manifest.json").read_text())
+
+
+def run_python(script, *args, **env):
+    """Run ``script`` in a fresh interpreter that imports this checkout of
+    specdens, with ``env`` added to the environment; return its stdout."""
+    src = Path(specdens.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestMatrixFile:
@@ -242,28 +256,53 @@ class TestSpectrum:
             "assert main(args + ['--deflate', '1']) == 0\n"
             "print('scipy.sparse.linalg' in sys.modules)\n"
         )
-        src = Path(specdens.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(goe_dir / "matrix.spdm"),
-             str(tmp_path)], env=env, capture_output=True, text=True,
-            timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "True"]
+        out = run_python(script, goe_dir / "matrix.spdm", tmp_path)
+        assert out.split() == ["False", "True"]
+
+    def test_log_density_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # p = 2000 is large enough for OpenBLAS to split a matvec between
+        # threads, and 2048 steps run far past the loss of orthogonality
+        path = tmp_path / "goe.spdm"
+        write_matrix(path, sample(EnsembleSpec(kind="goe", p=2000, seed=5)))
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "assert main(['spectrum', '--matrix', sys.argv[1], '--log',\n"
+            "             '--steps', '2048', '--n-vec', '1',\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+        )
+        for threads in ("1", "2"):
+            run_python(script, path, tmp_path / threads,
+                       OPENBLAS_NUM_THREADS=threads)
+        one = (tmp_path / "1" / "density.json").read_bytes()
+        assert one == (tmp_path / "2" / "density.json").read_bytes()
+        assert json.loads(one)["density"]["scale"] == "log"
 
     @pytest.mark.parametrize("deflate", [[], ["--deflate", "2"]],
                              ids=["plain", "deflated"])
     def test_non_finite_operator_is_numerical_failure(self, tmp_path, capsys,
                                                       deflate):
-        A = np.eye(20)
-        A[3, 5] = A[5, 3] = np.nan
-        path = tmp_path / "nan.spdm"
-        write_matrix(path, A)
-        rc = main(["spectrum", "--matrix", str(path), *deflate,
-                   "--steps", "16", "--out-dir", str(tmp_path / "out")])
+        # every entry is finite, but a matvec sums 20 of them and overflows
+        path = tmp_path / "big.spdm"
+        write_matrix(path, np.full((20, 20), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["spectrum", "--matrix", str(path), *deflate,
+                       "--steps", "16", "--out-dir", str(tmp_path / "out")])
         assert rc == 4
         err = capsys.readouterr().err
-        assert "matrix:nan.spdm" in err and "non-finite" in err
+        assert "matrix:big.spdm" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_file_is_input_error(self, tmp_path, capsys,
+                                                   bad):
+        A = np.eye(20)
+        A[3, 5] = A[5, 3] = bad
+        path = tmp_path / "nan.spdm"
+        write_matrix(path, A)
+        rc = main(["spectrum", "--matrix", str(path), "--steps", "16",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_deflate_must_be_positive(self, spiked_dir, tmp_path, capsys):
         rc = main(["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
@@ -366,6 +405,18 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
         ck = load_checkpoint(tmp_path / "checkpoint_epoch0000.npz")
         assert ck.epoch == 0 and np.isfinite(ck.theta).all()
+
+    def test_start_up_loads_no_scipy(self, train_run, tmp_path):
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "assert main(['train', '--config', sys.argv[1],\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        out = run_python(script, train_run["config"], tmp_path)
+        assert out.split("\n")[:2] == ["[]", "False"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "none.json"),

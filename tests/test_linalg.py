@@ -1,25 +1,35 @@
-"""Eigensolver kernels against hand values, each other, and a bisection oracle.
+"""Eigensolver kernels against hand values, each other, and the oracles.
 
-The tridiagonal QL path and the LAPACK-backed dense path are independent
-implementations; several tests here exist purely to keep them honest
-against each other. The Sturm-sequence bisection oracle in oracles.py is
-a third route, used to check eig_tridiagonal without trusting either.
+Both library routes, eig_tridiagonal and dense_eig, run on LAPACK. The
+hand-written QL iteration, Householder reduction and Sturm-sequence
+bisection in oracles.py are independent of them, and the tests here keep
+the library honest against the oracles and the oracles against each other.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdens.errors import AsymmetricInputError, UsageError
-from specdens.linalg import (
-    TridiagonalMatrix,
-    dense_eig,
-    eig_tridiagonal,
-    householder_tridiagonalize,
+from specdens.errors import AsymmetricInputError, ConvergenceError, UsageError
+from specdens.lanczos import (
+    accumulate_bumps,
+    estimate_range,
+    fast_lanczos,
+    sigma_for,
 )
+from specdens.linalg import TridiagonalMatrix, dense_eig, eig_tridiagonal
+from specdens.operators import affine_operator, dense_operator
+from specdens.rmt import EnsembleSpec, sample
 
-from oracles import bisection_eigenvalues, tridiag_to_dense
+from oracles import (
+    bisection_eigenvalues,
+    householder_tridiagonalize,
+    ql_eig_tridiagonal,
+    tridiag_to_dense,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +125,107 @@ class TestEigTridiagonal:
 
 
 # ---------------------------------------------------------------------------
-# householder_tridiagonalize
+# the LAPACK route against the QL oracle on Lanczos tridiagonals
+# ---------------------------------------------------------------------------
+
+def _lanczos_tridiagonal(A: np.ndarray, steps: int, seed: int):
+    """Tridiagonal of ``steps`` > p unreorthogonalized Lanczos steps on the
+    spectrum of A mapped into [-1, 1]: past p the recurrence loses
+    orthogonality and repeats converged Ritz values ("ghosts")."""
+    op = dense_operator(A)
+    aop = affine_operator(op, estimate_range(op, seed=seed))
+    T, _ = fast_lanczos(aop, steps, seed)
+    return T
+
+
+class TestRitzWeightsAgainstQL:
+    @pytest.mark.parametrize("kind,p,steps,seed", [
+        ("goe", 60, 400, 1),
+        ("pareto_wishart", 50, 600, 2),
+        ("spiked_wishart", 80, 500, 3),
+    ])
+    def test_ghost_clusters_match_the_ql_oracle(self, kind, p, steps, seed):
+        spec = EnsembleSpec(kind=kind, p=p, seed=seed,
+                            n=None if kind == "goe" else 2 * p,
+                            alpha=1.0 if kind == "pareto_wishart" else None,
+                            spikes=(6.0,) if kind == "spiked_wishart" else ())
+        T = _lanczos_tridiagonal(sample(spec), steps, seed)
+        assert T.order == steps
+        got = eig_tridiagonal(T)
+        ref = ql_eig_tridiagonal(T)
+        # ghosts: most Ritz values repeat a neighbour to near machine precision
+        assert np.sum(np.diff(got.values) < 1e-10) > steps // 2
+        np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-12)
+        w_got = got.first_components ** 2
+        assert abs(w_got.sum() - 1.0) <= 1e-13
+        # a ghost cluster shares its weight arbitrarily between its copies,
+        # so compare what the weights are used for: the smoothed density
+        grid = np.linspace(-1.0, 1.0, 1024)
+        sigma = sigma_for(steps, 3.0)
+        d_got = accumulate_bumps(got.values, w_got, grid, sigma)
+        d_ref = accumulate_bumps(ref.values, ref.first_components ** 2, grid,
+                                 sigma)
+        h = grid[1] - grid[0]
+        assert np.sum(np.abs(d_got - d_ref)) * h <= 1e-10
+
+    def test_first_components_use_o_m_memory(self):
+        rng = np.random.default_rng(8)
+        n = 2048
+        T = TridiagonalMatrix(alpha=rng.standard_normal(n),
+                              beta=np.abs(rng.standard_normal(n - 1)))
+        eig_tridiagonal(T)            # loads LAPACK outside the measurement
+        tracemalloc.start()
+        try:
+            pairs = eig_tridiagonal(T, vectors="first")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20         # an n x n matrix would be 33.5 MB
+        assert abs(np.sum(pairs.first_components ** 2) - 1.0) <= 1e-13
+
+    def test_full_vectors_share_the_first_components(self):
+        rng = np.random.default_rng(12)
+        T = TridiagonalMatrix(alpha=rng.standard_normal(64),
+                              beta=np.abs(rng.standard_normal(63)))
+        first = eig_tridiagonal(T, vectors="first")
+        full = eig_tridiagonal(T, vectors="full")
+        assert np.array_equal(first.values, full.values)
+        assert np.array_equal(first.first_components, full.first_components)
+        np.testing.assert_allclose(full.vectors.T @ full.vectors, np.eye(64),
+                                   atol=1e-13)
+
+    def test_order_one(self):
+        T = TridiagonalMatrix(alpha=[2.5], beta=[])
+        for mode in ("first", "full"):
+            pairs = eig_tridiagonal(T, vectors=mode)
+            assert pairs.values.tolist() == [2.5]
+            assert pairs.first_components.tolist() == [1.0]
+        assert eig_tridiagonal(T, vectors="full").vectors.tolist() == [[1.0]]
+        assert np.isnan(eig_tridiagonal(T, vectors="none").first_components[0])
+
+    def test_input_is_not_overwritten(self):
+        alpha = np.array([1.0, -2.0, 0.5])
+        beta = np.array([0.3, 0.7])
+        T = TridiagonalMatrix(alpha=alpha.copy(), beta=beta.copy())
+        eig_tridiagonal(T, vectors="full")
+        assert np.array_equal(T.alpha, alpha) and np.array_equal(T.beta, beta)
+
+    def test_lapack_failure_is_convergence_error(self):
+        # dstev cannot converge on a NaN entry
+        with pytest.raises(ConvergenceError, match="dstev"):
+            eig_tridiagonal(TridiagonalMatrix(alpha=[1.0, np.nan, 2.0],
+                                              beta=[1.0, 1.0]))
+        # dstev copes with entries near the overflow threshold, but the
+        # shifted factor overflows and dbdsqr reports the failure
+        T = TridiagonalMatrix(alpha=[1.0, 2.0, 3.0], beta=[1e308, 1e308])
+        assert np.isfinite(eig_tridiagonal(T, vectors="none").values).all()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="dbdsqr"):
+            eig_tridiagonal(T)
+
+
+# ---------------------------------------------------------------------------
+# householder_tridiagonalize (the oracle's dense-to-tridiagonal reduction)
 # ---------------------------------------------------------------------------
 
 class TestHouseholder:
@@ -199,3 +309,10 @@ class TestDenseEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInputError):
             dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        A = np.eye(4)
+        A[1, 2] = A[2, 1] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            dense_eig(A)
