@@ -77,14 +77,9 @@ from .rmt import (
 from .decomp import (
     ClusterStats,
     GaussNewtonParts,
-    PerExampleVectors,
-    StreamingSource,
     build_decomposition,
     cluster_statistics,
     component_attribution,
-    gauss_newton_parts,
     identity_residual,
-    per_example_vectors,
-    streaming_cluster_statistics,
     validate_report,
 )

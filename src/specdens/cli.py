@@ -16,6 +16,7 @@ training divergence).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -81,10 +82,10 @@ def _require_file(path, what: str) -> Path:
 
 
 def _load_json(path, what: str) -> dict:
-    text = _require_file(path, what).read_text()
+    raw = _require_file(path, what).read_bytes()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise InputFormatError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: {what} must be a JSON object")
@@ -457,7 +458,34 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc malloc from handing freed pages back to the kernel after
+    every network pass.
+
+    A curvature matvec allocates and frees megabytes of (batch x width)
+    temporaries. Under glibc's start-up thresholds each one is mmapped, or
+    trimmed off the heap, and faulted in again on the next pass: a
+    standalone ``spectrum --checkpoint --which h`` on a 1000-example,
+    1386-parameter net took 560k page faults and 1.7 s of system time.
+    The values set here are the ones glibc's own dynamic threshold settles
+    on after the process first frees a 32 MiB block. A no-op where the C
+    library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:                    # argparse already printed

@@ -1,9 +1,9 @@
 """Hierarchical decomposition of the outer-product curvature term.
 
 The Gauss-Newton operator G is an average of per-example, per-class outer
-products. Grouping examples by true class and splitting each vector into
-its cluster mean plus fluctuation decomposes G exactly into four PSD
-pieces:
+products p_ic' v_ic' v_ic'^T with v_ic' = J_i^T (e_c' - p_i). Grouping
+examples by true class and splitting each vector into its cluster mean
+plus fluctuation decomposes G exactly into four PSD pieces:
 
 - A1: between-cluster means of the cross-class vectors (rank <= C),
 - A2: means of the true-class vectors (rank <= C),
@@ -12,16 +12,14 @@ pieces:
 - B2: within-cluster fluctuations (the only part that grows with n).
 
 G = A1 + A2 + B1 + B2 holds to round-off, and the identity is checked
-with random probes whenever a report is produced. All pieces are built
-from stored per-example vectors at desk scale — (n, C, p) memory — and
-exposed as factor-form operators, so eigenvalues of the low-rank pieces
-come from small Gram matrices, never from p x p assemblies.
+with random probes whenever a report is produced.
 
-When n*C*p would not fit, a streaming two-pass mode computes the same
-statistics without ever holding more than one chunk of per-example
-vectors: pass one accumulates masses and weighted means, pass two the
-within-cluster trace summaries. B2 then recomputes its chunks at
-matvec time instead of exposing a stored factor.
+No per-example vector is ever formed. The cluster masses are sums of
+softmax probabilities and the C^2 cluster means come from class-restricted
+summed VJPs, so A1, A2 and B1 are factor-form operators whose eigenvalues
+come from small Gram matrices. B2 stays matrix-free: one B2 matvec is one
+JVP, one VJP and a C^2 correction from the means, and its per-class traces
+come from per-example squared norms. Memory is O(n * width + C^2 * p).
 """
 
 from __future__ import annotations
@@ -34,128 +32,59 @@ from .data import LabeledDataset, one_hot
 from .errors import InputFormatError, UsageError
 from .lanczos import approx_log_spectrum
 from .linalg import dense_eig
-from .net import MlpSpec, hessian_operator, per_example_logit_vjp, predict_probs
+from .net import Linearization, MlpSpec, hessian_operator, linearize
 from .operators import SymmetricOperator, difference_operator, sum_operator
-
-_MEMORY_GUARD_FLOATS = 250_000_000  # ~2 GiB of per-example vectors
 
 REPORT_SCHEMA = "attribution-report/v1"
 
-
-@dataclass(frozen=True)
-class PerExampleVectors:
-    """For every example i and class c': the parameter-space vector
-    J_i^T (e_c' - p_i), with the example's softmax probs and true label."""
-
-    vectors: np.ndarray  # (n, C, p)
-    probs: np.ndarray    # (n, C)
-    labels: np.ndarray   # (n,)
-    class_count: int
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def param_count(self) -> int:
-        return self.vectors.shape[2]
-
-
-def per_example_vectors(spec: MlpSpec, theta: np.ndarray,
-                        data: LabeledDataset) -> PerExampleVectors:
-    """Materialize all n*C per-example class vectors.
-
-    Each class column comes from one batched VJP with cotangent rows
-    e_c' - p_i. Desk-scale only: refuses to allocate more than ~2 GiB.
-    """
-    C = spec.class_count
-    p = spec.param_count
-    if data.n * C * p > _MEMORY_GUARD_FLOATS:
-        raise UsageError(
-            f"per-example vectors would need {data.n} x {C} x {p} floats; "
-            "this analysis is desk-scale by design — shrink the model or data"
-        )
-    P = predict_probs(spec, theta, data.x)
-    vecs = np.empty((data.n, C, p))
-    eye = np.eye(C)
-    for c in range(C):
-        vecs[:, c, :] = per_example_logit_vjp(spec, theta, data.x, eye[c] - P)
-    return PerExampleVectors(vectors=vecs, probs=P, labels=data.y.copy(),
-                             class_count=C)
-
-
-@dataclass(frozen=True)
-class StreamingSource:
-    """Recipe for recomputing per-example vectors one chunk at a time.
-
-    Holds no vectors itself; ``chunks()`` re-derives them on demand, so a
-    B2 matvec over n examples costs one full pass but only one chunk of
-    memory at a time.
-    """
-
-    spec: MlpSpec
-    theta: np.ndarray
-    data: LabeledDataset
-    batch_size: int
-
-    @property
-    def n(self) -> int:
-        return self.data.n
-
-    @property
-    def class_count(self) -> int:
-        return self.spec.class_count
-
-    @property
-    def param_count(self) -> int:
-        return self.spec.param_count
-
-    def chunks(self):
-        """Yield (vectors, probs, labels) per chunk, same values as the
-        in-memory route restricted to the chunk's rows."""
-        C = self.spec.class_count
-        p = self.spec.param_count
-        eye = np.eye(C)
-        for lo in range(0, self.data.n, self.batch_size):
-            hi = min(lo + self.batch_size, self.data.n)
-            x = self.data.x[lo:hi]
-            P = predict_probs(self.spec, self.theta, x)
-            V = np.empty((hi - lo, C, p))
-            for c in range(C):
-                V[:, c, :] = per_example_logit_vjp(self.spec, self.theta, x,
-                                                   eye[c] - P)
-            yield V, P, self.data.y[lo:hi]
+# a per-class B2 trace is a difference of two sums of squares; when it is
+# this close to zero relative to them, its sign and size are round-off
+_TRACE_ROUNDOFF = 1e-13
 
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Probability-weighted cluster means, grouped by true class.
+    """Probability-weighted cluster statistics, grouped by true class.
 
     Row c aggregates the examples whose true label is c: ``class_prob[c, c']``
-    is the total softmax weight those examples put on class c', and
-    ``class_mean[c, c']`` the weighted mean of their class-c' vectors.
-    ``off_prob`` / ``off_mean`` aggregate the off-diagonal (c' != c) part.
+    is the total softmax weight W_cc' those examples put on class c',
+    ``class_mean[c, c']`` the weighted mean mu_cc' of their class-c' vectors,
+    and ``sq_norm_sums[c]`` the weighted sum of those vectors' squared
+    norms. ``off_prob`` / ``off_mean`` aggregate the off-diagonal (c' != c)
+    part.
     """
 
-    class_prob: np.ndarray   # (C, C)
-    class_mean: np.ndarray   # (C, C, p)
-    off_prob: np.ndarray     # (C,)
-    off_mean: np.ndarray     # (C, p)
-    counts: np.ndarray       # (C,) examples per true class
+    class_prob: np.ndarray    # (C, C)
+    class_mean: np.ndarray    # (C, C, p)
+    off_prob: np.ndarray      # (C,)
+    off_mean: np.ndarray      # (C, p)
+    sq_norm_sums: np.ndarray  # (C,)
+    counts: np.ndarray        # (C,) examples per true class
     n_total: int
-    source: PerExampleVectors | StreamingSource
 
 
-def _finish_stats(class_prob: np.ndarray, vec_sums: np.ndarray,
-                  counts: np.ndarray, n_total: int,
-                  source) -> ClusterStats:
-    """Turn accumulated weighted sums into means and the off-diagonal
-    aggregates — shared by the in-memory and streaming routes."""
-    C = class_prob.shape[0]
-    p = vec_sums.shape[2]
+def cluster_statistics(lin: Linearization, labels: np.ndarray) -> ClusterStats:
+    """Masses, means and weighted squared norms of every (true class c,
+    class c') cluster, from 2 C^2 backward passes over class-c rows."""
+    C = lin.spec.class_count
+    p = lin.spec.param_count
+    class_prob = np.zeros((C, C))
     class_mean = np.zeros((C, C, p))
-    nz = class_prob > 0.0
-    class_mean[nz] = vec_sums[nz] / class_prob[nz, None]
+    sq_norm_sums = np.zeros(C)
+    counts = np.bincount(labels, minlength=C)
+    eye = np.eye(C)
+    for c in range(C):
+        if counts[c] == 0:
+            continue
+        sub = lin.rows(labels == c)
+        P = sub.probs
+        class_prob[c] = P.sum(axis=0)
+        for c2 in range(C):
+            D = eye[c2] - P                          # rows e_c' - p_i
+            w = P[:, c2]
+            if class_prob[c, c2] > 0.0:
+                class_mean[c, c2] = sub.vjp(w[:, None] * D) / class_prob[c, c2]
+            sq_norm_sums[c] += w @ sub.vjp_sq_norms(D)
     off = ~np.eye(C, dtype=bool)
     off_prob = np.where(off, class_prob, 0.0).sum(axis=1)
     off_mean = np.zeros((C, p))
@@ -168,53 +97,10 @@ def _finish_stats(class_prob: np.ndarray, vec_sums: np.ndarray,
         class_mean=class_mean,
         off_prob=off_prob,
         off_mean=off_mean,
+        sq_norm_sums=sq_norm_sums,
         counts=counts,
-        n_total=n_total,
-        source=source,
+        n_total=int(labels.size),
     )
-
-
-def cluster_statistics(pev: PerExampleVectors) -> ClusterStats:
-    C = pev.class_count
-    p = pev.param_count
-    class_prob = np.zeros((C, C))
-    vec_sums = np.zeros((C, C, p))
-    counts = np.zeros(C, dtype=np.int64)
-    for c in range(C):
-        rows = pev.labels == c
-        counts[c] = int(rows.sum())
-        if counts[c] == 0:
-            continue
-        W = pev.probs[rows]          # (n_c, C)
-        V = pev.vectors[rows]        # (n_c, C, p)
-        class_prob[c] = W.sum(axis=0)
-        vec_sums[c] = np.einsum("ic,icp->cp", W, V)
-    return _finish_stats(class_prob, vec_sums, counts, pev.n, pev)
-
-
-def streaming_cluster_statistics(spec: MlpSpec, theta: np.ndarray,
-                                 data: LabeledDataset,
-                                 batch_size: int = 256) -> ClusterStats:
-    """Means pass of the two-pass mode: same ClusterStats as the in-memory
-    route (up to summation order), holding one chunk of vectors at a time."""
-    if batch_size < 1:
-        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
-    src = StreamingSource(spec=spec, theta=theta, data=data,
-                          batch_size=batch_size)
-    C = spec.class_count
-    p = spec.param_count
-    class_prob = np.zeros((C, C))
-    vec_sums = np.zeros((C, C, p))
-    counts = np.zeros(C, dtype=np.int64)
-    for V, P, y in src.chunks():
-        for c in range(C):
-            rows = y == c
-            if not rows.any():
-                continue
-            counts[c] += int(rows.sum())
-            class_prob[c] += P[rows].sum(axis=0)
-            vec_sums[c] += np.einsum("ic,icp->cp", P[rows], V[rows])
-    return _finish_stats(class_prob, vec_sums, counts, data.n, src)
 
 
 def _factor_operator(F: np.ndarray, label: str) -> SymmetricOperator:
@@ -233,30 +119,40 @@ def factor_eigenvalues(F: np.ndarray) -> np.ndarray:
     return pairs.values[::-1].copy()
 
 
+def _b2_matvec(lin: Linearization, members: np.ndarray, stats: ClusterStats,
+               v: np.ndarray) -> np.ndarray:
+    """B2 v = sum_ic' c_ic' (v_ic' - mu_{y_i c'}) with
+    c_ic' = (p_ic'/N) <v_ic' - mu_{y_i c'}, v>; ``members`` is one_hot(y)."""
+    C = members.shape[1]
+    P = lin.probs
+    u = lin.jvp(v)                                   # (n, C): J_i v
+    mean_dots = stats.class_mean @ v                 # (C, C): <mu_cc', v>
+    coef = (P / stats.n_total) * (
+        u - np.sum(P * u, axis=1, keepdims=True) - members @ mean_dots)
+    pulled = lin.vjp(coef - P * coef.sum(axis=1, keepdims=True))
+    cluster_coef = members.T @ coef                  # (C, C): sum_{i in c} c_ic'
+    return pulled - cluster_coef.ravel() @ stats.class_mean.reshape(C * C, -1)
+
+
 @dataclass(frozen=True)
 class GaussNewtonParts:
-    """The four decomposition pieces as operators, plus their factors.
+    """The four decomposition pieces as operators, plus the factors of the
+    low-rank three.
 
-    Every operator is F^T F for a factor F, so PSD-ness and the rank
-    bounds are structural. ``b2_per_class[c]`` restricts B2 to the
-    examples with true label c. In streaming mode B2's factor is never
-    materialized: ``b2_factor``/``b2_row_labels`` are None, its matvecs
-    recompute chunks, and the per-class traces were accumulated during
-    the covariance pass instead.
+    A1, A2 and B1 are F^T F for a factor F, so PSD-ness and the rank
+    bounds are structural. B2 is applied matrix-free from the network's
+    linearization and the cluster means; it has no factor.
     """
 
     a1: SymmetricOperator
     a2: SymmetricOperator
     b1: SymmetricOperator
     b2: SymmetricOperator
-    b2_per_class: list[SymmetricOperator]
     a1_factor: np.ndarray
     a2_factor: np.ndarray
     b1_factor: np.ndarray
-    b2_factor: np.ndarray | None
-    b2_row_labels: np.ndarray | None
     stats: ClusterStats
-    b2c_trace_values: np.ndarray | None = None
+    b2_factor: None = None  # always: B2 is matrix-free
 
     def parts(self) -> dict[str, SymmetricOperator]:
         return {"a1": self.a1, "a2": self.a2, "b1": self.b1, "b2": self.b2}
@@ -269,61 +165,31 @@ class GaussNewtonParts:
     def b2c_traces(self) -> np.ndarray:
         """Per-class trace of B2, normalized by the class example count.
 
-        Computed from the stored factor rows (weighted squared norms), or
-        returned from the streaming covariance pass; nothing p x p is
-        ever formed either way.
+        Exact, from sum_{i in c, c'} p_ic' ||v_ic' - mu_cc'||^2
+        = sq_norm_sums[c] - sum_c' W_cc' ||mu_cc'||^2, over n_c N.
         """
-        if self.b2_factor is None:
-            return self.b2c_trace_values.copy()
-        C = self.stats.class_prob.shape[0]
-        row_sq = np.einsum("rp,rp->r", self.b2_factor, self.b2_factor)
-        out = np.zeros(C)
-        for c in range(C):
-            nc = self.stats.counts[c]
-            if nc > 0:
-                out[c] = row_sq[self.b2_row_labels == c].sum() / nc
-        return out
+        st = self.stats
+        mean_sq = np.einsum("cdp,cdp->cd", st.class_mean, st.class_mean)
+        spread = st.sq_norm_sums - (st.class_prob * mean_sq).sum(axis=1)
+        spread = np.where(spread > _TRACE_ROUNDOFF * st.sq_norm_sums,
+                          spread, 0.0)
+        scale = st.counts * float(st.n_total)
+        return np.divide(spread, scale, out=np.zeros_like(spread),
+                         where=st.counts > 0)
 
 
-def _streaming_b2_matvec(src: StreamingSource, stats: ClusterStats,
-                         v: np.ndarray, only_class: int | None) -> np.ndarray:
-    N = stats.n_total
-    out = np.zeros(src.param_count)
-    for V, P, y in src.chunks():
-        if only_class is not None:
-            rows = y == only_class
-            if not rows.any():
-                continue
-            V, P, y = V[rows], P[rows], y[rows]
-        centered = V - stats.class_mean[y]                # (m, C, p)
-        coef = np.einsum("icp,p->ic", centered, v) * (P / N)
-        out += np.einsum("ic,icp->p", coef, centered)
-    return out
-
-
-def _streaming_b2c_traces(src: StreamingSource, stats: ClusterStats) -> np.ndarray:
-    """Covariance pass: per-class weighted squared fluctuation norms."""
-    C = src.class_count
-    N = stats.n_total
-    sums = np.zeros(C)
-    for V, P, y in src.chunks():
-        centered = V - stats.class_mean[y]
-        sq = np.einsum("icp,icp->i", (P / N)[:, :, None] * centered, centered)
-        for c in range(C):
-            rows = y == c
-            if rows.any():
-                sums[c] += sq[rows].sum()
-    counts = stats.counts
-    return np.divide(sums, counts, out=np.zeros(C), where=counts > 0)
-
-
-def gauss_newton_parts(stats: ClusterStats) -> GaussNewtonParts:
-    src = stats.source
-    C = src.class_count
-    p = src.param_count
-    N = stats.n_total
-    if N < 1:
+def build_decomposition(spec: MlpSpec, theta: np.ndarray,
+                        data: LabeledDataset) -> GaussNewtonParts:
+    """The four parts of G on ``data`` at ``theta``, in O(n * width + C^2 p)
+    memory. Data that does not fit the network raises
+    DimensionMismatchError."""
+    lin = linearize(spec, theta, data)
+    if data.n < 1:
         raise UsageError("need at least one example")
+    stats = cluster_statistics(lin, data.y)
+    C = spec.class_count
+    p = spec.param_count
+    N = stats.n_total
 
     a1_factor = np.sqrt(stats.off_prob / N)[:, None] * stats.off_mean
     diag_prob = np.diagonal(stats.class_prob)
@@ -341,64 +207,19 @@ def gauss_newton_parts(stats: ClusterStats) -> GaussNewtonParts:
             )
     b1_factor = np.array(b1_rows) if b1_rows else np.empty((0, p))
 
-    if isinstance(src, PerExampleVectors):
-        centered = src.vectors - stats.class_mean[src.labels]      # (n, C, p)
-        scaled = np.sqrt(src.probs / N)[:, :, None] * centered
-        b2_factor = scaled.reshape(src.n * C, p)
-        b2_row_labels = np.repeat(src.labels, C)
-        b2 = _factor_operator(b2_factor, "b2")
-        b2_per_class = []
-        for c in range(C):
-            Fc = b2_factor[b2_row_labels == c]
-            b2_per_class.append(_factor_operator(Fc, label=f"b2[class={c}]"))
-        trace_values = None
-    else:
-        b2_factor = None
-        b2_row_labels = None
-        b2 = SymmetricOperator(
-            p, lambda v: _streaming_b2_matvec(src, stats, v, None),
-            label="b2[streaming]")
-        b2_per_class = [
-            SymmetricOperator(
-                p, lambda v, c=c: _streaming_b2_matvec(src, stats, v, c),
-                label=f"b2[class={c},streaming]")
-            for c in range(C)
-        ]
-        trace_values = _streaming_b2c_traces(src, stats)
-
+    members = one_hot(data.y, C)
+    b2 = SymmetricOperator(p, lambda v: _b2_matvec(lin, members, stats, v),
+                           label="b2")
     return GaussNewtonParts(
         a1=_factor_operator(a1_factor, "a1"),
         a2=_factor_operator(a2_factor, "a2"),
         b1=_factor_operator(b1_factor, "b1"),
         b2=b2,
-        b2_per_class=b2_per_class,
         a1_factor=a1_factor,
         a2_factor=a2_factor,
         b1_factor=b1_factor,
-        b2_factor=b2_factor,
-        b2_row_labels=b2_row_labels,
         stats=stats,
-        b2c_trace_values=trace_values,
     )
-
-
-def build_decomposition(spec: MlpSpec, theta: np.ndarray,
-                        data: LabeledDataset, streaming: bool | None = None,
-                        batch_size: int = 256) -> GaussNewtonParts:
-    """Stats -> parts, picking the route by memory footprint.
-
-    ``streaming=None`` stores per-example vectors when they fit under the
-    memory guard and falls back to the two-pass mode when they would not;
-    pass True/False to force a route.
-    """
-    if streaming is None:
-        streaming = data.n * spec.class_count * spec.param_count > _MEMORY_GUARD_FLOATS
-    if streaming:
-        stats = streaming_cluster_statistics(spec, theta, data,
-                                             batch_size=batch_size)
-    else:
-        stats = cluster_statistics(per_example_vectors(spec, theta, data))
-    return gauss_newton_parts(stats)
 
 
 def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,

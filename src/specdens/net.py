@@ -9,7 +9,9 @@ cross-entropy loss in a flat parameter vector:
 - `gnvp`       — the outer-product (Gauss-Newton) curvature term, computed
   per example as J^T (diag(p) - p p^T) J v without materializing J,
 - `hvp_h`      — the remainder, so hvp(v) = gnvp(v) + hvp_h(v) holds
-  bit-exactly by construction.
+  bit-exactly by construction,
+- `linearize`  — one stored forward state for JVPs, summed VJPs and
+  per-example VJP norms, the building blocks of :mod:`specdens.decomp`.
 
 The flat layout is part of the checkpoint contract: for each layer in
 order, the weight matrix (row-major, shape (fan_out, fan_in)) followed by
@@ -163,17 +165,24 @@ def _loss_sum(Z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(lse - Z[np.arange(Z.shape[0]), y]))
 
 
+def _deltas(spec: MlpSpec, Ws, hidden, D):
+    """Pre-activation cotangents of every layer, top first, as (l, D_l),
+    backpropagated from logit cotangents D (n, C)."""
+    for l in range(spec.depth - 1, -1, -1):
+        yield l, D
+        if l > 0:
+            S, A = hidden[l - 1]
+            D = (D @ Ws[l]) * _phi_prime(spec, S, A)
+
+
 def _backward_sums(spec: MlpSpec, Ws, acts, hidden, D):
     """Plain VJP from logit cotangents D (n, C); returns summed grads."""
     L = spec.depth
     gWs = [None] * L
     gbs = [None] * L
-    for l in range(L - 1, -1, -1):
-        gWs[l] = D.T @ acts[l]
-        gbs[l] = D.sum(axis=0)
-        if l > 0:
-            S, A = hidden[l - 1]
-            D = (D @ Ws[l]) * _phi_prime(spec, S, A)
+    for l, Dl in _deltas(spec, Ws, hidden, D):
+        gWs[l] = Dl.T @ acts[l]
+        gbs[l] = Dl.sum(axis=0)
     return gWs, gbs
 
 
@@ -332,38 +341,66 @@ def hvp_h(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset, v: np.ndarray,
             - gnvp(spec, theta, data, v, batch_size=batch_size))
 
 
-def per_example_logit_vjp(spec: MlpSpec, theta: np.ndarray, X: np.ndarray,
-                          cotangents: np.ndarray) -> np.ndarray:
-    """Per-example parameter vectors J_i^T c_i, stacked as (n, p).
+@dataclass(frozen=True)
+class Linearization:
+    """The logits linearized around fixed parameters on a fixed batch.
 
-    ``cotangents`` has one logit-space row per example. This materializes
-    n flat parameter vectors, so it is meant for the desk-scale analyses
-    in :mod:`specdens.decomp`, not for training-sized runs.
+    The forward state (layer inputs, hidden pre/post-activations, softmax
+    probabilities) is computed once; every product below reuses it, and
+    none forms a per-example Jacobian or a per-example parameter vector.
     """
-    X = np.asarray(X, dtype=np.float64)
-    cot = np.asarray(cotangents, dtype=np.float64)
-    Ws, bs = unflatten(spec, theta)
-    if X.ndim != 2 or cot.shape != (X.shape[0], spec.class_count):
-        raise UsageError("inputs and cotangents must align per example")
-    if X.shape[0] == 0:
-        raise UsageError("need at least one example")
-    acts, hidden, _ = _forward(spec, Ws, bs, X)
-    n = X.shape[0]
-    L = spec.depth
-    D = cot
-    blocks_W = [None] * L
-    blocks_b = [None] * L
-    for l in range(L - 1, -1, -1):
-        blocks_W[l] = np.einsum("ni,nj->nij", D, acts[l]).reshape(n, -1)
-        blocks_b[l] = D.copy()
-        if l > 0:
-            S, A = hidden[l - 1]
-            D = (D @ Ws[l]) * _phi_prime(spec, S, A)
-    parts = []
-    for l in range(L):
-        parts.append(blocks_W[l])
-        parts.append(blocks_b[l])
-    return np.concatenate(parts, axis=1)
+
+    spec: MlpSpec
+    Ws: list
+    bs: list
+    acts: list
+    hidden: list
+    probs: np.ndarray  # (n, C)
+
+    def rows(self, idx) -> "Linearization":
+        """The same linearization restricted to the examples ``idx``."""
+        return Linearization(self.spec, self.Ws, self.bs,
+                             [a[idx] for a in self.acts],
+                             [(S[idx], A[idx]) for S, A in self.hidden],
+                             self.probs[idx])
+
+    def jvp(self, v: np.ndarray) -> np.ndarray:
+        """Per-example logit directions J_i v, shape (n, C)."""
+        Vs, vbs = unflatten(self.spec, v)
+        return _r_forward(self.spec, self.Ws, self.bs, Vs, vbs,
+                          self.acts, self.hidden)[2]
+
+    def vjp(self, D: np.ndarray) -> np.ndarray:
+        """Summed pull-back sum_i J_i^T D_i of logit cotangents D (n, C)."""
+        return flatten(*_backward_sums(self.spec, self.Ws, self.acts,
+                                       self.hidden, D))
+
+    def vjp_sq_norms(self, D: np.ndarray) -> np.ndarray:
+        """Per-example ||J_i^T D_i||^2, shape (n,).
+
+        A layer's weight block of one example's pull-back is the outer
+        product of its pre-activation cotangent and its input, so its
+        squared norm is ||delta||^2 ||a||^2 (Goodfellow, arXiv 1510.01799);
+        the bias block adds ||delta||^2.
+        """
+        out = np.zeros(D.shape[0])
+        for l, Dl in _deltas(self.spec, self.Ws, self.hidden, D):
+            a = self.acts[l]
+            out += (np.einsum("ij,ij->i", Dl, Dl)
+                    * (np.einsum("ij,ij->i", a, a) + 1.0))
+        return out
+
+
+def linearize(spec: MlpSpec, theta: np.ndarray,
+              data: LabeledDataset) -> Linearization:
+    """Forward state of ``data`` at ``theta``, ready for JVPs and VJPs.
+
+    Holds O(n * widths) floats; rejects data that does not fit the network.
+    """
+    _check_data(spec, data)
+    Ws, bs = unflatten(spec, np.array(theta, dtype=np.float64, copy=True))
+    acts, hidden, Z = _forward(spec, Ws, bs, data.x)
+    return Linearization(spec, Ws, bs, acts, hidden, _softmax(Z))
 
 
 def _check_data(spec: MlpSpec, data: LabeledDataset) -> None:
@@ -464,7 +501,8 @@ def load_checkpoint(path) -> Checkpoint:
                 velocity=velocity,
                 meta=json.loads(str(z["meta_json"])),
             )
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            zipfile.BadZipFile) as err:
         raise InputFormatError(f"unreadable checkpoint {path}: {err}") from err
     if ck.theta.shape != (spec.param_count,):
         raise InputFormatError(

@@ -3,18 +3,22 @@
 Everything here is deliberately implemented by a different route than the
 library code it checks: hand-written QL iteration, Householder reduction and
 Sturm-sequence bisection instead of LAPACK, finite differences instead of
-analytic derivatives, explicitly materialized Jacobians instead of
-matrix-free products. Slow is fine; independent is the point.
+analytic derivatives, explicitly materialized Jacobians and stored per-example vectors instead
+of matrix-free products. Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from specdens.decomp import ClusterStats
 from specdens.errors import ConvergenceError, UsageError
 from specdens.linalg import EigenPairs, TridiagonalMatrix, _require_symmetric
+from specdens.net import _forward, _phi_prime, predict_probs, unflatten
+from specdens.operators import SymmetricOperator
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -314,3 +318,108 @@ def explicit_gauss_newton(jacobians: np.ndarray, probs: np.ndarray) -> np.ndarra
         S = np.diag(probs[i]) - np.outer(probs[i], probs[i])
         G += jacobians[i].T @ S @ jacobians[i]
     return G / n
+
+
+# ---------------------------------------------------------------------------
+# stored-factor decomposition: every per-example class vector in memory
+# ---------------------------------------------------------------------------
+
+def per_example_logit_vjp(spec, theta: np.ndarray, X: np.ndarray,
+                          cotangents: np.ndarray) -> np.ndarray:
+    """Per-example parameter vectors J_i^T c_i, stacked as (n, p)."""
+    X = np.asarray(X, dtype=np.float64)
+    cot = np.asarray(cotangents, dtype=np.float64)
+    Ws, bs = unflatten(spec, theta)
+    if X.ndim != 2 or cot.shape != (X.shape[0], spec.class_count):
+        raise UsageError("inputs and cotangents must align per example")
+    if X.shape[0] == 0:
+        raise UsageError("need at least one example")
+    acts, hidden, _ = _forward(spec, Ws, bs, X)
+    n = X.shape[0]
+    L = spec.depth
+    D = cot
+    blocks_W = [None] * L
+    blocks_b = [None] * L
+    for l in range(L - 1, -1, -1):
+        blocks_W[l] = np.einsum("ni,nj->nij", D, acts[l]).reshape(n, -1)
+        blocks_b[l] = D.copy()
+        if l > 0:
+            S, A = hidden[l - 1]
+            D = (D @ Ws[l]) * _phi_prime(spec, S, A)
+    parts = []
+    for l in range(L):
+        parts.append(blocks_W[l])
+        parts.append(blocks_b[l])
+    return np.concatenate(parts, axis=1)
+
+
+@dataclass(frozen=True)
+class PerExampleVectors:
+    """For every example i and class c': the parameter-space vector
+    J_i^T (e_c' - p_i), with the example's softmax probs and true label."""
+
+    vectors: np.ndarray  # (n, C, p)
+    probs: np.ndarray    # (n, C)
+    labels: np.ndarray   # (n,)
+    class_count: int
+
+
+def per_example_vectors(spec, theta: np.ndarray, data) -> PerExampleVectors:
+    """All n*C per-example class vectors, one batched VJP per class."""
+    C = spec.class_count
+    P = predict_probs(spec, theta, data.x)
+    vecs = np.empty((data.n, C, spec.param_count))
+    eye = np.eye(C)
+    for c in range(C):
+        vecs[:, c, :] = per_example_logit_vjp(spec, theta, data.x, eye[c] - P)
+    return PerExampleVectors(vectors=vecs, probs=P, labels=data.y.copy(),
+                             class_count=C)
+
+
+def stored_cluster_statistics(pev: PerExampleVectors) -> ClusterStats:
+    """Cluster masses, means and weighted squared norms from stored vectors."""
+    C = pev.class_count
+    p = pev.vectors.shape[2]
+    class_prob = np.zeros((C, C))
+    class_mean = np.zeros((C, C, p))
+    sq_norm_sums = np.zeros(C)
+    counts = np.zeros(C, dtype=np.int64)
+    for c in range(C):
+        rows = pev.labels == c
+        counts[c] = int(rows.sum())
+        if counts[c] == 0:
+            continue
+        W = pev.probs[rows]          # (n_c, C)
+        V = pev.vectors[rows]        # (n_c, C, p)
+        class_prob[c] = W.sum(axis=0)
+        sums = np.einsum("ic,icp->cp", W, V)
+        nz = class_prob[c] > 0.0
+        class_mean[c, nz] = sums[nz] / class_prob[c, nz, None]
+        sq_norm_sums[c] = np.einsum("ic,icp,icp->", W, V, V)
+    off = ~np.eye(C, dtype=bool)
+    off_prob = np.where(off, class_prob, 0.0).sum(axis=1)
+    off_mean = np.zeros((C, p))
+    for c in range(C):
+        if off_prob[c] > 0.0:
+            weights = np.where(off[c], class_prob[c], 0.0)
+            off_mean[c] = (weights[:, None] * class_mean[c]).sum(axis=0) / off_prob[c]
+    return ClusterStats(class_prob=class_prob, class_mean=class_mean,
+                        off_prob=off_prob, off_mean=off_mean,
+                        sq_norm_sums=sq_norm_sums, counts=counts,
+                        n_total=pev.vectors.shape[0])
+
+
+def stored_b2_factor(pev: PerExampleVectors,
+                     stats: ClusterStats) -> tuple[np.ndarray, np.ndarray]:
+    """B2 = F^T F with one row sqrt(p_ic'/N) (v_ic' - mu_{y_i c'}) per
+    example and class; returns F (n*C, p) and each row's true label."""
+    n, C, p = pev.vectors.shape
+    centered = pev.vectors - stats.class_mean[pev.labels]      # (n, C, p)
+    scaled = np.sqrt(pev.probs / n)[:, :, None] * centered
+    return scaled.reshape(n * C, p), np.repeat(pev.labels, C)
+
+
+def factor_operator(F: np.ndarray):
+    """F^T F as a matrix-free operator."""
+    return SymmetricOperator(F.shape[1], lambda v: F.T @ (F @ v),
+                             label="stored-factor")

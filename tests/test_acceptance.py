@@ -11,13 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import fd_hessian, fd_hvp
-from specdens.decomp import (
-    cluster_statistics,
-    gauss_newton_parts,
-    identity_residual,
-    per_example_vectors,
-)
+from oracles import fd_hessian, fd_hvp, per_example_vectors
+from specdens.decomp import build_decomposition, identity_residual
 from specdens.data import LabeledDataset
 from specdens.deflation import low_rank_deflation, top_eigenpairs
 from specdens.lanczos import (
@@ -189,11 +184,11 @@ def test_criterion_4_curvature_split_against_finite_differences(
 def test_criterion_5_hierarchical_identity(trained_tiny_net):
     mspec, theta, train, _ = trained_tiny_net
     g_op = hessian_operator(mspec, theta, train, which="g")
-    pev = per_example_vectors(mspec, theta, train)
-    parts = gauss_newton_parts(cluster_statistics(pev))
+    parts = build_decomposition(mspec, theta, train)
     resid = identity_residual(g_op, parts, probes=20, seed=0)
 
     # the true-class vector is the example's loss gradient (sign flipped)
+    pev = per_example_vectors(mspec, theta, train)
     worst = 0.0
     for i in range(0, train.n, max(1, train.n // 25)):
         single = LabeledDataset(x=train.x[i:i + 1], y=train.y[i:i + 1],

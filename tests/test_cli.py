@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specdens
 from specdens.cli import main
@@ -425,6 +427,19 @@ class TestTrain:
         capsys.readouterr()
 
 
+    def test_non_utf8_config_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_bytes(b'{"data": "\xff"}')
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
+
+def decompose_args(checkpoint, data, out_dir, *extra):
+    return ["decompose", "--checkpoint", str(checkpoint), "--data", str(data),
+            *extra, "--out-dir", str(out_dir)]
+
+
 class TestCheckpointAnalysis:
     def test_spectrum_from_checkpoint(self, train_run, tmp_path):
         rc = main(["spectrum", "--checkpoint", str(train_run["final"]),
@@ -457,6 +472,37 @@ class TestCheckpointAnalysis:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"dim": 5}, {"classes": 2}])
+    def test_decompose_data_mismatch_is_input_error(self, train_run, tmp_path,
+                                                    capsys, change):
+        wrong = tmp_path / "wrong.json"
+        wrong.write_text(json.dumps({**GMM_DATA, **change}))
+        rc = main(decompose_args(train_run["final"], wrong, tmp_path,
+                                 "--steps", "16"))
+        assert rc == 3
+        assert "input error" in capsys.readouterr().err
+
+    def test_decompose_rerun_is_byte_identical(self, train_run, tmp_path):
+        for name in ("a", "b"):
+            assert main(decompose_args(
+                train_run["final"], train_run["data"], tmp_path / name,
+                "--steps", "32", "--grid-points", "64", "--seed", "3")) == 0
+        assert ((tmp_path / "a" / "attribution.json").read_bytes()
+                == (tmp_path / "b" / "attribution.json").read_bytes())
+
+    def test_unsupported_zip_feature_is_input_error(self, train_run, tmp_path,
+                                                    capsys):
+        # general-purpose flag bit 5 ("compressed patched data") in the
+        # first central-directory entry; zipfile refuses such members
+        blob = bytearray(train_run["final"].read_bytes())
+        flags = blob.index(b"PK\x01\x02") + 8
+        blob[flags] |= 0x20
+        patched = tmp_path / "patched.npz"
+        patched.write_bytes(bytes(blob))
+        rc = main(decompose_args(patched, train_run["data"], tmp_path))
+        assert rc == 3
+        assert "unreadable checkpoint" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_input_error(self, train_run, tmp_path,
                                                  capsys):
@@ -492,3 +538,35 @@ class TestCheckpointAnalysis:
                    "--data", str(wrong), "--out-dir", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+
+def _mutants(blob: bytes):
+    """Strategy over every proper prefix and every single-bit flip of blob."""
+    prefixes = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+
+    def flip(bit):
+        out = bytearray(blob)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+
+    return st.one_of(prefixes, st.integers(0, 8 * len(blob) - 1).map(flip))
+
+
+class TestDecomposeFuzz:
+    """A damaged checkpoint or data config maps to an exit code (0, 2 or
+    3), never to a traceback: the exit-code table is a contract."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_prefixes_and_bit_flips_never_raise(self, train_run, data):
+        work = train_run["root"] / "fuzz"
+        work.mkdir(exist_ok=True)
+        inputs = {"checkpoint": train_run["final"], "data": train_run["data"]}
+        target = data.draw(st.sampled_from(sorted(inputs)))
+        mutant = work / inputs[target].name
+        mutant.write_bytes(data.draw(_mutants(inputs[target].read_bytes())))
+        inputs[target] = mutant
+        rc = main(decompose_args(inputs["checkpoint"], inputs["data"],
+                                 work / "out", "--steps", "4",
+                                 "--grid-points", "16"))
+        assert rc in (0, 2, 3)

@@ -1,40 +1,40 @@
 """The four-part split of the outer-product curvature term.
 
-The per-example class vectors satisfy two exact identities (the true-class
-vector is minus the example's loss gradient; the prob-weighted class sum
-vanishes), the cluster statistics are checked against brute-force loops,
-and the four parts must reassemble G to round-off. The streaming route
-must agree with the in-memory route to summation-order accuracy.
+The library builds the split matrix-free: cluster statistics from
+class-restricted VJPs and B2 from one JVP and one VJP per matvec. The
+stored-factor reference in oracles.py holds every per-example class vector
+instead; its vectors satisfy two exact identities (the true-class vector is
+minus the example's loss gradient; the prob-weighted class sum vanishes)
+and rebuild G. The matrix-free statistics are checked against brute-force
+loops over those vectors, the matrix-free B2 against the stored factor,
+and the four parts must reassemble G to round-off.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from specdens.data import LabeledDataset
 from specdens.errors import InputFormatError, UsageError
-from specdens.net import (
-    MlpSpec,
-    hessian_operator,
-    init_params,
-    per_example_logit_vjp,
-    predict_probs,
-)
+from specdens.net import MlpSpec, hessian_operator, init_params
 from specdens.decomp import (
-    PerExampleVectors,
     build_decomposition,
-    cluster_statistics,
     component_attribution,
     factor_eigenvalues,
-    gauss_newton_parts,
     identity_residual,
-    per_example_vectors,
-    streaming_cluster_statistics,
     validate_report,
 )
 
-from oracles import op_to_dense
+from oracles import (
+    factor_operator,
+    op_to_dense,
+    per_example_logit_vjp,
+    per_example_vectors,
+    stored_b2_factor,
+    stored_cluster_statistics,
+)
 
 
 def fixture_pev(trained_tiny_net):
@@ -108,23 +108,16 @@ class TestPerExampleVectors:
         G = op_to_dense(hessian_operator(spec, theta, train, which="g"))
         assert np.linalg.norm(G - G_dense) <= 1e-12 * np.linalg.norm(G)
 
-    def test_memory_guard_refuses_oversized_requests(self):
-        spec = MlpSpec(layer_dims=(4, 2000, 3))
-        n = 250_000_000 // (3 * spec.param_count) + 1
-        data = LabeledDataset(x=np.zeros((n, 4)), y=np.zeros(n, dtype=int),
-                              class_count=3)
-        with pytest.raises(UsageError, match="desk-scale"):
-            per_example_vectors(spec, np.zeros(spec.param_count), data)
-
 
 class TestClusterStatistics:
     def test_matches_brute_force_loops(self, trained_tiny_net):
-        _, _, train, pev = fixture_pev(trained_tiny_net)
-        stats = cluster_statistics(pev)
+        spec, theta, train, pev = fixture_pev(trained_tiny_net)
+        stats = build_decomposition(spec, theta, train).stats
         C = pev.class_count
         for c in range(C):
             rows = np.where(pev.labels == c)[0]
             assert stats.counts[c] == len(rows)
+            sq = 0.0
             for c2 in range(C):
                 w = sum(pev.probs[i, c2] for i in rows)
                 assert stats.class_prob[c, c2] == pytest.approx(w, rel=1e-13)
@@ -132,6 +125,9 @@ class TestClusterStatistics:
                            for i in rows) / w
                 np.testing.assert_allclose(stats.class_mean[c, c2], mean,
                                            atol=1e-13 * np.abs(mean).max())
+                sq += sum(pev.probs[i, c2] * pev.vectors[i, c2] @ pev.vectors[i, c2]
+                          for i in rows)
+            assert stats.sq_norm_sums[c] == pytest.approx(sq, rel=1e-13)
             off = [c2 for c2 in range(C) if c2 != c]
             w_off = sum(stats.class_prob[c, c2] for c2 in off)
             assert stats.off_prob[c] == pytest.approx(w_off, rel=1e-13)
@@ -145,20 +141,20 @@ class TestClusterStatistics:
         rng = np.random.default_rng(2)
         data = LabeledDataset(x=rng.standard_normal((24, 4)),
                               y=rng.integers(0, 3, 24), class_count=3)
-        stats = cluster_statistics(
-            per_example_vectors(spec, np.zeros(spec.param_count), data))
+        stats = build_decomposition(spec, np.zeros(spec.param_count),
+                                    data).stats
         counts = np.bincount(data.y, minlength=3)
         np.testing.assert_allclose(stats.class_prob,
                                    np.outer(counts, np.ones(3)) / 3.0,
                                    atol=1e-13)
 
     def test_duplicating_the_dataset_doubles_masses_only(self, trained_tiny_net):
-        spec, theta, train, pev = fixture_pev(trained_tiny_net)
+        spec, theta, train, _ = trained_tiny_net
         doubled = LabeledDataset(x=np.concatenate([train.x, train.x]),
                                  y=np.concatenate([train.y, train.y]),
                                  class_count=train.class_count)
-        s1 = cluster_statistics(pev)
-        s2 = cluster_statistics(per_example_vectors(spec, theta, doubled))
+        s1 = build_decomposition(spec, theta, train).stats
+        s2 = build_decomposition(spec, theta, doubled).stats
         np.testing.assert_allclose(s2.class_prob, 2.0 * s1.class_prob,
                                    rtol=1e-13)
         np.testing.assert_allclose(s2.class_mean, s1.class_mean, atol=1e-13)
@@ -213,24 +209,45 @@ class TestGaussNewtonParts:
         parts = build_decomposition(spec, theta, data)
         v = np.random.default_rng(7).standard_normal(spec.param_count)
         out = parts.b2.apply(v)
-        scale = np.abs(parts.b2_factor).max() if parts.b2_factor.size else 1.0
-        np.testing.assert_allclose(out, 0.0, atol=1e-12 * max(scale, 1.0))
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
         np.testing.assert_allclose(parts.b2c_traces(), 0.0, atol=1e-20)
 
+    def test_single_example_traces_are_zero_not_round_off(self):
+        # each trace is a difference of two equal sums here; the round-off
+        # left over must not surface as a tiny (possibly negative) trace
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            C = int(rng.integers(2, 6))
+            spec = MlpSpec(layer_dims=(4, 7, C))
+            data = LabeledDataset(x=rng.standard_normal((C, 4)),
+                                  y=np.arange(C), class_count=C)
+            parts = build_decomposition(spec, init_params(spec, seed=seed), data)
+            assert np.array_equal(parts.b2c_traces(), np.zeros(C)), seed
+
     def test_b2_is_the_sum_of_its_class_restrictions(self, trained_tiny_net):
+        # clusters never mix true classes, so B2 on the full data is the
+        # count-weighted sum of B2 on each class's examples alone
         spec, theta, train, _ = trained_tiny_net
         parts = build_decomposition(spec, theta, train)
         v = np.random.default_rng(8).standard_normal(spec.param_count)
-        total = sum(op.apply(v) for op in parts.b2_per_class)
+        total = np.zeros(spec.param_count)
+        for c in range(spec.class_count):
+            rows = train.y == c
+            subset = LabeledDataset(x=train.x[rows], y=train.y[rows],
+                                    class_count=train.class_count)
+            restricted = build_decomposition(spec, theta, subset)
+            total += (subset.n / train.n) * restricted.b2.apply(v)
         full = parts.b2.apply(v)
         np.testing.assert_allclose(total, full,
                                    atol=1e-12 * max(1.0, np.abs(full).max()))
 
     def test_b2c_traces_match_dense_operators(self, trained_tiny_net):
-        spec, theta, train, _ = trained_tiny_net
+        spec, theta, train, pev = fixture_pev(trained_tiny_net)
         parts = build_decomposition(spec, theta, train)
         traces = parts.b2c_traces()
-        for c, op in enumerate(parts.b2_per_class):
+        F, row_labels = stored_b2_factor(pev, stored_cluster_statistics(pev))
+        for c in range(spec.class_count):
+            op = factor_operator(F[row_labels == c])
             dense_trace = np.trace(op_to_dense(op))
             expected = dense_trace / parts.stats.counts[c]
             assert traces[c] == pytest.approx(expected, rel=1e-10)
@@ -245,67 +262,61 @@ class TestGaussNewtonParts:
         spec = MlpSpec(layer_dims=(3, 5, 3))
         empty = LabeledDataset(x=np.empty((0, 3)), y=np.empty(0, dtype=int),
                                class_count=3)
-        with pytest.raises(UsageError):
-            per_example_vectors(spec, init_params(spec), empty)
-        # and the parts builder guards n on its own
-        pev = PerExampleVectors(vectors=np.empty((0, 3, 10)),
-                                probs=np.empty((0, 3)),
-                                labels=np.empty(0, dtype=int), class_count=3)
         with pytest.raises(UsageError, match="at least one"):
-            gauss_newton_parts(cluster_statistics(pev))
+            build_decomposition(spec, init_params(spec), empty)
 
 
-class TestStreamingRoute:
-    def test_statistics_agree_with_in_memory(self, trained_tiny_net):
+class TestMatrixFreeRoute:
+    def test_statistics_agree_with_stored_factors(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
-        mem = cluster_statistics(pev)
-        stream = streaming_cluster_statistics(spec, theta, train, batch_size=7)
-        np.testing.assert_allclose(stream.class_prob, mem.class_prob,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(stream.class_mean, mem.class_mean,
-                                   atol=1e-12 * np.abs(mem.class_mean).max())
-        np.testing.assert_allclose(stream.off_mean, mem.off_mean,
-                                   atol=1e-12 * np.abs(mem.off_mean).max())
-        assert np.array_equal(stream.counts, mem.counts)
+        ref = stored_cluster_statistics(pev)
+        stats = build_decomposition(spec, theta, train).stats
+        np.testing.assert_allclose(stats.class_prob, ref.class_prob,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(stats.class_mean, ref.class_mean,
+                                   atol=1e-13 * np.abs(ref.class_mean).max())
+        np.testing.assert_allclose(stats.off_mean, ref.off_mean,
+                                   atol=1e-13 * np.abs(ref.off_mean).max())
+        np.testing.assert_allclose(stats.sq_norm_sums, ref.sq_norm_sums,
+                                   rtol=1e-13)
+        assert np.array_equal(stats.counts, ref.counts)
+        assert stats.n_total == ref.n_total
 
-    def test_matvecs_and_traces_agree_with_in_memory(self, trained_tiny_net):
-        spec, theta, train, _ = trained_tiny_net
-        mem = build_decomposition(spec, theta, train, streaming=False)
-        stream = build_decomposition(spec, theta, train, streaming=True,
-                                     batch_size=11)
-        assert mem.b2_factor is not None
-        assert stream.b2_factor is None and stream.b2_row_labels is None
+    def test_matvecs_and_traces_agree_with_stored_factors(self, trained_tiny_net):
+        spec, theta, train, pev = fixture_pev(trained_tiny_net)
+        parts = build_decomposition(spec, theta, train)
+        assert parts.b2_factor is None
+        F, row_labels = stored_b2_factor(pev, stored_cluster_statistics(pev))
+        stored = factor_operator(F)
         rng = np.random.default_rng(9)
         for _ in range(3):
             v = rng.standard_normal(spec.param_count)
-            a = mem.b2.apply(v)
-            b = stream.b2.apply(v)
+            a = stored.apply(v)
+            b = parts.b2.apply(v)
             np.testing.assert_allclose(b, a, atol=1e-12 * max(1.0, np.abs(a).max()))
-            for c in range(spec.class_count):
-                ac = mem.b2_per_class[c].apply(v)
-                bc = stream.b2_per_class[c].apply(v)
-                np.testing.assert_allclose(bc, ac,
-                                           atol=1e-12 * max(1.0, np.abs(ac).max()))
-        np.testing.assert_allclose(stream.b2c_traces(), mem.b2c_traces(),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(stream.a1_factor, mem.a1_factor, atol=1e-13)
+        row_sq = np.einsum("rp,rp->r", F, F)
+        ref_traces = [row_sq[row_labels == c].sum() / parts.stats.counts[c]
+                      for c in range(spec.class_count)]
+        np.testing.assert_allclose(parts.b2c_traces(), ref_traces, rtol=1e-12)
 
-    def test_streaming_identity_residual(self, trained_tiny_net):
-        spec, theta, train, _ = trained_tiny_net
-        parts = build_decomposition(spec, theta, train, streaming=True,
-                                    batch_size=16)
-        g_op = hessian_operator(spec, theta, train, which="g")
-        assert identity_residual(g_op, parts, probes=10, seed=1) <= 1e-10
-
-    def test_batch_size_validated(self, trained_tiny_net):
-        spec, theta, train, _ = trained_tiny_net
-        with pytest.raises(UsageError):
-            streaming_cluster_statistics(spec, theta, train, batch_size=0)
-
-    def test_auto_mode_stores_at_desk_scale(self, trained_tiny_net):
-        spec, theta, train, _ = trained_tiny_net
-        parts = build_decomposition(spec, theta, train)   # streaming=None
-        assert parts.b2_factor is not None
+    def test_identity_at_784_64_10_in_bounded_memory(self):
+        # p = 50,890 and n = 1000: stored per-example vectors would take
+        # n * C * p * 8 bytes = 4.1 GB; the matrix-free route stays small
+        spec = MlpSpec(layer_dims=(784, 64, 10))
+        theta = init_params(spec, seed=0)
+        rng = np.random.default_rng(10)
+        data = LabeledDataset(x=rng.standard_normal((1000, 784)),
+                              y=np.arange(1000) % 10, class_count=10)
+        tracemalloc.start()
+        try:
+            parts = build_decomposition(spec, theta, data)
+            g_op = hessian_operator(spec, theta, data, which="g")
+            resid = identity_residual(g_op, parts, probes=3, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resid <= 1e-10
+        assert peak < 256e6, f"tracemalloc peak {peak / 1e6:.0f} MB"
 
 
 @pytest.fixture(scope="module")

@@ -25,9 +25,9 @@ from specdens.net import (
     hvp,
     hvp_h,
     init_params,
+    linearize,
     load_checkpoint,
     loss,
-    per_example_logit_vjp,
     predict_logits,
     predict_probs,
     save_checkpoint,
@@ -42,6 +42,7 @@ from oracles import (
     fd_hessian,
     fd_hvp,
     op_to_dense,
+    per_example_logit_vjp,
 )
 
 
@@ -166,6 +167,9 @@ class TestForwardAndLoss:
                                      y=np.zeros(5, dtype=int), class_count=5)
         with pytest.raises(DimensionMismatchError):
             gradient(spec, theta, bad_classes)
+        for bad in (bad_dim, bad_classes):
+            with pytest.raises(DimensionMismatchError):
+                linearize(spec, theta, bad)
 
 
 class TestGradient:
@@ -393,6 +397,54 @@ class TestPerExampleVjp:
             cot = np.tile(np.eye(2)[c], (4, 1))
             rows = per_example_logit_vjp(spec, theta, x, cot)
             np.testing.assert_allclose(rows, J_fd[:, c, :], atol=1e-6)
+
+
+class TestLinearization:
+    """JVPs, summed VJPs and per-example VJP norms through one stored
+    forward state, checked against stored per-example Jacobian rows."""
+
+    def jacobian_rows(self, spec, theta, x):
+        C = spec.class_count
+        return np.stack([
+            per_example_logit_vjp(spec, theta, x, np.tile(np.eye(C)[c], (len(x), 1)))
+            for c in range(C)
+        ], axis=1)                                   # (n, C, p)
+
+    def test_products_match_stored_jacobians(self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        lin = linearize(spec, theta, train)
+        J = self.jacobian_rows(spec, theta, train.x)
+        rng = np.random.default_rng(18)
+        v = rng.standard_normal(spec.param_count)
+        D = rng.standard_normal((train.n, spec.class_count))
+        np.testing.assert_allclose(lin.probs, predict_probs(spec, theta, train.x),
+                                   atol=1e-15)
+        np.testing.assert_allclose(lin.jvp(v), J @ v, atol=1e-12)
+        np.testing.assert_allclose(lin.vjp(D), np.einsum("ic,icp->p", D, J),
+                                   atol=1e-12)
+        rows = np.einsum("ic,icp->ip", D, J)
+        np.testing.assert_allclose(lin.vjp_sq_norms(D),
+                                   np.einsum("ip,ip->i", rows, rows), rtol=1e-13)
+
+    def test_row_restriction(self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        keep = train.y == 1
+        sub = LabeledDataset(x=train.x[keep], y=train.y[keep],
+                             class_count=train.class_count)
+        D = np.random.default_rng(19).standard_normal((sub.n, spec.class_count))
+        restricted = linearize(spec, theta, train).rows(keep)
+        direct = linearize(spec, theta, sub)
+        assert np.array_equal(restricted.vjp(D), direct.vjp(D))
+        assert np.array_equal(restricted.vjp_sq_norms(D), direct.vjp_sq_norms(D))
+
+    def test_theta_is_copied(self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        theta_live = theta.copy()
+        lin = linearize(spec, theta_live, train)
+        v = np.random.default_rng(20).standard_normal(spec.param_count)
+        before = lin.jvp(v)
+        theta_live[:] = 0.0
+        assert np.array_equal(lin.jvp(v), before)
 
 
 class TestCheckpoints:
