@@ -40,6 +40,7 @@ from .net import (
     hvp,
     hvp_h,
     init_params,
+    linearize,
     load_checkpoint,
     loss,
     save_checkpoint,

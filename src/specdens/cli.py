@@ -30,6 +30,7 @@ from .data import LabeledDataset
 from .decomp import component_attribution
 from .deflation import low_rank_deflation
 from .errors import (
+    AsymmetricInputError,
     InputFormatError,
     NumericalError,
     UsageError,
@@ -193,7 +194,11 @@ def _spectrum_operator(args) -> tuple:
         raise UsageError("give either --matrix or --checkpoint, not both")
     if args.matrix is not None:
         path = _require_file(args.matrix, "matrix file")
-        op = dense_operator(read_matrix(path), label=f"matrix:{path.name}")
+        try:
+            op = dense_operator(read_matrix(path), label=f"matrix:{path.name}")
+        except AsymmetricInputError as err:
+            # the file format holds symmetric matrices only
+            raise InputFormatError(f"{path}: {err}") from err
         return op, {"matrix": str(path)}, [path]
     if args.checkpoint is None:
         raise UsageError("need an input: --matrix FILE, or --checkpoint with --data")

@@ -182,10 +182,8 @@ def build_decomposition(spec: MlpSpec, theta: np.ndarray,
                         data: LabeledDataset) -> GaussNewtonParts:
     """The four parts of G on ``data`` at ``theta``, in O(n * width + C^2 p)
     memory. Data that does not fit the network raises
-    DimensionMismatchError."""
+    DimensionMismatchError; empty data raises UsageError."""
     lin = linearize(spec, theta, data)
-    if data.n < 1:
-        raise UsageError("need at least one example")
     stats = cluster_statistics(lin, data.y)
     C = spec.class_count
     p = spec.param_count

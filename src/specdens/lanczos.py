@@ -35,6 +35,7 @@ _BREAKDOWN_TOL = 1e-12
 
 # bump mass beyond 6 sigma is ~2e-9; ignoring it keeps accumulation O(1) per bump
 _TRUNCATE_SIGMAS = 6.0
+_BLOCK_EDGES = 4096
 
 DEFAULT_RANGE_STEPS = 32
 DEFAULT_RANGE_TAU = 0.05
@@ -45,7 +46,9 @@ DEFAULT_LOG_STEPS = 2048
 DEFAULT_LOG_EPSILON = 1e-5
 
 # standard normal CDF, elementwise; math.erfc spares importing scipy.special
-# (about 0.3 s and 26 MB) for this one function
+# (about 0.3 s and 26 MB) for this one function. Called with a float64
+# ``out`` and casting="unsafe", numpy converts through a small buffer
+# instead of a full object array.
 _normal_cdf = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), 1, 1)
 
 
@@ -332,18 +335,31 @@ def accumulate_bumps(centers: np.ndarray, weights: np.ndarray,
     edges[1:-1] = 0.5 * (grid[1:] + grid[:-1])
     edges[0] = grid[0] - 0.5 * h
     edges[-1] = grid[-1] + 0.5 * h
-    values = np.zeros(K)
+    centers = np.asarray(centers, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     reach = _TRUNCATE_SIGMAS * sigma
-    for c, w in zip(np.asarray(centers, dtype=np.float64),
-                    np.asarray(weights, dtype=np.float64)):
-        if w == 0.0:
-            continue
-        j0 = max(int(np.searchsorted(edges, c - reach, side="left")) - 1, 0)
-        j1 = min(int(np.searchsorted(edges, c + reach, side="right")), K)
-        if j0 >= j1:
-            continue
-        cdf = _normal_cdf((edges[j0:j1 + 1] - c) / sigma).astype(np.float64)
-        values[j0:j1] += w * np.diff(cdf)
+    # every bump deposits into the cells [j0, j1) and reads edges j0 .. j1
+    j0 = np.maximum(np.searchsorted(edges, centers - reach, side="left") - 1, 0)
+    j1 = np.minimum(np.searchsorted(edges, centers + reach, side="right"), K)
+    keep = (weights != 0.0) & (j0 < j1)
+    centers, weights, j0, j1 = centers[keep], weights[keep], j0[keep], j1[keep]
+    values = np.zeros(K)
+    if not centers.size:
+        return values
+    # whole bumps in blocks of about _BLOCK_EDGES edges bound the temporaries
+    step = max(1, _BLOCK_EDGES // int((j1 - j0).max() + 1))
+    for lo in range(0, centers.size, step):
+        c, w, a, b = (x[lo:lo + step] for x in (centers, weights, j0, j1))
+        spans = b - a + 1
+        owner = np.repeat(np.arange(c.size), spans)
+        edge = np.arange(owner.size) - (np.cumsum(spans) - spans - a)[owner]
+        cdf = _normal_cdf((edges[edge] - c[owner]) / sigma,
+                          out=np.empty(owner.size), casting="unsafe")
+        # each edge past a bump's first closes the cell below it; add.at
+        # adds in bump order, the order of one bump at a time
+        inner = np.flatnonzero(edge > a[owner])
+        np.add.at(values, edge[inner] - 1,
+                  w[owner[inner]] * (cdf[inner] - cdf[inner - 1]))
     return values / h
 
 

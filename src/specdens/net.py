@@ -5,13 +5,20 @@ Everything downstream needs exact, deterministic derivatives of the mean
 cross-entropy loss in a flat parameter vector:
 
 - `gradient`   — reverse mode,
-- `hvp`        — full Hessian-vector products by forward-over-reverse,
-- `gnvp`       — the outer-product (Gauss-Newton) curvature term, computed
-  per example as J^T (diag(p) - p p^T) J v without materializing J,
-- `hvp_h`      — the remainder, so hvp(v) = gnvp(v) + hvp_h(v) holds
-  bit-exactly by construction,
-- `linearize`  — one stored forward state for JVPs, summed VJPs and
-  per-example VJP norms, the building blocks of :mod:`specdens.decomp`.
+- `linearize`  — one stored forward state (layer inputs, hidden slopes,
+  softmax probabilities, loss cotangent) for JVPs, summed VJPs and
+  per-example VJP norms, the building blocks of :mod:`specdens.decomp`,
+  and for the curvature products below, which all reuse it:
+- `hvp`        — full Hessian-vector products by forward-over-reverse, or
+  with a zero tangent seed at the logits the remainder H = Hess - G in the
+  same single pass,
+- `gnvp`       — the outer-product (Gauss-Newton) curvature term G,
+  computed per example as J^T (diag(p) - p p^T) J v without materializing
+  J,
+- `hvp_h`      — H v in one call from (spec, theta, data).
+
+hvp(v) = gnvp(v) + hvp(v, outer=False) holds to round-off (about 1e-15
+relative); the three are separate passes, not differences of one another.
 
 The flat layout is part of the checkpoint contract: for each layer in
 order, the weight matrix (row-major, shape (fan_out, fan_in)) followed by
@@ -25,6 +32,7 @@ import io
 import json
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,33 +132,33 @@ def init_params(spec: MlpSpec, seed: int = 0) -> np.ndarray:
 # divide by the global example count once, so chunking cannot change results)
 # ---------------------------------------------------------------------------
 
-def _phi_prime(spec: MlpSpec, S: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _phi_second(spec: MlpSpec, A: np.ndarray, prime: np.ndarray) -> np.ndarray:
+    """phi'' of a hidden layer from its output A and its slope phi'."""
     if spec.activation == "tanh":
-        return 1.0 - A * A
-    return (S > 0.0).astype(np.float64)
-
-
-def _phi_second(spec: MlpSpec, S: np.ndarray, A: np.ndarray) -> np.ndarray:
-    if spec.activation == "tanh":
-        return -2.0 * A * (1.0 - A * A)
-    return np.zeros_like(S)
+        return -2.0 * A * prime
+    return np.zeros_like(A)
 
 
 def _forward(spec: MlpSpec, Ws, bs, X):
-    """Returns layer inputs [A_0..A_{L-1}], hidden (S_l, A_l) pairs, logits."""
+    """Returns layer inputs [A_0..A_{L-1}], the slopes phi'(S_l) of the
+    hidden layers, and the logits."""
     acts = [X]
-    hidden = []
+    primes = []
     A = X
     L = spec.depth
     for l in range(L):
         S = A @ Ws[l].T + bs[l]
         if l < L - 1:
-            A = np.tanh(S) if spec.activation == "tanh" else np.maximum(S, 0.0)
-            hidden.append((S, A))
+            if spec.activation == "tanh":
+                A = np.tanh(S)
+                primes.append(1.0 - A * A)
+            else:
+                A = np.maximum(S, 0.0)
+                primes.append((S > 0.0).astype(np.float64))
             acts.append(A)
         else:
             logits = S
-    return acts, hidden, logits
+    return acts, primes, logits
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -165,39 +173,42 @@ def _loss_sum(Z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(lse - Z[np.arange(Z.shape[0]), y]))
 
 
-def _deltas(spec: MlpSpec, Ws, hidden, D):
+def _deltas(spec: MlpSpec, Ws, primes, D):
     """Pre-activation cotangents of every layer, top first, as (l, D_l),
     backpropagated from logit cotangents D (n, C)."""
     for l in range(spec.depth - 1, -1, -1):
         yield l, D
         if l > 0:
-            S, A = hidden[l - 1]
-            D = (D @ Ws[l]) * _phi_prime(spec, S, A)
+            D = (D @ Ws[l]) * primes[l - 1]
 
 
-def _backward_sums(spec: MlpSpec, Ws, acts, hidden, D):
+def _backward_sums(spec: MlpSpec, Ws, acts, primes, D):
     """Plain VJP from logit cotangents D (n, C); returns summed grads."""
     L = spec.depth
     gWs = [None] * L
     gbs = [None] * L
-    for l, Dl in _deltas(spec, Ws, hidden, D):
+    for l, Dl in _deltas(spec, Ws, primes, D):
         gWs[l] = Dl.T @ acts[l]
         gbs[l] = Dl.sum(axis=0)
     return gWs, gbs
 
 
-def _r_forward(spec: MlpSpec, Ws, bs, Vs, vbs, acts, hidden):
-    """Directional (JVP) pass along (Vs, vbs); returns RA list, RS list, RZ."""
+def _r_forward(spec: MlpSpec, Ws, Vs, vbs, acts, primes, logits: bool = True):
+    """Directional (JVP) pass along (Vs, vbs); returns RA list, RS list, RZ.
+
+    The input does not move with the parameters, so ``RAs[0]`` is None and
+    layer 0 has no ``RA @ W^T`` term. With ``logits=False`` the pass stops
+    below the output layer and RZ is None.
+    """
     L = spec.depth
-    RA = np.zeros_like(acts[0])
-    RAs = [RA]
-    RSs = []
-    for l in range(L):
-        RS = acts[l] @ Vs[l].T + RA @ Ws[l].T + vbs[l]
+    RAs, RSs, RZ = [None], [], None
+    for l in range(L if logits else L - 1):
+        RS = acts[l] @ Vs[l].T
+        if l > 0:
+            RS += RAs[l] @ Ws[l].T
+        RS += vbs[l]
         if l < L - 1:
-            S, A = hidden[l]
-            RA = _phi_prime(spec, S, A) * RS
-            RAs.append(RA)
+            RAs.append(primes[l] * RS)
             RSs.append(RS)
         else:
             RZ = RS
@@ -267,113 +278,74 @@ def gradient(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
     Ws, bs = unflatten(spec, theta)
     total = None
     for lo, hi in _chunks(data.n, batch_size):
-        acts, hidden, Z = _forward(spec, Ws, bs, data.x[lo:hi])
+        acts, primes, Z = _forward(spec, Ws, bs, data.x[lo:hi])
         D = _softmax(Z) - one_hot(data.y[lo:hi], spec.class_count)
-        total = _accumulate(total, _backward_sums(spec, Ws, acts, hidden, D))
+        total = _accumulate(total, _backward_sums(spec, Ws, acts, primes, D))
     gWs, gbs = total
     return flatten(gWs, gbs) / data.n
-
-
-def hvp(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset, v: np.ndarray,
-        batch_size: int = 1024) -> np.ndarray:
-    """Hessian-vector product of the mean loss, forward-over-reverse.
-
-    One joint pass per chunk: a directional forward sweep alongside the
-    activations, then a backward sweep that propagates the cotangent and
-    its directional derivative together. Cost is a small constant times a
-    gradient; memory is O(batch * widths).
-    """
-    _check_data(spec, data)
-    Ws, bs = unflatten(spec, theta)
-    Vs, vbs = unflatten(spec, v)
-    C = spec.class_count
-    L = spec.depth
-    total = None
-    for lo, hi in _chunks(data.n, batch_size):
-        acts, hidden, Z = _forward(spec, Ws, bs, data.x[lo:hi])
-        RAs, RSs, RZ = _r_forward(spec, Ws, bs, Vs, vbs, acts, hidden)
-        P = _softmax(Z)
-        D = P - one_hot(data.y[lo:hi], C)
-        RD = _fisher_mul(P, RZ)
-        gWs = [None] * L
-        gbs = [None] * L
-        for l in range(L - 1, -1, -1):
-            gWs[l] = RD.T @ acts[l] + D.T @ RAs[l]
-            gbs[l] = RD.sum(axis=0)
-            if l > 0:
-                S, A = hidden[l - 1]
-                U = D @ Ws[l]
-                RU = RD @ Ws[l] + D @ Vs[l]
-                prime = _phi_prime(spec, S, A)
-                D = U * prime
-                RD = RU * prime + U * _phi_second(spec, S, A) * RSs[l - 1]
-        total = _accumulate(total, (gWs, gbs))
-    gWs, gbs = total
-    return flatten(gWs, gbs) / data.n
-
-
-def gnvp(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset, v: np.ndarray,
-         batch_size: int = 1024) -> np.ndarray:
-    """Outer-product curvature term: average of J^T (diag(p) - p p^T) J v.
-
-    Per example: push v through the directional forward pass (u = J v),
-    multiply by the softmax second-moment factor, and pull back with a
-    plain VJP. The Jacobian J is never formed. Positive semidefinite by
-    construction.
-    """
-    _check_data(spec, data)
-    Ws, bs = unflatten(spec, theta)
-    Vs, vbs = unflatten(spec, v)
-    total = None
-    for lo, hi in _chunks(data.n, batch_size):
-        acts, hidden, Z = _forward(spec, Ws, bs, data.x[lo:hi])
-        _, _, RZ = _r_forward(spec, Ws, bs, Vs, vbs, acts, hidden)
-        W = _fisher_mul(_softmax(Z), RZ)
-        total = _accumulate(total, _backward_sums(spec, Ws, acts, hidden, W))
-    gWs, gbs = total
-    return flatten(gWs, gbs) / data.n
-
-
-def hvp_h(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset, v: np.ndarray,
-          batch_size: int = 1024) -> np.ndarray:
-    """The non-outer-product remainder: hvp(v) - gnvp(v), exactly."""
-    return (hvp(spec, theta, data, v, batch_size=batch_size)
-            - gnvp(spec, theta, data, v, batch_size=batch_size))
 
 
 @dataclass(frozen=True)
 class Linearization:
-    """The logits linearized around fixed parameters on a fixed batch.
+    """The network linearized around fixed parameters on a fixed batch.
 
-    The forward state (layer inputs, hidden pre/post-activations, softmax
-    probabilities) is computed once; every product below reuses it, and
-    none forms a per-example Jacobian or a per-example parameter vector.
+    Everything that depends only on the parameters and the batch is
+    computed once: the layer inputs, the hidden slopes phi', the softmax
+    probabilities and the loss cotangent P - Y, and on first use the
+    backward state the Hessian products need. Every product below and
+    every curvature product reuses it, and none forms a per-example
+    Jacobian or a per-example parameter vector. All arrays hold one row
+    per example.
     """
 
     spec: MlpSpec
     Ws: list
-    bs: list
-    acts: list
-    hidden: list
-    probs: np.ndarray  # (n, C)
+    acts: list             # layer inputs A_0 .. A_{L-1}
+    primes: list           # phi'(S_l) of the hidden layers
+    probs: np.ndarray      # (n, C)
+    cotangent: np.ndarray  # (n, C): P - Y, the logit cotangent of the loss
+
+    @property
+    def n(self) -> int:
+        return self.probs.shape[0]
+
+    @cached_property
+    def backward(self) -> tuple[list, list]:
+        """The loss cotangent at the pre-activation of every layer l >= 1,
+        and its second-order term (deltas[l] @ W_l) * phi''(S_{l-1}); None
+        at layer 0, whose input does not move with the parameters.
+
+        Only the Hessian products need it, so G and the decomposition,
+        which do not, never pay for it.
+        """
+        spec, Ws, primes = self.spec, self.Ws, self.primes
+        L = spec.depth
+        deltas = [None] * L
+        curvatures = [None] * L
+        deltas[-1] = self.cotangent
+        for l in range(L - 1, 0, -1):
+            U = deltas[l] @ Ws[l]
+            curvatures[l] = U * _phi_second(spec, self.acts[l], primes[l - 1])
+            if l > 1:
+                deltas[l - 1] = U * primes[l - 1]
+        return deltas, curvatures
 
     def rows(self, idx) -> "Linearization":
         """The same linearization restricted to the examples ``idx``."""
-        return Linearization(self.spec, self.Ws, self.bs,
-                             [a[idx] for a in self.acts],
-                             [(S[idx], A[idx]) for S, A in self.hidden],
-                             self.probs[idx])
+        return Linearization(self.spec, self.Ws, [a[idx] for a in self.acts],
+                             [d[idx] for d in self.primes], self.probs[idx],
+                             self.cotangent[idx])
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """Per-example logit directions J_i v, shape (n, C)."""
         Vs, vbs = unflatten(self.spec, v)
-        return _r_forward(self.spec, self.Ws, self.bs, Vs, vbs,
-                          self.acts, self.hidden)[2]
+        return _r_forward(self.spec, self.Ws, Vs, vbs, self.acts,
+                          self.primes)[2]
 
     def vjp(self, D: np.ndarray) -> np.ndarray:
         """Summed pull-back sum_i J_i^T D_i of logit cotangents D (n, C)."""
         return flatten(*_backward_sums(self.spec, self.Ws, self.acts,
-                                       self.hidden, D))
+                                       self.primes, D))
 
     def vjp_sq_norms(self, D: np.ndarray) -> np.ndarray:
         """Per-example ||J_i^T D_i||^2, shape (n,).
@@ -384,7 +356,7 @@ class Linearization:
         the bias block adds ||delta||^2.
         """
         out = np.zeros(D.shape[0])
-        for l, Dl in _deltas(self.spec, self.Ws, self.hidden, D):
+        for l, Dl in _deltas(self.spec, self.Ws, self.primes, D):
             a = self.acts[l]
             out += (np.einsum("ij,ij->i", Dl, Dl)
                     * (np.einsum("ij,ij->i", a, a) + 1.0))
@@ -393,14 +365,77 @@ class Linearization:
 
 def linearize(spec: MlpSpec, theta: np.ndarray,
               data: LabeledDataset) -> Linearization:
-    """Forward state of ``data`` at ``theta``, ready for JVPs and VJPs.
+    """Forward state of ``data`` at ``theta``, ready for JVPs, VJPs and
+    curvature products.
 
-    Holds O(n * widths) floats; rejects data that does not fit the network.
+    Holds O(n * widths) floats; rejects data that does not fit the network
+    and empty data.
     """
     _check_data(spec, data)
+    if data.n < 1:
+        raise UsageError("need at least one example")
     Ws, bs = unflatten(spec, np.array(theta, dtype=np.float64, copy=True))
-    acts, hidden, Z = _forward(spec, Ws, bs, data.x)
-    return Linearization(spec, Ws, bs, acts, hidden, _softmax(Z))
+    acts, primes, Z = _forward(spec, Ws, bs, data.x)
+    P = _softmax(Z)
+    return Linearization(spec, Ws, acts, primes, P,
+                         P - one_hot(data.y, spec.class_count))
+
+
+def hvp(lin: Linearization, v: np.ndarray, outer: bool = True) -> np.ndarray:
+    """Hessian-vector product of the mean loss, forward-over-reverse.
+
+    One directional forward sweep, then one backward sweep that propagates
+    the directional derivative RD of the loss cotangent; the cotangent
+    itself and its second-order term come from ``lin.backward`` (Pearlmutter
+    1994). The tangent seed at the logits selects the product: the Fisher
+    term (diag(p) - p p^T) J v gives the full Hessian; ``outer=False`` seeds
+    zero and gives the remainder H = Hess - G, whose top layer then needs
+    neither the logit direction nor any RD product.
+    """
+    spec, Ws, acts = lin.spec, lin.Ws, lin.acts
+    Vs, vbs = unflatten(spec, v)
+    RAs, RSs, RZ = _r_forward(spec, Ws, Vs, vbs, acts, lin.primes,
+                              logits=outer)
+    L = spec.depth
+    deltas, curvatures = lin.backward
+    RD = _fisher_mul(lin.probs, RZ) if outer else None  # None: zero seed
+    gWs = [None] * L
+    gbs = [None] * L
+    for l in range(L - 1, -1, -1):
+        D = deltas[l]
+        if RD is None:
+            gWs[l] = D.T @ RAs[l]
+            gbs[l] = np.zeros(Ws[l].shape[0])
+        else:
+            gWs[l] = RD.T @ acts[l]
+            if l > 0:
+                gWs[l] += D.T @ RAs[l]
+            gbs[l] = RD.sum(axis=0)
+        if l > 0:
+            RU = D @ Vs[l]
+            if RD is not None:
+                RU = RD @ Ws[l] + RU
+            RD = RU * lin.primes[l - 1] + curvatures[l] * RSs[l - 1]
+    return flatten(gWs, gbs) / lin.n
+
+
+def gnvp(lin: Linearization, v: np.ndarray) -> np.ndarray:
+    """Outer-product curvature term: average of J^T (diag(p) - p p^T) J v.
+
+    Per example: push v through the directional forward pass (u = J v),
+    multiply by the softmax second-moment factor, and pull back with a
+    plain VJP. The Jacobian J is never formed. Positive semidefinite by
+    construction.
+    """
+    return lin.vjp(_fisher_mul(lin.probs, lin.jvp(v))) / lin.n
+
+
+def hvp_h(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
+          v: np.ndarray) -> np.ndarray:
+    """The non-outer-product remainder H v = (Hess - G) v of the mean loss
+    on ``data`` at ``theta``: one forward pass and one fused
+    forward-over-reverse pass."""
+    return hvp(linearize(spec, theta, data), v, outer=False)
 
 
 def _check_data(spec: MlpSpec, data: LabeledDataset) -> None:
@@ -418,22 +453,25 @@ _WHICH = ("hess", "g", "h")
 
 
 def hessian_operator(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
-                     which: str = "hess",
-                     batch_size: int = 1024) -> SymmetricOperator:
+                     which: str = "hess") -> SymmetricOperator:
     """Curvature of the mean loss on ``data`` as a matrix-free operator.
 
     ``which`` selects the full Hessian ("hess"), the outer-product term
-    ("g"), or the remainder ("h"). The label records both the kind and the
-    data split, so derived operators read e.g. "hess[train]-g[train]".
+    ("g"), or the remainder ("h"). The forward state is computed once, here;
+    every matvec reuses it. The label records both the kind and the data
+    split, so derived operators read e.g. "hess[train]-g[train]".
     """
     if which not in _WHICH:
         raise UsageError(f"which must be one of {_WHICH}, got {which!r}")
-    _check_data(spec, data)
-    theta = np.array(theta, dtype=np.float64, copy=True)
-    fn = {"hess": hvp, "g": gnvp, "h": hvp_h}[which]
+    lin = linearize(spec, theta, data)
+    if which == "g":
+        def matvec(v):
+            return gnvp(lin, v)
+    else:
+        outer = which == "hess"
 
-    def matvec(v):
-        return fn(spec, theta, data, v, batch_size=batch_size)
+        def matvec(v):
+            return hvp(lin, v, outer=outer)
 
     split = data.split or "data"
     return SymmetricOperator(spec.param_count, matvec, label=f"{which}[{split}]")

@@ -16,8 +16,9 @@ import numpy as np
 
 from specdens.decomp import ClusterStats
 from specdens.errors import ConvergenceError, UsageError
+from specdens.lanczos import _TRUNCATE_SIGMAS
 from specdens.linalg import EigenPairs, TridiagonalMatrix, _require_symmetric
-from specdens.net import _forward, _phi_prime, predict_probs, unflatten
+from specdens.net import _forward, predict_probs, unflatten
 from specdens.operators import SymmetricOperator
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -253,6 +254,37 @@ def tridiag_to_dense(alpha, beta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# smoothed densities, one bump at a time
+# ---------------------------------------------------------------------------
+
+def accumulate_bumps_loop(centers, weights, grid, sigma: float) -> np.ndarray:
+    """Gaussian cell masses deposited bump by bump, in bump order: the
+    reference for the vectorized ``lanczos.accumulate_bumps`` (same cells,
+    same per-cell summation order, so the two agree bit for bit)."""
+    grid = np.asarray(grid, dtype=np.float64)
+    K = grid.size
+    h = (grid[-1] - grid[0]) / (K - 1)
+    edges = np.empty(K + 1)
+    edges[1:-1] = 0.5 * (grid[1:] + grid[:-1])
+    edges[0] = grid[0] - 0.5 * h
+    edges[-1] = grid[-1] + 0.5 * h
+    values = np.zeros(K)
+    reach = _TRUNCATE_SIGMAS * sigma
+    for c, w in zip(np.asarray(centers, dtype=np.float64),
+                    np.asarray(weights, dtype=np.float64)):
+        if w == 0.0:
+            continue
+        j0 = max(int(np.searchsorted(edges, c - reach, side="left")) - 1, 0)
+        j1 = min(int(np.searchsorted(edges, c + reach, side="right")), K)
+        if j0 >= j1:
+            continue
+        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0))
+                        for x in (edges[j0:j1 + 1] - c) / sigma])
+        values[j0:j1] += w * np.diff(cdf)
+    return values / h
+
+
+# ---------------------------------------------------------------------------
 # finite-difference derivatives of the network loss
 # ---------------------------------------------------------------------------
 
@@ -334,7 +366,7 @@ def per_example_logit_vjp(spec, theta: np.ndarray, X: np.ndarray,
         raise UsageError("inputs and cotangents must align per example")
     if X.shape[0] == 0:
         raise UsageError("need at least one example")
-    acts, hidden, _ = _forward(spec, Ws, bs, X)
+    acts, primes, _ = _forward(spec, Ws, bs, X)
     n = X.shape[0]
     L = spec.depth
     D = cot
@@ -344,8 +376,7 @@ def per_example_logit_vjp(spec, theta: np.ndarray, X: np.ndarray,
         blocks_W[l] = np.einsum("ni,nj->nij", D, acts[l]).reshape(n, -1)
         blocks_b[l] = D.copy()
         if l > 0:
-            S, A = hidden[l - 1]
-            D = (D @ Ws[l]) * _phi_prime(spec, S, A)
+            D = (D @ Ws[l]) * primes[l - 1]
     parts = []
     for l in range(L):
         parts.append(blocks_W[l])

@@ -570,3 +570,39 @@ class TestDecomposeFuzz:
                                  work / "out", "--steps", "4",
                                  "--grid-points", "16"))
         assert rc in (0, 2, 3)
+
+
+class TestMatrixFuzz:
+    """A damaged .spdm file maps to an exit code, never to a traceback: a
+    bad header, a truncation, a non-finite entry or a broken symmetry is
+    malformed input (3); a flip that keeps the file valid estimates (0) or
+    fails numerically (4)."""
+
+    @pytest.fixture(scope="class")
+    def matrix_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz_spdm") / "m.spdm"
+        write_matrix(path, sample(EnsembleSpec(kind="goe", p=8, seed=1)))
+        return path
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_prefixes_and_bit_flips_never_raise(self, matrix_file, data):
+        work = matrix_file.parent / "fuzz"
+        work.mkdir(exist_ok=True)
+        mutant = work / "m.spdm"
+        mutant.write_bytes(data.draw(_mutants(matrix_file.read_bytes())))
+        # a flipped exponent can overflow a matvec: exit 4, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["spectrum", "--matrix", str(mutant), "--steps", "4",
+                       "--grid-points", "16", "--out-dir", str(work / "out")])
+        assert rc in (0, 3, 4)
+
+    def test_asymmetric_matrix_file_is_input_error(self, tmp_path, capsys):
+        A = np.eye(4)
+        A[0, 1] = 0.5
+        path = tmp_path / "asym.spdm"
+        write_matrix(path, A)
+        rc = main(["spectrum", "--matrix", str(path), "--steps", "4",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "asym.spdm" in capsys.readouterr().err

@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import accumulate_bumps_loop
+from specdens import lanczos
 from specdens.errors import DegenerateSpectrumError, UsageError
 from specdens.lanczos import (
     DEFAULT_RANGE_TAU,
@@ -179,6 +181,49 @@ class TestAccumulateBumps:
         grid = np.linspace(-1.0, 1.0, 201)
         values = accumulate_bumps(np.array([0.3]), np.array([1.0]), grid, 0.05)
         assert abs(grid[np.argmax(values)] - 0.3) <= (grid[1] - grid[0])
+
+    def test_bit_identical_to_the_bump_by_bump_loop(self, rng):
+        grid = np.linspace(-1.0, 1.0, 257)
+        h = grid[1] - grid[0]
+        centers = np.concatenate([
+            rng.uniform(-0.9, 0.9, 40),
+            rng.uniform(-0.01, 0.01, 20),      # many bumps share cells
+            [-1.0 - 0.5 * h, 1.0 + 0.5 * h],   # on the outer edges
+            [-1.3, 1.2, -7.0, 9.0],            # partly or wholly off the grid
+            grid[::50],                        # exactly on grid points
+        ])
+        weights = rng.uniform(-0.2, 1.0, centers.size)
+        weights[::7] = 0.0
+        for sigma in (h / 8, h, 0.05, 0.4):
+            got = accumulate_bumps(centers, weights, grid, sigma)
+            assert np.array_equal(got, accumulate_bumps_loop(
+                centers, weights, grid, sigma))
+
+    def test_no_bump_on_the_grid_gives_zeros(self):
+        grid = np.linspace(-1.0, 1.0, 33)
+        for centers, weights in ((np.empty(0), np.empty(0)),
+                                 (np.array([0.0, 0.5]), np.zeros(2)),
+                                 (np.array([5.0, -5.0]), np.ones(2))):
+            values = accumulate_bumps(centers, weights, grid, 0.01)
+            assert np.array_equal(values, np.zeros(33))
+            assert np.array_equal(values, accumulate_bumps_loop(
+                centers, weights, grid, 0.01))
+
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_densities_match_the_loop_bit_for_bit(self, monkeypatch,
+                                                    log_scale):
+        rng = np.random.default_rng(31)
+        Z = rng.standard_normal((60, 60))
+        op = dense_operator(Z @ Z.T / 60 - 0.3 * np.eye(60))
+        kwargs = dict(steps=40, grid_points=200, n_vec=2, seed=5)
+        estimate = approx_log_spectrum if log_scale else approx_spectrum
+        got = estimate(op, **kwargs)
+        monkeypatch.setattr(lanczos, "accumulate_bumps", accumulate_bumps_loop)
+        ref = estimate(op, **kwargs)
+        assert np.array_equal(got.values, ref.values)
+        if log_scale:
+            assert got.negative is not None
+            assert np.array_equal(got.negative.values, ref.negative.values)
 
     def test_grid_validation(self):
         with pytest.raises(UsageError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from specdens import net as net_module
 from specdens.data import LabeledDataset
 from specdens.errors import DimensionMismatchError, InputFormatError, UsageError
 from specdens.net import (
@@ -51,6 +52,18 @@ def random_dataset(spec, n, seed, split=""):
     x = rng.standard_normal((n, spec.input_dim))
     y = rng.integers(0, spec.class_count, n)
     return LabeledDataset(x=x, y=y, class_count=spec.class_count, split=split)
+
+
+def jacobian_assembly_gn(spec, theta, data):
+    """Dense G: J rows extracted one cotangent at a time, then assembled as
+    mean J^T (diag(p) - p p^T) J — independent of the jvp route."""
+    n, C, p = data.n, spec.class_count, spec.param_count
+    J = np.empty((n, C, p))
+    eye = np.eye(C)
+    for c in range(C):
+        cot = np.tile(eye[c], (n, 1))
+        J[:, c, :] = per_example_logit_vjp(spec, theta, data.x, cot)
+    return explicit_gauss_newton(J, predict_probs(spec, theta, data.x))
 
 
 def zero_except_final_bias(spec, bias):
@@ -214,7 +227,7 @@ class TestGradient:
 class TestHvp:
     def test_zero_vector_maps_to_zero(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        out = hvp(spec, theta, train, np.zeros(spec.param_count))
+        out = hvp(linearize(spec, theta, train), np.zeros(spec.param_count))
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_linear_in_the_vector(self, trained_tiny_net):
@@ -222,8 +235,9 @@ class TestHvp:
         rng = np.random.default_rng(6)
         u = rng.standard_normal(spec.param_count)
         w = rng.standard_normal(spec.param_count)
-        combo = hvp(spec, theta, train, 2.0 * u - 0.5 * w)
-        parts = 2.0 * hvp(spec, theta, train, u) - 0.5 * hvp(spec, theta, train, w)
+        lin = linearize(spec, theta, train)
+        combo = hvp(lin, 2.0 * u - 0.5 * w)
+        parts = 2.0 * hvp(lin, u) - 0.5 * hvp(lin, w)
         np.testing.assert_allclose(combo, parts,
                                    atol=1e-10 * max(1.0, np.abs(parts).max()))
 
@@ -231,9 +245,10 @@ class TestHvp:
         spec, theta, train, _ = trained_tiny_net
         rng = np.random.default_rng(7)
         grad_fn = lambda t: gradient(spec, t, train)
+        lin = linearize(spec, theta, train)
         for _ in range(5):
             v = rng.standard_normal(spec.param_count)
-            exact = hvp(spec, theta, train, v)
+            exact = hvp(lin, v)
             approx = fd_hvp(grad_fn, theta, v)
             np.testing.assert_allclose(
                 exact, approx, atol=1e-4 * max(1.0, np.abs(exact).max()))
@@ -251,19 +266,20 @@ class TestCurvatureSplit:
     def test_outer_product_term_is_psd(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         rng = np.random.default_rng(8)
+        lin = linearize(spec, theta, train)
         for _ in range(20):
             v = rng.standard_normal(spec.param_count)
-            assert v @ gnvp(spec, theta, train, v) >= -1e-12 * (v @ v)
+            assert v @ gnvp(lin, v) >= -1e-12 * (v @ v)
 
     def test_split_identity_is_exact(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         rng = np.random.default_rng(9)
         v = rng.standard_normal(spec.param_count)
-        full = hvp(spec, theta, train, v)
-        outer = gnvp(spec, theta, train, v)
+        lin = linearize(spec, theta, train)
+        full = hvp(lin, v)
+        outer = gnvp(lin, v)
         rest = hvp_h(spec, theta, train, v)
-        # the remainder is literally the difference of the other two
-        assert np.array_equal(rest, full - outer)
+        # three separate passes that reassemble to round-off
         np.testing.assert_allclose(outer + rest, full,
                                    atol=1e-14 * max(1.0, np.abs(full).max()))
 
@@ -273,23 +289,34 @@ class TestCurvatureSplit:
         g_op = hessian_operator(spec, theta, train, which="g")
         h_op = hessian_operator(spec, theta, train, which="h")
         v = np.random.default_rng(10).standard_normal(spec.param_count)
-        assert np.array_equal(difference_operator(h_full, g_op).apply(v),
-                              h_op.apply(v))
+        full = h_full.apply(v)
+        np.testing.assert_allclose(difference_operator(h_full, g_op).apply(v),
+                                   h_op.apply(v),
+                                   atol=1e-14 * max(1.0, np.abs(full).max()))
 
     def test_gn_matches_exact_jacobian_assembly(self, trained_tiny_net):
-        # J rows extracted one cotangent at a time, then assembled densely
-        # as mean J^T (diag(p) - p p^T) J — independent of the jvp route
         spec, theta, train, _ = trained_tiny_net
-        n, C, p = train.n, spec.class_count, spec.param_count
-        J = np.empty((n, C, p))
-        eye = np.eye(C)
-        for c in range(C):
-            cot = np.tile(eye[c], (n, 1))
-            J[:, c, :] = per_example_logit_vjp(spec, theta, train.x, cot)
-        P = predict_probs(spec, theta, train.x)
-        G_oracle = explicit_gauss_newton(J, P)
+        G_oracle = jacobian_assembly_gn(spec, theta, train)
         G = op_to_dense(hessian_operator(spec, theta, train, which="g"))
         assert np.linalg.norm(G - G_oracle) <= 1e-12 * np.linalg.norm(G_oracle)
+
+    def test_remainder_matches_dense_hessian_minus_assembled_gn(
+            self, trained_tiny_net):
+        # the fused zero-seed pass against Hess - G with G from the
+        # Jacobian-assembly oracle, not from gnvp
+        spec, theta, train, _ = trained_tiny_net
+        ref = (op_to_dense(hessian_operator(spec, theta, train))
+               - jacobian_assembly_gn(spec, theta, train))
+        H = op_to_dense(hessian_operator(spec, theta, train, which="h"))
+        assert np.linalg.norm(H - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_remainder_matches_fd_hessian_minus_assembled_gn(
+            self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        ref = (fd_hessian(lambda t: gradient(spec, t, train), theta)
+               - jacobian_assembly_gn(spec, theta, train))
+        H = op_to_dense(hessian_operator(spec, theta, train, which="h"))
+        assert np.linalg.norm(H - ref) <= 1e-4 * np.linalg.norm(ref)
 
     def test_gn_matches_fd_jacobian_assembly(self):
         # fully independent route: Jacobians by finite differences
@@ -343,7 +370,7 @@ class TestCurvatureSplit:
         x = np.random.default_rng(13).standard_normal((12, 4))
         data = LabeledDataset(x=x, y=np.zeros(12, dtype=int), class_count=3)
         v = np.random.default_rng(14).standard_normal(spec.param_count)
-        assert np.linalg.norm(hvp(spec, theta, data, v)) <= 1e-10
+        assert np.linalg.norm(hvp(linearize(spec, theta, data), v)) <= 1e-10
         assert np.linalg.norm(hvp_h(spec, theta, data, v)) <= 1e-10
 
 
@@ -364,6 +391,32 @@ class TestHessianOperator:
         for which in ("hess", "g", "h"):
             op = hessian_operator(spec, theta, train, which=which)
             assert symmetry_defect(op, pairs=5, seed=1) <= 1e-10
+
+    @pytest.mark.parametrize("which", ["hess", "g", "h"])
+    def test_forward_pass_runs_once_at_construction(self, trained_tiny_net,
+                                                    monkeypatch, which):
+        spec, theta, train, _ = trained_tiny_net
+        calls = []
+        forward = net_module._forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(net_module, "_forward", counted)
+        op = hessian_operator(spec, theta, train, which=which)
+        assert len(calls) == 1
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            op.apply(rng.standard_normal(spec.param_count))
+        assert len(calls) == 1
+
+    def test_empty_data_rejected(self):
+        spec = MlpSpec(layer_dims=(3, 5, 3))
+        empty = LabeledDataset(x=np.empty((0, 3)), y=np.empty(0, dtype=int),
+                               class_count=3)
+        with pytest.raises(UsageError, match="at least one"):
+            hessian_operator(spec, init_params(spec), empty)
 
     def test_theta_is_copied_not_aliased(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
@@ -419,6 +472,7 @@ class TestLinearization:
         D = rng.standard_normal((train.n, spec.class_count))
         np.testing.assert_allclose(lin.probs, predict_probs(spec, theta, train.x),
                                    atol=1e-15)
+        assert np.array_equal(lin.cotangent, lin.probs - train.one_hot())
         np.testing.assert_allclose(lin.jvp(v), J @ v, atol=1e-12)
         np.testing.assert_allclose(lin.vjp(D), np.einsum("ic,icp->p", D, J),
                                    atol=1e-12)
@@ -436,6 +490,7 @@ class TestLinearization:
         direct = linearize(spec, theta, sub)
         assert np.array_equal(restricted.vjp(D), direct.vjp(D))
         assert np.array_equal(restricted.vjp_sq_norms(D), direct.vjp_sq_norms(D))
+        assert np.array_equal(restricted.cotangent, direct.cotangent)
 
     def test_theta_is_copied(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
