@@ -14,7 +14,6 @@ from .errors import (
     InputFormatError,
     NumericalError,
     SpecdensError,
-    TrainingDivergedError,
     UsageError,
 )
 from .lanczos import (
@@ -26,7 +25,6 @@ from .lanczos import (
     estimate_range,
     fast_lanczos,
     sigma_for,
-    slow_lanczos,
     tv_distance,
 )
 from .linalg import EigenPairs, TridiagonalMatrix, dense_eig, eig_tridiagonal
@@ -53,7 +51,6 @@ from .operators import (
     dense_operator,
     difference_operator,
     sum_operator,
-    symmetry_defect,
 )
 from .pipeline import (
     EpochMetrics,
@@ -69,11 +66,7 @@ from .rmt import (
     PowerLawFit,
     default_ensemble,
     fit_power_law,
-    mp_density,
-    mp_support,
-    mp_zero_mass,
     sample,
-    semicircle_density,
 )
 from .decomp import (
     ClusterStats,

@@ -52,6 +52,7 @@ from .pipeline import (
     METRICS_COLUMNS,
     GmmSpec,
     TrainConfig,
+    _strict_from_dict,
     gaussian_mixture,
     load_idx,
     train_sgd,
@@ -76,6 +77,8 @@ TOP_JSON_SCHEMA = "top-spectrum/v2"
 
 
 def _require_file(path, what: str) -> Path:
+    if not isinstance(path, (str, Path)):
+        raise UsageError(f"{what} must be a path string, got {path!r}")
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{what} not found: {p}")
@@ -123,7 +126,10 @@ def _dataset_from_config(cfg: dict) -> tuple[LabeledDataset, list]:
                 raise UsageError(f"idx data config needs {key!r}")
         images = _require_file(cfg["images"], "images file")
         labels = _require_file(cfg["labels"], "labels file")
-        data = load_idx(images, labels, limit_per_class=cfg.get("limit_per_class"))
+        limit = cfg.get("limit_per_class")
+        if limit is not None and type(limit) is not int:
+            raise UsageError(f"limit_per_class must be an integer, got {limit!r}")
+        data = load_idx(images, labels, limit_per_class=limit)
         return data, [images, labels]
     raise UsageError(f"unknown data kind {kind!r}; pick 'gmm' or 'idx'")
 
@@ -345,15 +351,7 @@ def cmd_train(args) -> int:
         train_data, data_files = _dataset_from_config(data_cfg)
         test_data = train_data                   # idx configs carry one split
 
-    model_cfg = dict(cfg["model"])
-    unknown = set(model_cfg) - {"layer_dims", "activation"}
-    if unknown:
-        raise UsageError(f"unknown model key(s): {', '.join(sorted(unknown))}")
-    if "layer_dims" not in model_cfg:
-        raise UsageError("model config needs layer_dims")
-    spec = MlpSpec(layer_dims=tuple(model_cfg["layer_dims"]),
-                   activation=model_cfg.get("activation", "tanh"))
-
+    spec = _strict_from_dict(MlpSpec, cfg["model"], "model config")
     config = TrainConfig.from_dict(cfg["train"])
 
     resume = None
@@ -366,7 +364,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     manifest = build_manifest(
         "train",
-        {"data": cfg["data"], "model": model_cfg, "train": config.to_dict(),
+        {"data": cfg["data"], "model": cfg["model"], "train": config.to_dict(),
          "resume_epoch": resume.epoch if resume is not None else None},
         inputs=inputs, version=__version__)
 
@@ -396,6 +394,14 @@ def cmd_train(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds are nonnegative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_estimator_flags(sub, log_only: bool) -> None:
     sub.add_argument("--steps", type=int, default=None,
                      help="Lanczos iterations (default 128 linear, 2048 log)")
@@ -406,7 +412,7 @@ def _add_estimator_flags(sub, log_only: bool) -> None:
                      help="bump-width smoothing knob")
     sub.add_argument("--epsilon", type=float, default=DEFAULT_LOG_EPSILON,
                      help="log-axis shift: u = log(lambda + epsilon)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     if not log_only:
         sub.add_argument("--log", action="store_true",
                          help="estimate on the log-magnitude axis")
@@ -428,7 +434,7 @@ def _parser() -> argparse.ArgumentParser:
     synth.add_argument("--spikes", default=None,
                        help="comma-separated planted values, e.g. 5,4,3")
     synth.add_argument("--alpha", type=float, default=None)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out-dir", required=True)
     synth.set_defaults(func=cmd_synth)
 

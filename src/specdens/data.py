@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +41,6 @@ class LabeledDataset:
     @property
     def input_dim(self) -> int:
         return self.x.shape[1]
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.y, minlength=self.class_count)
-
-    def one_hot(self) -> np.ndarray:
-        out = np.zeros((self.n, self.class_count))
-        out[np.arange(self.n), self.y] = 1.0
-        return out
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:

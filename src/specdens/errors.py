@@ -39,10 +39,3 @@ class ConvergenceError(NumericalError):
 class DegenerateSpectrumError(NumericalError):
     """Spectral range collapsed to a point; normalization impossible."""
 
-
-class TrainingDivergedError(NumericalError):
-    """Training loss became non-finite; the last good state is attached."""
-
-    def __init__(self, message: str, last_checkpoint=None):
-        self.last_checkpoint = last_checkpoint
-        super().__init__(message)

@@ -1,10 +1,9 @@
 """Stochastic Lanczos estimation of spectral densities.
 
 The workhorse is a three-term recurrence that keeps only three working
-vectors (`fast_lanczos`); a fully reorthogonalized variant (`slow_lanczos`)
-exists for validation at small scale. On top of these sit the range
-estimator, the smoothed density estimator on a normalized grid, and a
-log-magnitude variant that resolves many orders of magnitude at once.
+vectors (`fast_lanczos`). On top of it sit the range estimator, the
+smoothed density estimator on a normalized grid, and a log-magnitude
+variant that resolves many orders of magnitude at once.
 Ritz values and weights (Gauss quadrature nodes and squared first
 components) come from the LAPACK tridiagonal solver in
 :mod:`specdens.linalg`; the hand-written QL iteration that checks it lives
@@ -14,9 +13,9 @@ Densities are accumulated as exact Gaussian masses per grid cell
 (difference of CDFs) rather than pointwise kernel evaluations: for large M
 the bump width drops below the grid spacing and pointwise sums no longer
 integrate to 1, while cell masses conserve mass for any width. For wide
-bumps the two are indistinguishable. `density_from_eigenvalues` smooths a
-known spectrum through the same accumulator so estimator-vs-oracle
-comparisons are apples to apples.
+bumps the two are indistinguishable. Both estimators and
+`density_from_eigenvalues`, which smooths a known spectrum, share one
+smoothing routine, so estimator-vs-oracle comparisons are apples to apples.
 """
 
 from __future__ import annotations
@@ -138,10 +137,6 @@ class SpectralDensity:
         return out
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _start_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -210,52 +205,8 @@ def fast_lanczos(op: SymmetricOperator, steps: int,
     """
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    v1 = _start_vector(op.dim, _as_rng(seed))
+    v1 = _start_vector(op.dim, np.random.default_rng(seed))
     alpha, beta, breakdown = _three_term(op, v1, steps)
-    return _summarize(alpha, beta, seed, breakdown)
-
-
-def slow_lanczos(op: SymmetricOperator, steps: int,
-                 seed) -> tuple[TridiagonalMatrix, RitzSummary]:
-    """Lanczos with full reorthogonalization. Validation-scale only.
-
-    Stores the whole basis and reorthogonalizes each iterate against it
-    (two passes), so with steps = p it reproduces the dense spectrum to
-    near machine precision. Guarded to p <= 10^4 since the basis is dense.
-    """
-    p = op.dim
-    if p > 10_000:
-        raise UsageError(
-            f"slow_lanczos stores the full basis; p = {p} exceeds the 10^4 guard"
-        )
-    if not 1 <= steps <= p:
-        raise UsageError(f"steps must be in [1, {p}], got {steps}")
-    v = _start_vector(p, _as_rng(seed))
-    V = np.empty((p, steps))
-    alpha: list[float] = []
-    beta: list[float] = []
-    v_prev = None
-    breakdown = False
-    for m in range(1, steps + 1):
-        V[:, m - 1] = v
-        w = op.apply(v)
-        if m > 1:
-            w = w - beta[-1] * v_prev
-        a = float(w @ v)
-        alpha.append(a)
-        if m == steps:
-            break
-        w = w - a * v
-        basis = V[:, :m]
-        for _ in range(2):
-            w = w - basis @ (basis.T @ w)
-        b = float(np.linalg.norm(w))
-        if b <= _BREAKDOWN_TOL:
-            breakdown = True
-            break
-        beta.append(b)
-        v_prev = v
-        v = w / b
     return _summarize(alpha, beta, seed, breakdown)
 
 
@@ -275,8 +226,7 @@ def estimate_range(op: SymmetricOperator, steps: int = DEFAULT_RANGE_STEPS,
     m0 = min(steps, op.dim)
     if m0 < 1:
         raise UsageError("need at least one step")
-    rng = _as_rng(seed)
-    v1 = _start_vector(op.dim, rng)
+    v1 = _start_vector(op.dim, np.random.default_rng(seed))
     alpha, beta, _ = _three_term(op, v1, m0)
     T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
     pairs: EigenPairs = eig_tridiagonal(T, vectors="full")
@@ -292,7 +242,7 @@ def estimate_range(op: SymmetricOperator, steps: int = DEFAULT_RANGE_STEPS,
         z_hi += y_hi[i] * v
 
     # identical second pass (same seed, same step count) rebuilds the basis
-    v1b = _start_vector(op.dim, _as_rng(seed))
+    v1b = _start_vector(op.dim, np.random.default_rng(seed))
     _three_term(op, v1b, T.order, collect=collect)
 
     theta_lo = float(pairs.values[0])
@@ -363,6 +313,82 @@ def accumulate_bumps(centers: np.ndarray, weights: np.ndarray,
     return values / h
 
 
+def _smooth(nodes, grid: np.ndarray, t_grid: np.ndarray, sigma: float,
+            normalization: NormalizationMap,
+            epsilon: float | None = None) -> SpectralDensity:
+    """Average the Gaussian-smoothed densities of weighted nodes.
+
+    ``nodes`` holds one (values, weights) pair per repetition; ``t_grid``
+    is ``grid`` on the normalized axis of ``normalization``. Without
+    ``epsilon`` the values are bump centres on that axis already. With it
+    they are eigenvalues: those above -epsilon sit at log(lambda + epsilon),
+    the rest at the mirrored log(-lambda + epsilon) of the ``negative``
+    branch, whose share of the weight is ``negative_mass``, and every bump
+    carries the change-of-measure factor 1/(|lambda| + epsilon).
+    """
+    pos_acc = np.zeros(t_grid.size)
+    neg_acc = np.zeros(t_grid.size)
+    neg_mass = 0.0
+    for values, weights in nodes:
+        if epsilon is None:
+            pos_acc += accumulate_bumps(values, weights, t_grid, sigma)
+            continue
+        pos = values > -epsilon
+        for acc, sign, side in ((pos_acc, 1.0, pos), (neg_acc, -1.0, ~pos)):
+            if np.any(side):
+                shifted = sign * values[side] + epsilon
+                acc += accumulate_bumps(normalization.normalize(np.log(shifted)),
+                                        weights[side] / shifted, t_grid, sigma)
+        neg_mass += float(np.sum(weights[~pos]))
+    scale = "linear" if epsilon is None else "log"
+    per_unit = len(nodes) * normalization.half_width
+    neg_mass /= len(nodes)
+    negative = None
+    if neg_mass > 0.0:
+        negative = SpectralDensity(grid=grid, values=neg_acc / per_unit,
+                                   sigma=sigma, scale=scale,
+                                   normalization=normalization, epsilon=epsilon)
+    return SpectralDensity(grid=grid, values=pos_acc / per_unit, sigma=sigma,
+                           scale=scale, normalization=normalization,
+                           epsilon=epsilon, negative=negative,
+                           negative_mass=neg_mass)
+
+
+def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
+              kappa: float, seed: int, normalization: NormalizationMap | None,
+              range_steps: int, range_tau: float,
+              epsilon: float | None = None) -> SpectralDensity:
+    """The body of both estimators: ``n_vec`` Lanczos passes on the operator
+    mapped to [-1, 1], smoothed on the linear axis, or on the log axis when
+    ``epsilon`` is given."""
+    if n_vec < 1:
+        raise UsageError("n_vec must be >= 1")
+    if steps < 2:
+        raise UsageError("need at least two Lanczos steps for a density")
+    lin_map = normalization
+    if lin_map is None:
+        lin_map = estimate_range(op, steps=range_steps, tau=range_tau,
+                                 seed=[seed, 0])
+    aop = affine_operator(op, lin_map)
+    sigma = sigma_for(steps, kappa)
+    t_grid = np.linspace(-1.0, 1.0, grid_points)
+    summaries = [fast_lanczos(aop, steps, [seed, 1 + l])[1]
+                 for l in range(n_vec)]
+    if epsilon is None:
+        density = _smooth([(s.theta, s.weights) for s in summaries],
+                          lin_map.denormalize(t_grid), t_grid, sigma, lin_map)
+    else:
+        log_map = NormalizationMap.from_bounds(
+            *_log_bounds(lin_map.raw_lambda_min, lin_map.raw_lambda_max,
+                         epsilon), range_tau)
+        density = _smooth(
+            [(lin_map.denormalize(s.theta), s.weights) for s in summaries],
+            log_map.denormalize(t_grid), t_grid, sigma, log_map, epsilon)
+        density.operator_normalization = lin_map
+    density.ritz = summaries
+    return density
+
+
 def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
                     grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                     kappa: float = DEFAULT_KAPPA, seed: int = 0,
@@ -379,38 +405,14 @@ def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
     densities. ``steps`` above the operator dimension is clamped with a
     warning.
     """
-    if n_vec < 1:
-        raise UsageError("n_vec must be >= 1")
-    m_eff = steps
-    if m_eff > op.dim:
+    if steps > op.dim:
         warnings.warn(
             f"steps = {steps} exceeds operator dim {op.dim}; clamping",
             stacklevel=2,
         )
-        m_eff = op.dim
-    if m_eff < 2:
-        raise UsageError("need at least two Lanczos steps for a density")
-    if normalization is None:
-        normalization = estimate_range(op, steps=range_steps, tau=range_tau,
-                                       seed=[seed, 0])
-    aop = affine_operator(op, normalization)
-    sigma = sigma_for(m_eff, kappa)
-    t_grid = np.linspace(-1.0, 1.0, grid_points)
-    acc = np.zeros(grid_points)
-    summaries = []
-    for l in range(n_vec):
-        _, summary = fast_lanczos(aop, m_eff, [seed, 1 + l])
-        acc += accumulate_bumps(summary.theta, summary.weights, t_grid, sigma)
-        summaries.append(summary)
-    values = acc / (n_vec * normalization.half_width)
-    return SpectralDensity(
-        grid=normalization.denormalize(t_grid),
-        values=values,
-        sigma=sigma,
-        scale="linear",
-        normalization=normalization,
-        ritz=summaries,
-    )
+        steps = op.dim
+    return _estimate(op, steps, grid_points, n_vec, kappa, seed,
+                     normalization, range_steps, range_tau)
 
 
 def _log_bounds(raw_min: float, raw_max: float, epsilon: float) -> tuple[float, float]:
@@ -444,70 +446,13 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
     Ritz values at or below -epsilon land in the mirrored ``negative``
     branch and are tallied in ``negative_mass``.
     """
-    if n_vec < 1:
-        raise UsageError("n_vec must be >= 1")
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
     # unlike the linear estimator, steps are NOT clamped at the dimension:
     # on the log axis the bulk occupies a sliver of the linear range, and
     # only the nodes contributed by iterations past dim resolve it
-    m_eff = steps
-    if m_eff < 2:
-        raise UsageError("need at least two Lanczos steps for a density")
-    lin_map = normalization
-    if lin_map is None:
-        lin_map = estimate_range(op, steps=range_steps, tau=range_tau,
-                                 seed=[seed, 0])
-    lo_u, hi_u = _log_bounds(lin_map.raw_lambda_min, lin_map.raw_lambda_max,
-                             epsilon)
-    log_map = NormalizationMap.from_bounds(lo_u, hi_u, range_tau)
-    aop = affine_operator(op, lin_map)
-    sigma = sigma_for(m_eff, kappa)
-    t_grid = np.linspace(-1.0, 1.0, grid_points)
-    pos_acc = np.zeros(grid_points)
-    neg_acc = np.zeros(grid_points)
-    neg_mass = 0.0
-    summaries = []
-    for l in range(n_vec):
-        _, summary = fast_lanczos(aop, m_eff, [seed, 1 + l])
-        lam = lin_map.denormalize(summary.theta)
-        w = summary.weights
-        pos = lam > -epsilon
-        if np.any(pos):
-            shifted = lam[pos] + epsilon
-            t_pos = log_map.normalize(np.log(shifted))
-            pos_acc += accumulate_bumps(t_pos, w[pos] / shifted, t_grid, sigma)
-        if np.any(~pos):
-            mirrored = -lam[~pos] + epsilon
-            t_neg = log_map.normalize(np.log(mirrored))
-            neg_acc += accumulate_bumps(t_neg, w[~pos] / mirrored, t_grid, sigma)
-            neg_mass += float(np.sum(w[~pos]))
-        summaries.append(summary)
-
-    grid_u = log_map.denormalize(t_grid)
-    neg_density = None
-    neg_mass /= n_vec
-    if neg_mass > 0.0:
-        neg_density = SpectralDensity(
-            grid=grid_u,
-            values=neg_acc / (n_vec * log_map.half_width),
-            sigma=sigma,
-            scale="log",
-            normalization=log_map,
-            epsilon=epsilon,
-        )
-    return SpectralDensity(
-        grid=grid_u,
-        values=pos_acc / (n_vec * log_map.half_width),
-        sigma=sigma,
-        scale="log",
-        normalization=log_map,
-        ritz=summaries,
-        epsilon=epsilon,
-        operator_normalization=lin_map,
-        negative=neg_density,
-        negative_mass=neg_mass,
-    )
+    return _estimate(op, steps, grid_points, n_vec, kappa, seed,
+                     normalization, range_steps, range_tau, epsilon)
 
 
 def density_from_eigenvalues(eigenvalues: np.ndarray,
@@ -519,55 +464,14 @@ def density_from_eigenvalues(eigenvalues: np.ndarray,
     estimate is estimator error, not smoothing art.
     """
     eig = np.asarray(eigenvalues, dtype=np.float64)
-    n = eig.size
-    if n == 0:
+    if eig.size == 0:
         raise UsageError("need at least one eigenvalue")
-    w = np.full(n, 1.0 / n)
-    t_grid = like.normalization.normalize(like.grid)
+    norm = like.normalization
     if like.scale == "linear":
-        t = like.normalization.normalize(eig)
-        values = accumulate_bumps(t, w, t_grid, like.sigma)
-        return SpectralDensity(
-            grid=like.grid.copy(),
-            values=values / like.normalization.half_width,
-            sigma=like.sigma,
-            scale="linear",
-            normalization=like.normalization,
-        )
-    eps = like.epsilon
-    pos = eig > -eps
-    pos_acc = np.zeros(t_grid.size)
-    neg_acc = np.zeros(t_grid.size)
-    neg_mass = 0.0
-    if np.any(pos):
-        shifted = eig[pos] + eps
-        pos_acc = accumulate_bumps(like.normalization.normalize(np.log(shifted)),
-                                   w[pos] / shifted, t_grid, like.sigma)
-    if np.any(~pos):
-        mirrored = -eig[~pos] + eps
-        neg_acc = accumulate_bumps(like.normalization.normalize(np.log(mirrored)),
-                                   w[~pos] / mirrored, t_grid, like.sigma)
-        neg_mass = float(np.sum(w[~pos]))
-    negative = None
-    if neg_mass > 0.0:
-        negative = SpectralDensity(
-            grid=like.grid.copy(),
-            values=neg_acc / like.normalization.half_width,
-            sigma=like.sigma,
-            scale="log",
-            normalization=like.normalization,
-            epsilon=eps,
-        )
-    return SpectralDensity(
-        grid=like.grid.copy(),
-        values=pos_acc / like.normalization.half_width,
-        sigma=like.sigma,
-        scale="log",
-        normalization=like.normalization,
-        epsilon=eps,
-        negative=negative,
-        negative_mass=neg_mass,
-    )
+        eig = norm.normalize(eig)
+    return _smooth([(eig, np.full(eig.size, 1.0 / eig.size))],
+                   like.grid.copy(), norm.normalize(like.grid), like.sigma,
+                   norm, like.epsilon)
 
 
 def tv_distance(a: SpectralDensity, b: SpectralDensity) -> float:

@@ -128,8 +128,8 @@ def init_params(spec: MlpSpec, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward cores (all outputs are sums over the batch; callers
-# divide by the global example count once, so chunking cannot change results)
+# forward / backward cores (outputs are sums over the batch; callers divide
+# by the example count)
 # ---------------------------------------------------------------------------
 
 def _phi_second(spec: MlpSpec, A: np.ndarray, prime: np.ndarray) -> np.ndarray:
@@ -220,19 +220,6 @@ def _fisher_mul(P: np.ndarray, U: np.ndarray) -> np.ndarray:
     return P * U - P * np.sum(P * U, axis=1, keepdims=True)
 
 
-def _chunks(n: int, size: int):
-    for lo in range(0, n, size):
-        yield lo, min(lo + size, n)
-
-
-def _accumulate(total, part):
-    if total is None:
-        return part
-    gW, gb = total
-    pW, pb = part
-    return ([a + b for a, b in zip(gW, pW)], [a + b for a, b in zip(gb, pb)])
-
-
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
@@ -247,42 +234,26 @@ def predict_probs(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray
     return _softmax(predict_logits(spec, theta, X))
 
 
-def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
-         batch_size: int = 1024) -> float:
+def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
     """Mean cross-entropy over all examples."""
     _check_data(spec, data)
     Ws, bs = unflatten(spec, theta)
-    total = 0.0
-    for lo, hi in _chunks(data.n, batch_size):
-        _, _, Z = _forward(spec, Ws, bs, data.x[lo:hi])
-        total += _loss_sum(Z, data.y[lo:hi])
-    return total / data.n
+    _, _, Z = _forward(spec, Ws, bs, data.x)
+    return _loss_sum(Z, data.y) / data.n
 
 
-def error_rate(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
-               batch_size: int = 1024) -> float:
+def error_rate(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
     """Misclassification fraction under argmax decoding."""
     _check_data(spec, data)
     Ws, bs = unflatten(spec, theta)
-    wrong = 0
-    for lo, hi in _chunks(data.n, batch_size):
-        _, _, Z = _forward(spec, Ws, bs, data.x[lo:hi])
-        wrong += int(np.sum(np.argmax(Z, axis=1) != data.y[lo:hi]))
-    return wrong / data.n
+    _, _, Z = _forward(spec, Ws, bs, data.x)
+    return int(np.sum(np.argmax(Z, axis=1) != data.y)) / data.n
 
 
-def gradient(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
-             batch_size: int = 1024) -> np.ndarray:
+def gradient(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy loss, flat layout."""
-    _check_data(spec, data)
-    Ws, bs = unflatten(spec, theta)
-    total = None
-    for lo, hi in _chunks(data.n, batch_size):
-        acts, primes, Z = _forward(spec, Ws, bs, data.x[lo:hi])
-        D = _softmax(Z) - one_hot(data.y[lo:hi], spec.class_count)
-        total = _accumulate(total, _backward_sums(spec, Ws, acts, primes, D))
-    gWs, gbs = total
-    return flatten(gWs, gbs) / data.n
+    lin = linearize(spec, theta, data)
+    return lin.vjp(lin.cotangent) / lin.n
 
 
 @dataclass(frozen=True)
@@ -372,8 +343,6 @@ def linearize(spec: MlpSpec, theta: np.ndarray,
     and empty data.
     """
     _check_data(spec, data)
-    if data.n < 1:
-        raise UsageError("need at least one example")
     Ws, bs = unflatten(spec, np.array(theta, dtype=np.float64, copy=True))
     acts, primes, Z = _forward(spec, Ws, bs, data.x)
     P = _softmax(Z)
@@ -439,6 +408,8 @@ def hvp_h(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
 
 
 def _check_data(spec: MlpSpec, data: LabeledDataset) -> None:
+    if data.n < 1:
+        raise UsageError("need at least one example")
     if data.input_dim != spec.input_dim:
         raise DimensionMismatchError(
             f"data dim {data.input_dim} != network input dim {spec.input_dim}"

@@ -2,8 +2,7 @@
 
 An operator is a dimension plus a matvec; everything downstream (Lanczos,
 top-eigenpair extraction, deflation) touches matrices only through `apply`. The
-combinators preserve symmetry by construction, and `symmetry_defect` gives
-the probabilistic check used by the hygiene tests.
+combinators preserve symmetry by construction.
 """
 
 from __future__ import annotations
@@ -184,23 +183,3 @@ def difference_operator(a: SymmetricOperator,
     _check_dims(a, b)
     return SymmetricOperator(a.dim, lambda v: a.apply(v) - b.apply(v),
                              label=f"{a.label}-{b.label}")
-
-
-def symmetry_defect(op: SymmetricOperator, pairs: int = 10,
-                    seed: int = 0) -> float:
-    """Largest normalized defect |<Au,w> - <u,Aw>| over random probe pairs.
-
-    A genuinely symmetric operator scores ~1e-15; anything above 1e-8 means
-    the matvec is lying about symmetry.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        u = rng.standard_normal(op.dim)
-        w = rng.standard_normal(op.dim)
-        au = op.apply(u)
-        aw = op.apply(w)
-        defect = abs(au @ w - u @ aw)
-        scale = float(np.linalg.norm(au) * np.linalg.norm(w))
-        worst = max(worst, defect / max(scale, 1e-300))
-    return worst

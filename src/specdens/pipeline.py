@@ -10,8 +10,10 @@ the exact remaining trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import struct
+import typing
 import zlib
 from dataclasses import dataclass, field
 
@@ -27,21 +29,54 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 # ---------------------------------------------------------------------------
-# synthetic Gaussian mixture
+# config sections
 # ---------------------------------------------------------------------------
 
-def _strict_from_dict(cls, d: dict, what: str):
-    import dataclasses
+def _as_field(value, hint):
+    """A JSON value as the field type ``hint`` asks for, or TypeError.
 
+    An int field takes an int, a float field an int or a float, a str field
+    a str, and a ``tuple[int, ...]`` field a list of ints; ``X | None`` also
+    takes null. A bool is not a number here.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(_as_field(v, typing.get_args(hint)[0]) for v in value)
+    kinds = (int, float) if hint is float else (hint,)
+    if type(value) not in kinds:
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    return value
+
+
+def _strict_from_dict(cls, d: dict, what: str):
+    """Build the dataclass ``cls`` from a config section: unknown keys and
+    values of the wrong type are usage errors, not tracebacks."""
+    hints = typing.get_type_hints(cls)
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(d) - allowed
     if unknown:
         raise UsageError(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
+    kwargs = {}
+    for key, value in d.items():
+        try:
+            kwargs[key] = _as_field(value, hints[key])
+        except TypeError as err:
+            raise UsageError(f"bad {what}: {key}: {err}") from err
     try:
-        return cls(**d)
+        return cls(**kwargs)
     except TypeError as err:
         raise UsageError(f"bad {what}: {err}") from err
 
+
+# ---------------------------------------------------------------------------
+# synthetic Gaussian mixture
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GmmSpec:
@@ -65,6 +100,10 @@ class GmmSpec:
             )
         if self.n_per_class < 1:
             raise UsageError("n_per_class must be >= 1")
+        if self.n_test_per_class is not None and self.n_test_per_class < 1:
+            raise UsageError("n_test_per_class must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.std <= 0 or self.separation < 0:
             raise UsageError("std must be positive and separation nonnegative")
 
@@ -202,6 +241,8 @@ class TrainConfig:
             raise UsageError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.anneal_at is not None:
             object.__setattr__(self, "anneal_at",
                                tuple(int(e) for e in self.anneal_at))
@@ -211,10 +252,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        for key in ("anneal_at", "checkpoint_epochs"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
         return _strict_from_dict(cls, d, "train config")
 
     def anneal_points(self) -> tuple[int, ...]:

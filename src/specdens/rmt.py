@@ -1,6 +1,6 @@
 """Random-matrix ensembles with known limiting spectra, for validating the
-estimators against ground truth, plus the closed-form reference densities
-and a power-law tail fit."""
+estimators against ground truth, plus a power-law tail fit. The closed-form
+limiting densities live with the tests."""
 
 from __future__ import annotations
 
@@ -87,55 +87,6 @@ def sample(spec: EnsembleSpec) -> np.ndarray:
     Y = Z @ Z.T
     Y /= spec.n
     return Y
-
-
-# ---------------------------------------------------------------------------
-# closed-form reference densities
-# ---------------------------------------------------------------------------
-
-def mp_support(gamma: float, sigma2: float = 1.0) -> tuple[float, float]:
-    """Bulk support edges of the Marchenko-Pastur law, gamma = n/p."""
-    if gamma <= 0:
-        raise UsageError("gamma must be positive")
-    root = 1.0 / math.sqrt(gamma)
-    return sigma2 * (1.0 - root) ** 2, sigma2 * (1.0 + root) ** 2
-
-
-def mp_density(lam, gamma: float, sigma2: float = 1.0) -> np.ndarray:
-    """Marchenko-Pastur bulk density at ``lam`` (aspect gamma = n/p).
-
-    For gamma < 1 there is additionally a point mass of 1 - gamma at zero,
-    reported by :func:`mp_zero_mass`, never folded into the density.
-    """
-    a, b = mp_support(gamma, sigma2)
-    lam = np.asarray(lam, dtype=np.float64)
-    out = np.zeros_like(lam)
-    inside = (lam > a) & (lam < b) & (lam != 0.0)
-    x = lam[inside]
-    out[inside] = (gamma / (2.0 * math.pi * sigma2)) * np.sqrt(
-        (b - x) * (x - a)
-    ) / x
-    return out
-
-
-def mp_zero_mass(gamma: float) -> float:
-    """Weight of the spectral atom at zero (rank deficiency), gamma = n/p."""
-    if gamma <= 0:
-        raise UsageError("gamma must be positive")
-    return max(0.0, 1.0 - gamma)
-
-
-def semicircle_density(lam, radius: float = 2.0) -> np.ndarray:
-    """Wigner semicircle on [-radius, radius]."""
-    if radius <= 0:
-        raise UsageError("radius must be positive")
-    lam = np.asarray(lam, dtype=np.float64)
-    out = np.zeros_like(lam)
-    inside = np.abs(lam) < radius
-    out[inside] = (2.0 / (math.pi * radius ** 2)) * np.sqrt(
-        radius ** 2 - lam[inside] ** 2
-    )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Everything here is deliberately implemented by a different route than the
 library code it checks: hand-written QL iteration, Householder reduction and
-Sturm-sequence bisection instead of LAPACK, finite differences instead of
-analytic derivatives, explicitly materialized Jacobians and stored per-example vectors instead
+Sturm-sequence bisection instead of LAPACK, full reorthogonalization
+instead of the bare three-term recurrence, closed-form random-matrix laws
+instead of sampled spectra, finite differences instead of analytic
+derivatives, explicitly materialized Jacobians and stored per-example vectors instead
 of matrix-free products. Slow is fine; independent is the point.
 """
 
@@ -16,7 +18,13 @@ import numpy as np
 
 from specdens.decomp import ClusterStats
 from specdens.errors import ConvergenceError, UsageError
-from specdens.lanczos import _TRUNCATE_SIGMAS
+from specdens.lanczos import (
+    _BREAKDOWN_TOL,
+    _TRUNCATE_SIGMAS,
+    RitzSummary,
+    _start_vector,
+    _summarize,
+)
 from specdens.linalg import EigenPairs, TridiagonalMatrix, _require_symmetric
 from specdens.net import _forward, predict_probs, unflatten
 from specdens.operators import SymmetricOperator
@@ -251,6 +259,127 @@ def tridiag_to_dense(alpha, beta) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+# ---------------------------------------------------------------------------
+# Lanczos with full reorthogonalization
+# ---------------------------------------------------------------------------
+
+def slow_lanczos(op: SymmetricOperator, steps: int,
+                 seed) -> tuple[TridiagonalMatrix, RitzSummary]:
+    """Lanczos with full reorthogonalization. Validation-scale only.
+
+    Stores the whole basis and reorthogonalizes each iterate against it
+    (two passes), so with steps = p it reproduces the dense spectrum to
+    near machine precision. Guarded to p <= 10^4 since the basis is dense.
+    """
+    p = op.dim
+    if p > 10_000:
+        raise UsageError(
+            f"slow_lanczos stores the full basis; p = {p} exceeds the 10^4 guard"
+        )
+    if not 1 <= steps <= p:
+        raise UsageError(f"steps must be in [1, {p}], got {steps}")
+    v = _start_vector(p, np.random.default_rng(seed))
+    V = np.empty((p, steps))
+    alpha: list[float] = []
+    beta: list[float] = []
+    v_prev = None
+    breakdown = False
+    for m in range(1, steps + 1):
+        V[:, m - 1] = v
+        w = op.apply(v)
+        if m > 1:
+            w = w - beta[-1] * v_prev
+        a = float(w @ v)
+        alpha.append(a)
+        if m == steps:
+            break
+        w = w - a * v
+        basis = V[:, :m]
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
+        b = float(np.linalg.norm(w))
+        if b <= _BREAKDOWN_TOL:
+            breakdown = True
+            break
+        beta.append(b)
+        v_prev = v
+        v = w / b
+    return _summarize(alpha, beta, seed, breakdown)
+
+
+# ---------------------------------------------------------------------------
+# symmetry probe of a matrix-free operator
+# ---------------------------------------------------------------------------
+
+def symmetry_defect(op: SymmetricOperator, pairs: int = 10,
+                    seed: int = 0) -> float:
+    """Largest normalized defect |<Au,w> - <u,Aw>| over random probe pairs.
+
+    A genuinely symmetric operator scores ~1e-15; anything above 1e-8 means
+    the matvec is lying about symmetry.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(pairs):
+        u = rng.standard_normal(op.dim)
+        w = rng.standard_normal(op.dim)
+        au = op.apply(u)
+        aw = op.apply(w)
+        defect = abs(au @ w - u @ aw)
+        scale = float(np.linalg.norm(au) * np.linalg.norm(w))
+        worst = max(worst, defect / max(scale, 1e-300))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# closed-form random-matrix densities
+# ---------------------------------------------------------------------------
+
+def mp_support(gamma: float, sigma2: float = 1.0) -> tuple[float, float]:
+    """Bulk support edges of the Marchenko-Pastur law, gamma = n/p."""
+    if gamma <= 0:
+        raise UsageError("gamma must be positive")
+    root = 1.0 / math.sqrt(gamma)
+    return sigma2 * (1.0 - root) ** 2, sigma2 * (1.0 + root) ** 2
+
+
+def mp_density(lam, gamma: float, sigma2: float = 1.0) -> np.ndarray:
+    """Marchenko-Pastur bulk density at ``lam`` (aspect gamma = n/p).
+
+    For gamma < 1 there is additionally a point mass of 1 - gamma at zero,
+    reported by :func:`mp_zero_mass`, never folded into the density.
+    """
+    a, b = mp_support(gamma, sigma2)
+    lam = np.asarray(lam, dtype=np.float64)
+    out = np.zeros_like(lam)
+    inside = (lam > a) & (lam < b) & (lam != 0.0)
+    x = lam[inside]
+    out[inside] = (gamma / (2.0 * math.pi * sigma2)) * np.sqrt(
+        (b - x) * (x - a)
+    ) / x
+    return out
+
+
+def mp_zero_mass(gamma: float) -> float:
+    """Weight of the spectral atom at zero (rank deficiency), gamma = n/p."""
+    if gamma <= 0:
+        raise UsageError("gamma must be positive")
+    return max(0.0, 1.0 - gamma)
+
+
+def semicircle_density(lam, radius: float = 2.0) -> np.ndarray:
+    """Wigner semicircle on [-radius, radius]."""
+    if radius <= 0:
+        raise UsageError("radius must be positive")
+    lam = np.asarray(lam, dtype=np.float64)
+    out = np.zeros_like(lam)
+    inside = np.abs(lam) < radius
+    out[inside] = (2.0 / (math.pi * radius ** 2)) * np.sqrt(
+        radius ** 2 - lam[inside] ** 2
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

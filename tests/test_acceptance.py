@@ -11,7 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import fd_hessian, fd_hvp, per_example_vectors
+from oracles import (
+    fd_hessian,
+    fd_hvp,
+    per_example_vectors,
+    slow_lanczos,
+    symmetry_defect,
+)
 from specdens.decomp import build_decomposition, identity_residual
 from specdens.data import LabeledDataset
 from specdens.deflation import low_rank_deflation, top_eigenpairs
@@ -19,7 +25,6 @@ from specdens.lanczos import (
     approx_log_spectrum,
     approx_spectrum,
     density_from_eigenvalues,
-    slow_lanczos,
     tv_distance,
 )
 from specdens.linalg import dense_eig
@@ -33,7 +38,7 @@ from specdens.net import (
     hvp_h,
     linearize,
 )
-from specdens.operators import dense_operator, symmetry_defect
+from specdens.operators import dense_operator
 from specdens.pipeline import GmmSpec, TrainConfig, gaussian_mixture, train_sgd
 from specdens.rmt import EnsembleSpec, fit_power_law, sample
 

@@ -15,14 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specdens
 from specdens.cli import main
 from specdens.decomp import validate_report
 from specdens.errors import InputFormatError, UsageError
-from specdens.net import load_checkpoint
+from specdens.net import (
+    Checkpoint,
+    MlpSpec,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from specdens.rmt import EnsembleSpec, sample
 from specdens.storage import (
     MATRIX_MAGIC,
@@ -125,6 +131,16 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["synth", "spectrum", "decompose"])
+    def test_negative_seed_flag_is_usage(self, tmp_path, capsys, command):
+        required = {"synth": ["--kind", "goe"],
+                    "spectrum": ["--matrix", "m.spdm"],
+                    "decompose": ["--checkpoint", "c.npz", "--data", "d.json"]}
+        rc = main([command, *required[command], "--seed", "-1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
     def test_missing_matrix_file(self, tmp_path, capsys):
         rc = main(["spectrum", "--matrix", str(tmp_path / "none.spdm"),
@@ -606,3 +622,160 @@ class TestMatrixFuzz:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert "asym.spdm" in capsys.readouterr().err
+
+
+def idx_pair(pixels, labels) -> tuple[bytes, bytes]:
+    """IDX image and label files for uint8 ``pixels`` of shape (n, 2, 2)."""
+    n = len(labels)
+    images = struct.pack(">IIII", 0x803, n, 2, 2) + bytes(pixels)
+    return images, struct.pack(">II", 0x801, n) + bytes(labels)
+
+
+def write_json(path, doc) -> Path:
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestEmptyData:
+    """An IDX pair with no images is a usage error (2) wherever the data is
+    used, not a division by zero."""
+
+    @pytest.mark.parametrize("command", ["train", "spectrum", "decompose"])
+    def test_empty_idx_pair_is_usage_error(self, tmp_path, capsys, command):
+        images, labels = idx_pair(b"", [])
+        (tmp_path / "images").write_bytes(images)
+        (tmp_path / "labels").write_bytes(labels)
+        data = {"kind": "idx", "images": str(tmp_path / "images"),
+                "labels": str(tmp_path / "labels")}
+        # an empty label file has one class, so a one-class net fits it
+        spec = MlpSpec(layer_dims=(4, 3, 1))
+        out = str(tmp_path / "out")
+        if command == "train":
+            cfg = write_json(tmp_path / "train.json", {
+                "data": data, "model": spec.to_dict(),
+                "train": {"epochs": 1, "lr": 0.1}})
+            argv = ["train", "--config", str(cfg), "--out-dir", out]
+        else:
+            ck = tmp_path / "ck.npz"
+            save_checkpoint(ck, Checkpoint(spec=spec, theta=init_params(spec),
+                                           epoch=0, seed=0, lr=0.1))
+            argv = [command, "--checkpoint", str(ck), "--data",
+                    str(write_json(tmp_path / "data.json", data)),
+                    "--steps", "4", "--out-dir", out]
+        assert main(argv) == 2
+        assert "at least one example" in capsys.readouterr().err
+
+
+# each of these raised out of main before the config sections were typed
+WRONG_TYPES = [
+    ("model", "layer_dims", "abc"),
+    ("model", "layer_dims", 5),
+    ("model", "layer_dims", [[4], 3, 3]),
+    ("model", "layer_dims", [4.5, 3, 3]),
+    ("train", "anneal_at", 5),
+    ("train", "checkpoint_epochs", 3),
+    ("train", "batch_size", 2.5),
+    ("train", "seed", "s"),
+    ("train", "seed", -1),
+    ("data", "seed", "s"),
+    ("data", "seed", -1),
+    ("data", "n_per_class", 2.5),
+]
+
+FUZZ_GMM = {"kind": "gmm", "classes": 3, "n_per_class": 4, "dim": 4,
+            "separation": 3.0, "seed": 5}
+FUZZ_MODEL = {"layer_dims": [4, 3, 3], "activation": "tanh"}
+FUZZ_TRAIN = {"epochs": 2, "lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4,
+              "batch_size": 4, "seed": 7, "anneal_factor": 0.1,
+              "anneal_at": [1], "checkpoint_epochs": [0, 2]}
+
+_DELETE = object()
+
+# (base config, section, key) for every key a train config can hold
+_MUTABLE = [
+    *[("gmm", "data", k) for k in (*FUZZ_GMM, "std", "n_test_per_class")],
+    *[("idx", "data", k) for k in ("kind", "images", "labels",
+                                   "limit_per_class")],
+    *[("gmm", "model", k) for k in FUZZ_MODEL],
+    *[("gmm", "train", k) for k in FUZZ_TRAIN],
+]
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                          st.floats(), st.text(max_size=3))
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS, st.just(_DELETE),
+    st.lists(st.one_of(st.integers(-1, 5), st.floats(-5, 5),
+                       st.lists(st.integers(0, 4), max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=2), _JSON_SCALARS, max_size=2))
+
+
+def _seeded_with_wrong_types(test):
+    for section, key, value in WRONG_TYPES:
+        test = example(target=("gmm", section, key), value=value)(test)
+    return test
+
+
+class TestTrainInputFuzz:
+    """Damaged IDX files and train configs map to an exit code, never to a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("train_fuzz")
+        images, labels = idx_pair(range(24), [0, 1, 2, 0, 1, 2])
+        files = {"images": images, "labels": labels,
+                 "images.gz": gzip.compress(images, mtime=0),
+                 "labels.gz": gzip.compress(labels, mtime=0)}
+        for name, blob in files.items():
+            (root / name).write_bytes(blob)
+        idx = {"kind": "idx", "images": str(root / "images"),
+               "labels": str(root / "labels")}
+        return {"root": root, "files": files, "idx": idx}
+
+    def run_train(self, inputs, config) -> int:
+        root = inputs["root"]
+        cfg = write_json(root / "train.json", config)
+        # non-finite or huge values can overflow training: exit 4
+        with np.errstate(all="ignore"):
+            return main(["train", "--config", str(cfg),
+                         "--out-dir", str(root / "out")])
+
+    @pytest.mark.parametrize("section,key,value", WRONG_TYPES)
+    def test_wrong_type_is_usage_error(self, inputs, capsys, section, key,
+                                       value):
+        config = {"data": dict(FUZZ_GMM), "model": dict(FUZZ_MODEL),
+                  "train": dict(FUZZ_TRAIN)}
+        config[section][key] = value
+        assert self.run_train(inputs, config) == 2
+        assert key in capsys.readouterr().err
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @_seeded_with_wrong_types
+    @given(target=st.sampled_from(_MUTABLE), value=_JSON_VALUES)
+    def test_config_type_mutations_never_raise(self, inputs, target, value):
+        base, section, key = target
+        config = {"data": dict(FUZZ_GMM if base == "gmm" else inputs["idx"]),
+                  "model": dict(FUZZ_MODEL), "train": dict(FUZZ_TRAIN)}
+        if value is _DELETE:
+            config[section].pop(key, None)
+        else:
+            config[section][key] = value
+        assert self.run_train(inputs, config) in (0, 2, 3, 4)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_idx_prefixes_and_bit_flips_never_raise(self, inputs, data):
+        root = inputs["root"] / "mutant"
+        root.mkdir(exist_ok=True)
+        files = inputs["files"]
+        target = data.draw(st.sampled_from(sorted(files)))
+        gz = ".gz" if target.endswith(".gz") else ""
+        for name in ("images", "labels"):
+            blob = files[name + gz]
+            if name + gz == target:
+                blob = data.draw(_mutants(blob))
+            (root / name).write_bytes(blob)
+        config = {"data": {"kind": "idx", "images": str(root / "images"),
+                           "labels": str(root / "labels")},
+                  "model": dict(FUZZ_MODEL), "train": dict(FUZZ_TRAIN)}
+        assert self.run_train(inputs, config) in (0, 2, 3)

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdens.data import LabeledDataset
+from specdens.data import LabeledDataset, one_hot
 from specdens.errors import InputFormatError, UsageError
 from specdens.net import MlpSpec, hessian_operator, init_params
 from specdens.decomp import (
@@ -56,7 +56,7 @@ class TestPerExampleVectors:
     def test_true_class_vector_is_minus_loss_gradient(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
         grad_rows = per_example_logit_vjp(
-            spec, theta, train.x, pev.probs - train.one_hot())
+            spec, theta, train.x, pev.probs - one_hot(train.y, train.class_count))
         own = pev.vectors[np.arange(train.n), train.y]
         np.testing.assert_allclose(own, -grad_rows, atol=1e-12)
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import accumulate_bumps_loop
+from oracles import accumulate_bumps_loop, slow_lanczos
 from specdens import lanczos
 from specdens.errors import DegenerateSpectrumError, UsageError
 from specdens.lanczos import (
@@ -25,7 +25,6 @@ from specdens.lanczos import (
     estimate_range,
     fast_lanczos,
     sigma_for,
-    slow_lanczos,
     tv_distance,
 )
 from specdens.linalg import dense_eig
@@ -404,3 +403,15 @@ class TestDensityFromEigenvalues:
         est = approx_spectrum(dense_operator(A), steps=8, seed=0)
         with pytest.raises(UsageError):
             density_from_eigenvalues(np.array([]), like=est)
+
+    def test_log_reference_splits_at_minus_epsilon(self):
+        eps = 1e-5
+        # 6 of 16 at or below -eps, one of them exactly at -eps
+        eig = np.array([-2.0, -1.0, -0.3, -0.05, -1e-3, -eps,
+                        0.0, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
+        est = approx_log_spectrum(dense_operator(np.diag(eig)), steps=256,
+                                  epsilon=eps, seed=0)
+        ref = density_from_eigenvalues(eig, like=est)
+        assert ref.negative is not None
+        assert ref.negative_mass == 6 / 16
+        assert ref.mass() == pytest.approx(1.0, abs=0.01)

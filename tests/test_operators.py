@@ -18,10 +18,9 @@ from specdens.operators import (
     dense_operator,
     difference_operator,
     sum_operator,
-    symmetry_defect,
 )
 
-from oracles import op_to_dense
+from oracles import op_to_dense, symmetry_defect
 
 
 class TestSymmetricOperator:

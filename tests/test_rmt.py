@@ -20,12 +20,10 @@ from specdens.rmt import (
     PowerLawFit,
     default_ensemble,
     fit_power_law,
-    mp_density,
-    mp_support,
-    mp_zero_mass,
     sample,
-    semicircle_density,
 )
+
+from oracles import mp_density, mp_support, mp_zero_mass, semicircle_density
 
 
 class TestReferenceDensities:
