@@ -23,6 +23,7 @@ from .lanczos import (
     approx_spectrum,
     density_from_eigenvalues,
     estimate_range,
+    exact_log_spectrum,
     fast_lanczos,
     sigma_for,
     tv_distance,
@@ -41,6 +42,7 @@ from .net import (
     linearize,
     load_checkpoint,
     loss,
+    loss_and_error,
     save_checkpoint,
 )
 from .operators import (

@@ -30,12 +30,13 @@ import numpy as np
 
 from .data import LabeledDataset, one_hot
 from .errors import InputFormatError, UsageError
-from .lanczos import approx_log_spectrum
+from .lanczos import approx_log_spectrum, exact_log_spectrum
 from .linalg import dense_eig
 from .net import Linearization, MlpSpec, hessian_operator, linearize
 from .operators import SymmetricOperator, difference_operator, sum_operator
 
-REPORT_SCHEMA = "attribution-report/v1"
+REPORT_SCHEMA = "attribution-report/v2"
+DENSITY_METHODS = ("slq", "exact")
 
 # a per-class B2 trace is a difference of two sums of squares; when it is
 # this close to zero relative to them, its sign and size are round-off
@@ -141,7 +142,8 @@ class GaussNewtonParts:
 
     A1, A2 and B1 are F^T F for a factor F, so PSD-ness and the rank
     bounds are structural. B2 is applied matrix-free from the network's
-    linearization and the cluster means; it has no factor.
+    linearization ``lin`` and the cluster means; it has no factor. Other
+    operators on the same data, such as G, can share ``lin``.
     """
 
     a1: SymmetricOperator
@@ -152,10 +154,8 @@ class GaussNewtonParts:
     a2_factor: np.ndarray
     b1_factor: np.ndarray
     stats: ClusterStats
+    lin: Linearization
     b2_factor: None = None  # always: B2 is matrix-free
-
-    def parts(self) -> dict[str, SymmetricOperator]:
-        return {"a1": self.a1, "a2": self.a2, "b1": self.b1, "b2": self.b2}
 
     def total(self) -> SymmetricOperator:
         s = sum_operator(sum_operator(self.a1, self.a2),
@@ -217,6 +217,7 @@ def build_decomposition(spec: MlpSpec, theta: np.ndarray,
         a2_factor=a2_factor,
         b1_factor=b1_factor,
         stats=stats,
+        lin=lin,
     )
 
 
@@ -242,11 +243,18 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
                           estimator: dict | None = None) -> dict:
     """The full attribution report: where G's outliers come from.
 
-    Estimates the log-magnitude spectrum of G and of G minus each piece
-    (all PSD differences, since removing one part leaves a sum of PSD
-    parts), lists the exact eigenvalues of A1 and of A1+A2+B1 from their
-    Gram matrices, the per-class B2 traces, and the identity-check
-    residual. JSON-serializable; validated by :func:`validate_report`.
+    Gives the log-magnitude spectrum of G and of G minus each piece (all
+    PSD differences, since removing one part leaves a sum of PSD parts),
+    the exact eigenvalues of A1 and of A1+A2+B1 from their Gram matrices,
+    the per-class B2 traces, and the identity-check residual.
+
+    The densities of G, G - A1, G - A2 and G - B1 are SLQ estimates
+    (``"method": "slq"``, with their Ritz sets). G - B2 = A1 + A2 + B1 has
+    rank <= C^2, so its density is smoothed from the exact spectrum, the
+    A1+A2+B1 eigenvalues plus p - C^2 zeros, on the grid and bump width an
+    estimate would use (``"method": "exact"``, no Ritz sets). The data is
+    forwarded once: G and the four parts share one linearization.
+    JSON-serializable; validated by :func:`validate_report`.
     """
     cfg = dict(estimator or {})
     unknown = set(cfg) - _ESTIMATOR_KEYS
@@ -261,27 +269,35 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
     seed = int(cfg.get("seed", 0))
 
     parts = build_decomposition(spec, theta, data)
-    g_op = hessian_operator(spec, theta, data, which="g")
+    g_op = hessian_operator(spec, theta, data, which="g", lin=parts.lin)
+    # B2 comes from JVPs, VJPs and the cluster means, never from
+    # G - (A1+A2+B1), so this compares G with four independent parts
     residual = identity_residual(g_op, parts, probes=20, seed=seed)
 
     def log_density(op):
-        return approx_log_spectrum(
+        return {**approx_log_spectrum(
             op, steps=min(steps, op.dim), grid_points=grid_points,
             n_vec=n_vec, kappa=kappa, epsilon=epsilon, seed=seed,
-        ).to_dict()
+        ).to_dict(), "method": "slq"}
 
     densities = {"g": log_density(g_op)}
-    for name, part in parts.parts().items():
-        densities[f"g_minus_{name}"] = log_density(difference_operator(g_op, part))
+    for name in ("a1", "a2", "b1"):
+        densities[f"g_minus_{name}"] = log_density(
+            difference_operator(g_op, getattr(parts, name)))
 
     # the stacked factor has C^2 + C rows but rank <= C^2: within each class
     # the b1 rows are weighted deviations from their own mean, so they lose
     # one rank per class; keep only the entries that can be nonzero
-    a1a2b1_factor = np.vstack([parts.a1_factor, parts.a2_factor,
-                               parts.b1_factor])
+    C = spec.class_count
+    a1a2b1 = factor_eigenvalues(np.vstack(
+        [parts.a1_factor, parts.a2_factor, parts.b1_factor]))[: min(C * C, p)]
+    densities["g_minus_b2"] = {**exact_log_spectrum(
+        a1a2b1, p, steps=min(steps, p), grid_points=grid_points, kappa=kappa,
+        epsilon=epsilon,
+    ).to_dict(), "method": "exact"}
     report = {
         "schema": REPORT_SCHEMA,
-        "class_count": spec.class_count,
+        "class_count": C,
         "n_examples": data.n,
         "param_count": p,
         "estimator": {
@@ -291,8 +307,7 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
         "identity": {"relative_residual": residual, "probes": 20},
         "b2c_traces": parts.b2c_traces().tolist(),
         "a1_eigenvalues": factor_eigenvalues(parts.a1_factor).tolist(),
-        "a1a2b1_eigenvalues": factor_eigenvalues(
-            a1a2b1_factor)[: spec.class_count ** 2].tolist(),
+        "a1a2b1_eigenvalues": a1a2b1.tolist(),
         "densities": densities,
     }
     validate_report(report)
@@ -346,3 +361,11 @@ def validate_report(report: dict) -> None:
         _expect(isinstance(grid, list) and isinstance(values, list)
                 and len(grid) == len(values) and len(grid) >= 2,
                 f"density {name} grid/values malformed")
+        method = d.get("method")
+        _expect(method in DENSITY_METHODS,
+                f"density {name} method must be one of {DENSITY_METHODS}")
+        ritz = d.get("ritz")
+        _expect(isinstance(ritz, list)
+                and (len(ritz) == 0) == (method == "exact"),
+                f"density {name}: an slq density lists its Ritz sets, "
+                "an exact one none")

@@ -234,20 +234,25 @@ def predict_probs(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray
     return _softmax(predict_logits(spec, theta, X))
 
 
-def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
-    """Mean cross-entropy over all examples."""
+def loss_and_error(spec: MlpSpec, theta: np.ndarray,
+                   data: LabeledDataset) -> tuple[float, float]:
+    """Mean cross-entropy and misclassification fraction under argmax
+    decoding, from one forward pass."""
     _check_data(spec, data)
     Ws, bs = unflatten(spec, theta)
     _, _, Z = _forward(spec, Ws, bs, data.x)
-    return _loss_sum(Z, data.y) / data.n
+    return (_loss_sum(Z, data.y) / data.n,
+            int(np.sum(np.argmax(Z, axis=1) != data.y)) / data.n)
+
+
+def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
+    """Mean cross-entropy over all examples."""
+    return loss_and_error(spec, theta, data)[0]
 
 
 def error_rate(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
     """Misclassification fraction under argmax decoding."""
-    _check_data(spec, data)
-    Ws, bs = unflatten(spec, theta)
-    _, _, Z = _forward(spec, Ws, bs, data.x)
-    return int(np.sum(np.argmax(Z, axis=1) != data.y)) / data.n
+    return loss_and_error(spec, theta, data)[1]
 
 
 def gradient(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> np.ndarray:
@@ -424,17 +429,21 @@ _WHICH = ("hess", "g", "h")
 
 
 def hessian_operator(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
-                     which: str = "hess") -> SymmetricOperator:
+                     which: str = "hess", *,
+                     lin: Linearization | None = None) -> SymmetricOperator:
     """Curvature of the mean loss on ``data`` as a matrix-free operator.
 
     ``which`` selects the full Hessian ("hess"), the outer-product term
-    ("g"), or the remainder ("h"). The forward state is computed once, here;
-    every matvec reuses it. The label records both the kind and the data
-    split, so derived operators read e.g. "hess[train]-g[train]".
+    ("g"), or the remainder ("h"). The forward state is computed once, here,
+    unless ``lin``, the linearization of ``data`` at ``theta`` that the
+    caller already holds, is passed; every matvec reuses it. The label
+    records both the kind and the data split, so derived operators read
+    e.g. "hess[train]-g[train]".
     """
     if which not in _WHICH:
         raise UsageError(f"which must be one of {_WHICH}, got {which!r}")
-    lin = linearize(spec, theta, data)
+    if lin is None:
+        lin = linearize(spec, theta, data)
     if which == "g":
         def matvec(v):
             return gnvp(lin, v)

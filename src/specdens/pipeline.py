@@ -21,8 +21,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import InputFormatError, UsageError
-from .net import Checkpoint, MlpSpec, error_rate, gradient, init_params
-from .net import loss as net_loss
+from .net import Checkpoint, MlpSpec, gradient, init_params, loss_and_error
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -325,7 +324,8 @@ def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
     regardless of history, so resuming from a checkpoint (which carries
     the momentum buffer) replays the identical remaining run. Divergence
     (non-finite epoch loss) stops the run and flags the result; the last
-    recorded checkpoint is the last good state.
+    recorded checkpoint is the last good state. When ``test`` is ``train``
+    the test columns repeat the train numbers; the data is forwarded once.
     """
     if train.class_count != spec.class_count or train.input_dim != spec.input_dim:
         raise UsageError("training data does not match the network spec")
@@ -352,14 +352,13 @@ def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
     result = TrainResult()
 
     def evaluate(epoch: int, lr_now: float) -> EpochMetrics:
-        return EpochMetrics(
-            epoch=epoch,
-            lr=lr_now,
-            train_loss=net_loss(spec, theta, train),
-            train_error=error_rate(spec, theta, train),
-            test_loss=net_loss(spec, theta, test),
-            test_error=error_rate(spec, theta, test),
-        )
+        train_loss, train_error = loss_and_error(spec, theta, train)
+        test_loss, test_error = (
+            (train_loss, train_error) if test is train
+            else loss_and_error(spec, theta, test))
+        return EpochMetrics(epoch=epoch, lr=lr_now,
+                            train_loss=train_loss, train_error=train_error,
+                            test_loss=test_loss, test_error=test_error)
 
     def snapshot(epoch: int, lr_now: float) -> Checkpoint:
         return Checkpoint(

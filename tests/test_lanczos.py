@@ -23,6 +23,7 @@ from specdens.lanczos import (
     approx_spectrum,
     density_from_eigenvalues,
     estimate_range,
+    exact_log_spectrum,
     fast_lanczos,
     sigma_for,
     tv_distance,
@@ -367,6 +368,40 @@ class TestApproxLogSpectrum:
         op = dense_operator(np.diag([1.0, 2.0]))
         with pytest.raises(UsageError):
             approx_log_spectrum(op, epsilon=0.0)
+
+
+class TestExactLogSpectrum:
+    eig = np.array([3.0, 1.0, 0.2, 1e-3, -1e-17])
+
+    def test_matches_the_spelled_out_spectrum(self):
+        exact = exact_log_spectrum(self.eig, 50, steps=50, grid_points=256)
+        full = np.concatenate([self.eig, np.zeros(45)])
+        ref = density_from_eigenvalues(full, like=exact)
+        assert tv_distance(exact, ref) <= 1e-12
+        assert exact.ritz == []
+        assert exact.negative is None
+        nm = exact.operator_normalization
+        assert (nm.raw_lambda_min, nm.raw_lambda_max) == (-1e-17, 3.0)
+
+    def test_grid_and_width_are_those_of_an_estimate(self):
+        # an estimate bracketed by the exact range smooths onto the same grid
+        exact = exact_log_spectrum(self.eig, 50, steps=40, grid_points=128,
+                                   kappa=2.5)
+        diag = np.concatenate([self.eig, np.zeros(45)])
+        est = approx_log_spectrum(dense_operator(np.diag(diag)), steps=40,
+                                  grid_points=128, kappa=2.5, seed=0,
+                                  normalization=exact.operator_normalization)
+        assert np.array_equal(est.grid, exact.grid)
+        assert est.sigma == exact.sigma
+        assert est.normalization == exact.normalization
+
+    def test_validation(self):
+        with pytest.raises(UsageError):
+            exact_log_spectrum(self.eig, 4)
+        with pytest.raises(UsageError):
+            exact_log_spectrum(np.array([]), 4)
+        with pytest.raises(UsageError):
+            exact_log_spectrum(self.eig, 10, epsilon=0.0)
 
 
 class TestTvDistance:

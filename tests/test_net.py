@@ -29,6 +29,7 @@ from specdens.net import (
     linearize,
     load_checkpoint,
     loss,
+    loss_and_error,
     predict_logits,
     predict_probs,
     save_checkpoint,
@@ -153,6 +154,21 @@ class TestForwardAndLoss:
         data = LabeledDataset(x=x, y=np.zeros(16, dtype=int), class_count=3)
         assert loss(spec, theta, data) <= 1e-12
         assert error_rate(spec, theta, data) == 0.0
+
+    def test_loss_and_error_share_one_forward_pass(self, trained_tiny_net,
+                                                   monkeypatch):
+        spec, theta, train, _ = trained_tiny_net
+        expected = (loss(spec, theta, train), error_rate(spec, theta, train))
+        calls = []
+        forward = net_module._forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(net_module, "_forward", counted)
+        assert loss_and_error(spec, theta, train) == expected
+        assert len(calls) == 1
 
     def test_error_rate_counts_argmax_misses(self):
         spec = MlpSpec(layer_dims=(4, 8, 3))
@@ -373,6 +389,22 @@ class TestHessianOperator:
         assert hessian_operator(spec, theta, train).label == "hess[train]"
         assert hessian_operator(spec, theta, test, which="g").label == "g[test]"
         assert hessian_operator(spec, theta, train, which="h").label == "h[train]"
+
+    @pytest.mark.parametrize("which", ["hess", "g", "h"])
+    def test_shared_linearization_keeps_label_and_products(
+            self, trained_tiny_net, monkeypatch, which):
+        spec, theta, train, test = trained_tiny_net
+        fresh = hessian_operator(spec, theta, test, which=which)
+        lin = linearize(spec, theta, test)
+        calls = []
+        monkeypatch.setattr(net_module, "_forward",
+                            lambda *args: calls.append(1))
+        shared = hessian_operator(spec, theta, test, which=which, lin=lin)
+        monkeypatch.undo()
+        assert calls == []
+        assert shared.label == fresh.label == f"{which}[test]"
+        v = np.random.default_rng(16).standard_normal(spec.param_count)
+        assert np.array_equal(shared.apply(v), fresh.apply(v))
 
     def test_unknown_kind_rejected(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from specdens import net as net_module
 from specdens.errors import InputFormatError, UsageError
 from specdens.net import MlpSpec
 from specdens.pipeline import (
@@ -280,6 +281,32 @@ class TestTrainSgd:
         a = train_sgd(net_spec, train, test, cfg)
         b = train_sgd(net_spec, train, other, cfg)
         assert np.array_equal(a.final.theta, b.final.theta)
+
+    def test_evaluation_forwards_each_distinct_split_once(self, gmm_data,
+                                                          net_spec,
+                                                          monkeypatch):
+        # idx configs train and test on one split; its numbers are reused
+        train, test = gmm_data
+        cfg = TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=1)
+        forwarded = []
+        forward = net_module._forward
+
+        def counted(spec, Ws, bs, X):
+            forwarded.append(X)
+            return forward(spec, Ws, bs, X)
+
+        monkeypatch.setattr(net_module, "_forward", counted)
+        separate = train_sgd(net_spec, train, test, cfg)
+        assert sum(X is train.x for X in forwarded) == cfg.epochs + 1
+        assert sum(X is test.x for X in forwarded) == cfg.epochs + 1
+        forwarded.clear()
+        shared = train_sgd(net_spec, train, train, cfg)
+        assert sum(X is train.x for X in forwarded) == cfg.epochs + 1
+        for a, b in zip(separate.metrics, shared.metrics):
+            assert (b.train_loss, b.train_error) == (a.train_loss,
+                                                     a.train_error)
+            assert (b.test_loss, b.test_error) == (a.train_loss,
+                                                   a.train_error)
 
     def test_divergence_is_flagged_not_raised(self, gmm_data, net_spec):
         train, test = gmm_data
