@@ -23,7 +23,6 @@ from .lanczos import (
     approx_spectrum,
     density_from_eigenvalues,
     estimate_range,
-    exact_log_spectrum,
     fast_lanczos,
     sigma_for,
     tv_distance,
@@ -42,7 +41,6 @@ from .net import (
     linearize,
     load_checkpoint,
     loss,
-    loss_and_error,
     save_checkpoint,
 )
 from .operators import (

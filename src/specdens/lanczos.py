@@ -373,9 +373,11 @@ def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
     sigma = sigma_for(steps, kappa)
     summaries = [fast_lanczos(aop, steps, [seed, 1 + l])[1]
                  for l in range(n_vec)]
-    density = _smooth_over_range([(s.theta, s.weights) for s in summaries],
-                                 lin_map, grid_points, sigma, range_tau,
-                                 epsilon)
+    nodes = [(s.theta, s.weights) for s in summaries]
+    if epsilon is not None:
+        nodes = [(lin_map.denormalize(t), w) for t, w in nodes]
+    density = _smooth_over_range(nodes, lin_map, grid_points, sigma,
+                                 range_tau, epsilon)
     density.ritz = summaries
     return density
 
@@ -385,8 +387,9 @@ def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
                        epsilon: float | None = None) -> SpectralDensity:
     """Smooth weighted nodes onto the grid that spans ``lin_map``'s range.
 
-    ``nodes`` holds one (values, weights) pair per repetition, with values
-    on the normalized axis of ``lin_map``. Without ``epsilon`` the grid is
+    ``nodes`` holds one (values, weights) pair per repetition. Without
+    ``epsilon`` the values lie on the normalized axis of ``lin_map``; with
+    it they are raw eigenvalues. Without ``epsilon`` the grid is
     ``grid_points`` points across the padded range; with it, the same
     count across the log-magnitude image of the unpadded range, widened by
     ``range_tau``.
@@ -398,9 +401,8 @@ def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
     log_map = NormalizationMap.from_bounds(
         *_log_bounds(lin_map.raw_lambda_min, lin_map.raw_lambda_max, epsilon),
         range_tau)
-    density = _smooth([(lin_map.denormalize(t), w) for t, w in nodes],
-                      log_map.denormalize(t_grid), t_grid, sigma, log_map,
-                      epsilon)
+    density = _smooth(nodes, log_map.denormalize(t_grid), t_grid, sigma,
+                      log_map, epsilon)
     density.operator_normalization = lin_map
     return density
 
@@ -471,20 +473,17 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
                      normalization, range_steps, range_tau, epsilon)
 
 
-def exact_log_spectrum(eigenvalues: np.ndarray, dim: int,
-                       steps: int = DEFAULT_LOG_STEPS,
-                       grid_points: int = DEFAULT_GRID,
-                       kappa: float = DEFAULT_KAPPA,
-                       epsilon: float = DEFAULT_LOG_EPSILON,
-                       range_tau: float = DEFAULT_RANGE_TAU) -> SpectralDensity:
+def exact_log_spectrum(eigenvalues: np.ndarray, dim: int, steps: int,
+                       grid_points: int, kappa: float,
+                       epsilon: float) -> SpectralDensity:
     """Log-axis density of a ``dim``-dimensional operator whose spectrum is
     known exactly: ``eigenvalues`` plus ``dim - len(eigenvalues)`` zeros.
 
     It is smoothed the way :func:`approx_log_spectrum` smooths a
     ``steps``-step estimate: the same bump width, on the grid an estimate
     would get if its range bracket were the exact extremes, widened by
-    ``range_tau``. The zeros go in as one node carrying their total weight.
-    No Lanczos runs, so ``ritz`` is empty.
+    the default range margin. The zeros go in as one node carrying their
+    total weight. No Lanczos runs, so ``ritz`` is empty.
     """
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
@@ -496,9 +495,10 @@ def exact_log_spectrum(eigenvalues: np.ndarray, dim: int,
     if zeros:
         values, weights = np.append(values, 0.0), np.append(weights, zeros / dim)
     lin_map = NormalizationMap.from_bounds(float(values.min()),
-                                           float(values.max()), range_tau)
-    return _smooth_over_range([(lin_map.normalize(values), weights)], lin_map,
-                              grid_points, sigma_for(steps, kappa), range_tau,
+                                           float(values.max()),
+                                           DEFAULT_RANGE_TAU)
+    return _smooth_over_range([(values, weights)], lin_map, grid_points,
+                              sigma_for(steps, kappa), DEFAULT_RANGE_TAU,
                               epsilon)
 
 

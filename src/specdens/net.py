@@ -436,14 +436,19 @@ def hessian_operator(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
     ``which`` selects the full Hessian ("hess"), the outer-product term
     ("g"), or the remainder ("h"). The forward state is computed once, here,
     unless ``lin``, the linearization of ``data`` at ``theta`` that the
-    caller already holds, is passed; every matvec reuses it. The label
-    records both the kind and the data split, so derived operators read
-    e.g. "hess[train]-g[train]".
+    caller already holds, is passed; every matvec reuses it. A ``lin``
+    built for another network or other inputs is rejected; ``theta`` is
+    then not read again and must be the one ``lin`` was built at. The
+    label records both the kind and the data split, so derived operators
+    read e.g. "hess[train]-g[train]".
     """
     if which not in _WHICH:
         raise UsageError(f"which must be one of {_WHICH}, got {which!r}")
     if lin is None:
         lin = linearize(spec, theta, data)
+    elif lin.spec != spec or not np.array_equal(lin.acts[0], data.x):
+        raise UsageError("lin is not the linearization of this network on "
+                         "these inputs")
     if which == "g":
         def matvec(v):
             return gnvp(lin, v)

@@ -17,6 +17,8 @@ from oracles import accumulate_bumps_loop, slow_lanczos
 from specdens import lanczos
 from specdens.errors import DegenerateSpectrumError, UsageError
 from specdens.lanczos import (
+    DEFAULT_KAPPA,
+    DEFAULT_LOG_EPSILON,
     DEFAULT_RANGE_TAU,
     accumulate_bumps,
     approx_log_spectrum,
@@ -374,7 +376,9 @@ class TestExactLogSpectrum:
     eig = np.array([3.0, 1.0, 0.2, 1e-3, -1e-17])
 
     def test_matches_the_spelled_out_spectrum(self):
-        exact = exact_log_spectrum(self.eig, 50, steps=50, grid_points=256)
+        exact = exact_log_spectrum(self.eig, 50, steps=50, grid_points=256,
+                                   kappa=DEFAULT_KAPPA,
+                                   epsilon=DEFAULT_LOG_EPSILON)
         full = np.concatenate([self.eig, np.zeros(45)])
         ref = density_from_eigenvalues(full, like=exact)
         assert tv_distance(exact, ref) <= 1e-12
@@ -386,22 +390,26 @@ class TestExactLogSpectrum:
     def test_grid_and_width_are_those_of_an_estimate(self):
         # an estimate bracketed by the exact range smooths onto the same grid
         exact = exact_log_spectrum(self.eig, 50, steps=40, grid_points=128,
-                                   kappa=2.5)
+                                   kappa=2.5, epsilon=1e-4)
         diag = np.concatenate([self.eig, np.zeros(45)])
         est = approx_log_spectrum(dense_operator(np.diag(diag)), steps=40,
-                                  grid_points=128, kappa=2.5, seed=0,
+                                  grid_points=128, kappa=2.5, epsilon=1e-4,
+                                  seed=0,
                                   normalization=exact.operator_normalization)
         assert np.array_equal(est.grid, exact.grid)
         assert est.sigma == exact.sigma
         assert est.normalization == exact.normalization
 
     def test_validation(self):
+        def exact(eig, dim, epsilon=DEFAULT_LOG_EPSILON):
+            return exact_log_spectrum(eig, dim, steps=16, grid_points=64,
+                                      kappa=DEFAULT_KAPPA, epsilon=epsilon)
         with pytest.raises(UsageError):
-            exact_log_spectrum(self.eig, 4)
+            exact(self.eig, 4)
         with pytest.raises(UsageError):
-            exact_log_spectrum(np.array([]), 4)
+            exact(np.array([]), 4)
         with pytest.raises(UsageError):
-            exact_log_spectrum(self.eig, 10, epsilon=0.0)
+            exact(self.eig, 10, epsilon=0.0)
 
 
 class TestTvDistance:

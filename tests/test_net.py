@@ -406,6 +406,15 @@ class TestHessianOperator:
         v = np.random.default_rng(16).standard_normal(spec.param_count)
         assert np.array_equal(shared.apply(v), fresh.apply(v))
 
+    def test_linearization_of_other_inputs_rejected(self, trained_tiny_net):
+        spec, theta, train, test = trained_tiny_net
+        lin = linearize(spec, theta, train)
+        with pytest.raises(UsageError):
+            hessian_operator(spec, theta, test, which="g", lin=lin)
+        other = MlpSpec(layer_dims=spec.layer_dims, activation="relu")
+        with pytest.raises(UsageError):
+            hessian_operator(other, theta, train, which="g", lin=lin)
+
     def test_unknown_kind_rejected(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         with pytest.raises(UsageError):
