@@ -317,7 +317,7 @@ def cmd_decompose(args) -> int:
          "estimator": estimator},
         inputs=[ck_path, data_path, *data_files], version=__version__)
 
-    report = component_attribution(ck.spec, ck.theta, data, estimator=estimator)
+    report = component_attribution(ck.spec, ck.theta, data, **estimator)
     report["manifest"] = manifest["id"]
     report_path = out / "attribution.json"
     atomic_write_text(report_path, json.dumps(report, indent=2) + "\n")

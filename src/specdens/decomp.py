@@ -29,8 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, one_hot
-from .errors import InputFormatError, UsageError
-from .lanczos import approx_log_spectrum, exact_log_spectrum
+from .errors import InputFormatError
+from .lanczos import (
+    DEFAULT_GRID,
+    DEFAULT_KAPPA,
+    DEFAULT_LOG_EPSILON,
+    DEFAULT_LOG_STEPS,
+    approx_log_spectrum,
+    exact_log_spectrum,
+)
 from .linalg import dense_eig
 from .net import Linearization, MlpSpec, hessian_operator, linearize
 from .operators import SymmetricOperator, difference_operator, sum_operator
@@ -235,12 +242,13 @@ def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,
     return worst
 
 
-_ESTIMATOR_KEYS = {"steps", "grid_points", "n_vec", "kappa", "epsilon", "seed"}
-
-
 def component_attribution(spec: MlpSpec, theta: np.ndarray,
-                          data: LabeledDataset,
-                          estimator: dict | None = None) -> dict:
+                          data: LabeledDataset, *,
+                          steps: int = DEFAULT_LOG_STEPS,
+                          grid_points: int = DEFAULT_GRID, n_vec: int = 1,
+                          kappa: float = DEFAULT_KAPPA,
+                          epsilon: float = DEFAULT_LOG_EPSILON,
+                          seed: int = 0) -> dict:
     """The full attribution report: where G's outliers come from.
 
     Gives the log-magnitude spectrum of G and of G minus each piece (all
@@ -256,18 +264,7 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
     forwarded once: G and the four parts share one linearization.
     JSON-serializable; validated by :func:`validate_report`.
     """
-    cfg = dict(estimator or {})
-    unknown = set(cfg) - _ESTIMATOR_KEYS
-    if unknown:
-        raise UsageError(f"unknown estimator config keys: {sorted(unknown)}")
     p = spec.param_count
-    steps = int(cfg.get("steps", min(2048, p)))
-    grid_points = int(cfg.get("grid_points", 1024))
-    n_vec = int(cfg.get("n_vec", 1))
-    kappa = float(cfg.get("kappa", 3.0))
-    epsilon = float(cfg.get("epsilon", 1e-5))
-    seed = int(cfg.get("seed", 0))
-
     parts = build_decomposition(spec, theta, data)
     g_op = hessian_operator(spec, theta, data, which="g", lin=parts.lin)
     # B2 comes from JVPs, VJPs and the cluster means, never from

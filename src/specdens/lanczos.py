@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .linalg import EigenPairs, TridiagonalMatrix, eig_tridiagonal
+from .linalg import TridiagonalMatrix, eig_tridiagonal
 from .operators import NormalizationMap, SymmetricOperator, affine_operator
 
 _BREAKDOWN_TOL = 1e-12
@@ -142,14 +142,13 @@ def _start_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _three_term(op: SymmetricOperator, v1: np.ndarray, steps: int,
-                collect=None) -> tuple[list, list, bool]:
+def _three_term(op: SymmetricOperator, v1: np.ndarray,
+                steps: int) -> tuple[list, list, bool]:
     """The bare recurrence: three working vectors, no reorthogonalization.
 
-    ``collect(i, v)`` is called with each basis vector before it is
-    consumed, which lets callers rebuild Ritz vectors in a second pass
-    without ever storing the basis. A non-finite matvec raises
-    :class:`NumericalError` at the step that produced it.
+    Memory stays O(p) whatever ``steps`` is; no basis vector is kept. A
+    non-finite matvec raises :class:`NumericalError` at the step that
+    produced it.
     """
     alpha: list[float] = []
     beta: list[float] = []
@@ -157,8 +156,6 @@ def _three_term(op: SymmetricOperator, v1: np.ndarray, steps: int,
     v = v1
     breakdown = False
     for m in range(1, steps + 1):
-        if collect is not None:
-            collect(m - 1, v)
         w = op.apply(v)
         if not np.isfinite(w).all():
             raise NumericalError(
@@ -210,48 +207,31 @@ def fast_lanczos(op: SymmetricOperator, steps: int,
     return _summarize(alpha, beta, seed, breakdown)
 
 
-def estimate_range(op: SymmetricOperator, steps: int = DEFAULT_RANGE_STEPS,
-                   tau: float = DEFAULT_RANGE_TAU, seed=0) -> NormalizationMap:
-    """Bracket the spectrum with a short Lanczos run and widen by a margin.
+def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
+    """Bracket the spectrum with one short Lanczos run and widen by a margin.
 
-    The extremal Ritz values are pushed outward by their residual norms
-    (computed from Ritz vectors rebuilt in a second recurrence pass with
-    the same seed, so memory stays O(p)), then the interval is widened by
-    the relative margin ``tau``. Degenerate spectra (single point) cannot
-    be bracketed and raise; callers may construct a NormalizationMap by
-    hand for those.
+    One recurrence of ``m + 1`` products, ``m = min(DEFAULT_RANGE_STEPS,
+    dim)``, keeps three working vectors, so memory stays O(p). The extremal
+    Ritz values of its leading m steps are pushed outward by their residual
+    norms, which Paige's relation gives without the Ritz vectors:
+    ``||A z - theta z|| = beta_m |y_m|``, the next off-diagonal times the
+    last entry of the tridiagonal eigenvector (0 after a breakdown, where
+    the Ritz values are exact). The interval is then widened by the
+    relative margin ``DEFAULT_RANGE_TAU``. Degenerate spectra (single
+    point) cannot be bracketed and raise; callers may construct a
+    NormalizationMap by hand for those.
     """
-    if tau < 0:
-        raise UsageError("tau must be nonnegative")
-    m0 = min(steps, op.dim)
-    if m0 < 1:
-        raise UsageError("need at least one step")
+    m = min(DEFAULT_RANGE_STEPS, op.dim)
     v1 = _start_vector(op.dim, np.random.default_rng(seed))
-    alpha, beta, _ = _three_term(op, v1, m0)
-    T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
-    pairs: EigenPairs = eig_tridiagonal(T, vectors="full")
-    y_lo = pairs.vectors[:, 0]
-    y_hi = pairs.vectors[:, -1]
-
-    z_lo = np.zeros(op.dim)
-    z_hi = np.zeros(op.dim)
-
-    def collect(i, v):
-        nonlocal z_lo, z_hi
-        z_lo += y_lo[i] * v
-        z_hi += y_hi[i] * v
-
-    # identical second pass (same seed, same step count) rebuilds the basis
-    v1b = _start_vector(op.dim, np.random.default_rng(seed))
-    _three_term(op, v1b, T.order, collect=collect)
-
-    theta_lo = float(pairs.values[0])
-    theta_hi = float(pairs.values[-1])
-    z_lo /= np.linalg.norm(z_lo)
-    z_hi /= np.linalg.norm(z_hi)
-    r_lo = float(np.linalg.norm(op.apply(z_lo) - theta_lo * z_lo))
-    r_hi = float(np.linalg.norm(op.apply(z_hi) - theta_hi * z_hi))
-    return NormalizationMap.from_bounds(theta_lo - r_lo, theta_hi + r_hi, tau)
+    alpha, beta, _ = _three_term(op, v1, m + 1)
+    k = min(len(alpha), m)
+    T = TridiagonalMatrix(alpha=np.array(alpha[:k]), beta=np.array(beta[:k - 1]))
+    pairs = eig_tridiagonal(T, vectors="full")
+    beta_k = beta[k - 1] if len(beta) >= k else 0.0
+    r_lo, r_hi = beta_k * np.abs(pairs.vectors[-1, [0, -1]])
+    return NormalizationMap.from_bounds(float(pairs.values[0] - r_lo),
+                                        float(pairs.values[-1] + r_hi),
+                                        DEFAULT_RANGE_TAU)
 
 
 def sigma_for(steps: int, kappa: float) -> float:
@@ -259,8 +239,8 @@ def sigma_for(steps: int, kappa: float) -> float:
     peak across one resolution element 2/(steps-1)."""
     if steps < 2:
         raise UsageError("need at least two steps for a finite bump width")
-    if kappa <= 1.0:
-        raise UsageError("kappa must exceed 1")
+    if not (math.isfinite(kappa) and kappa > 1.0):
+        raise UsageError(f"kappa must be a finite number above 1, got {kappa}")
     return 2.0 / ((steps - 1) * math.sqrt(8.0 * math.log(kappa)))
 
 
@@ -356,7 +336,6 @@ def _smooth(nodes, grid: np.ndarray, t_grid: np.ndarray, sigma: float,
 
 def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
               kappa: float, seed: int, normalization: NormalizationMap | None,
-              range_steps: int, range_tau: float,
               epsilon: float | None = None) -> SpectralDensity:
     """The body of both estimators: ``n_vec`` Lanczos passes on the operator
     mapped to [-1, 1], smoothed on the linear axis, or on the log axis when
@@ -365,26 +344,23 @@ def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
         raise UsageError("n_vec must be >= 1")
     if steps < 2:
         raise UsageError("need at least two Lanczos steps for a density")
+    sigma = sigma_for(steps, kappa)
     lin_map = normalization
     if lin_map is None:
-        lin_map = estimate_range(op, steps=range_steps, tau=range_tau,
-                                 seed=[seed, 0])
+        lin_map = estimate_range(op, seed=[seed, 0])
     aop = affine_operator(op, lin_map)
-    sigma = sigma_for(steps, kappa)
     summaries = [fast_lanczos(aop, steps, [seed, 1 + l])[1]
                  for l in range(n_vec)]
     nodes = [(s.theta, s.weights) for s in summaries]
     if epsilon is not None:
         nodes = [(lin_map.denormalize(t), w) for t, w in nodes]
-    density = _smooth_over_range(nodes, lin_map, grid_points, sigma,
-                                 range_tau, epsilon)
+    density = _smooth_over_range(nodes, lin_map, grid_points, sigma, epsilon)
     density.ritz = summaries
     return density
 
 
 def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
-                       sigma: float, range_tau: float,
-                       epsilon: float | None = None) -> SpectralDensity:
+                       sigma: float, epsilon: float | None = None) -> SpectralDensity:
     """Smooth weighted nodes onto the grid that spans ``lin_map``'s range.
 
     ``nodes`` holds one (values, weights) pair per repetition. Without
@@ -392,7 +368,7 @@ def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
     it they are raw eigenvalues. Without ``epsilon`` the grid is
     ``grid_points`` points across the padded range; with it, the same
     count across the log-magnitude image of the unpadded range, widened by
-    ``range_tau``.
+    ``DEFAULT_RANGE_TAU``.
     """
     t_grid = np.linspace(-1.0, 1.0, grid_points)
     if epsilon is None:
@@ -400,7 +376,7 @@ def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
                        lin_map)
     log_map = NormalizationMap.from_bounds(
         *_log_bounds(lin_map.raw_lambda_min, lin_map.raw_lambda_max, epsilon),
-        range_tau)
+        DEFAULT_RANGE_TAU)
     density = _smooth(nodes, log_map.denormalize(t_grid), t_grid, sigma,
                       log_map, epsilon)
     density.operator_normalization = lin_map
@@ -410,9 +386,7 @@ def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
 def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
                     grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                     kappa: float = DEFAULT_KAPPA, seed: int = 0,
-                    normalization: NormalizationMap | None = None,
-                    range_steps: int = DEFAULT_RANGE_STEPS,
-                    range_tau: float = DEFAULT_RANGE_TAU) -> SpectralDensity:
+                    normalization: NormalizationMap | None = None) -> SpectralDensity:
     """Smoothed spectral density of a symmetric operator, matrix-free.
 
     Normalizes the spectrum to [-1, 1] (estimating the range unless a map
@@ -429,8 +403,7 @@ def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
             stacklevel=2,
         )
         steps = op.dim
-    return _estimate(op, steps, grid_points, n_vec, kappa, seed,
-                     normalization, range_steps, range_tau)
+    return _estimate(op, steps, grid_points, n_vec, kappa, seed, normalization)
 
 
 def _log_bounds(raw_min: float, raw_max: float, epsilon: float) -> tuple[float, float]:
@@ -447,13 +420,16 @@ def _log_bounds(raw_min: float, raw_max: float, epsilon: float) -> tuple[float, 
     return math.log(epsilon), math.log(max(raw_max, -raw_min) + epsilon)
 
 
+def _require_log_shift(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise UsageError(f"epsilon must be a finite positive number, got {epsilon}")
+
+
 def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
                         grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                         kappa: float = DEFAULT_KAPPA,
                         epsilon: float = DEFAULT_LOG_EPSILON, seed: int = 0,
-                        normalization: NormalizationMap | None = None,
-                        range_steps: int = DEFAULT_RANGE_STEPS,
-                        range_tau: float = DEFAULT_RANGE_TAU) -> SpectralDensity:
+                        normalization: NormalizationMap | None = None) -> SpectralDensity:
     """Spectral density over u = log(lambda + epsilon).
 
     Same machinery as :func:`approx_spectrum`, but Ritz values are placed
@@ -464,13 +440,12 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
     Ritz values at or below -epsilon land in the mirrored ``negative``
     branch and are tallied in ``negative_mass``.
     """
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive")
+    _require_log_shift(epsilon)
     # unlike the linear estimator, steps are NOT clamped at the dimension:
     # on the log axis the bulk occupies a sliver of the linear range, and
     # only the nodes contributed by iterations past dim resolve it
     return _estimate(op, steps, grid_points, n_vec, kappa, seed,
-                     normalization, range_steps, range_tau, epsilon)
+                     normalization, epsilon)
 
 
 def exact_log_spectrum(eigenvalues: np.ndarray, dim: int, steps: int,
@@ -485,8 +460,7 @@ def exact_log_spectrum(eigenvalues: np.ndarray, dim: int, steps: int,
     the default range margin. The zeros go in as one node carrying their
     total weight. No Lanczos runs, so ``ritz`` is empty.
     """
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive")
+    _require_log_shift(epsilon)
     eig = np.asarray(eigenvalues, dtype=np.float64)
     zeros = dim - eig.size
     if eig.size == 0 or zeros < 0:
@@ -498,8 +472,7 @@ def exact_log_spectrum(eigenvalues: np.ndarray, dim: int, steps: int,
                                            float(values.max()),
                                            DEFAULT_RANGE_TAU)
     return _smooth_over_range([(values, weights)], lin_map, grid_points,
-                              sigma_for(steps, kappa), DEFAULT_RANGE_TAU,
-                              epsilon)
+                              sigma_for(steps, kappa), epsilon)
 
 
 def density_from_eigenvalues(eigenvalues: np.ndarray,

@@ -43,10 +43,15 @@ class EnsembleSpec:
                 raise UsageError(f"{self.kind} needs a positive column count n")
         if self.kind == "spiked_wishart" and len(self.spikes) > self.p:
             raise UsageError("more spikes than dimensions")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise UsageError(f"alpha must be finite, got {self.alpha}")
         if self.kind == "pareto_wishart":
             if self.alpha is None or self.alpha <= 0:
                 raise UsageError("pareto_wishart needs a positive tail index alpha")
-        object.__setattr__(self, "spikes", tuple(float(s) for s in self.spikes))
+        spikes = tuple(float(s) for s in self.spikes)
+        if not all(math.isfinite(s) for s in spikes):
+            raise UsageError(f"spikes must be finite, got {spikes}")
+        object.__setattr__(self, "spikes", spikes)
 
 
 def default_ensemble(kind: str, seed: int = 0) -> EnsembleSpec:

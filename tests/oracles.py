@@ -25,7 +25,12 @@ from specdens.lanczos import (
     _start_vector,
     _summarize,
 )
-from specdens.linalg import EigenPairs, TridiagonalMatrix, _require_symmetric
+from specdens.linalg import (
+    EigenPairs,
+    TridiagonalMatrix,
+    _require_symmetric,
+    eig_tridiagonal,
+)
 from specdens.net import _forward, predict_probs, unflatten
 from specdens.operators import SymmetricOperator
 
@@ -307,6 +312,54 @@ def slow_lanczos(op: SymmetricOperator, steps: int,
         v_prev = v
         v = w / b
     return _summarize(alpha, beta, seed, breakdown)
+
+
+def explicit_residual_bounds(op: SymmetricOperator, steps: int,
+                             seed) -> tuple[float, float]:
+    """Extremal Ritz values pushed out by explicitly formed residuals.
+
+    The same bare recurrence as :func:`specdens.lanczos.estimate_range`
+    (no reorthogonalization, same start vector), but it stores its basis,
+    builds the two extremal Ritz vectors z = V y, and measures
+    ||A z - theta z|| with two more products instead of reading the
+    residual off the recurrence. The tridiagonal eigenvectors come from
+    the library's solver on purpose: once orthogonality is lost, Ritz
+    values come in near-equal ghost pairs, and a different solver may
+    return another vector of the pair, with another residual. Returns the
+    unpadded (low, high).
+    """
+    m = min(steps, op.dim)
+    v = _start_vector(op.dim, np.random.default_rng(seed))
+    V = np.empty((op.dim, m))
+    alpha: list[float] = []
+    beta: list[float] = []
+    v_prev = None
+    for j in range(m):
+        V[:, j] = v
+        w = op.apply(v)
+        if j:
+            w = w - beta[-1] * v_prev
+        alpha.append(float(w @ v))
+        if j == m - 1:
+            break
+        w = w - alpha[-1] * v
+        b = float(np.linalg.norm(w))
+        if b <= _BREAKDOWN_TOL:
+            break
+        beta.append(b)
+        v_prev = v
+        v = w / b
+    k = len(alpha)
+    pairs = eig_tridiagonal(TridiagonalMatrix(alpha=np.array(alpha),
+                                              beta=np.array(beta)),
+                            vectors="full")
+    bounds = []
+    for col, sign in ((0, -1.0), (-1, 1.0)):
+        theta = float(pairs.values[col])
+        z = V[:, :k] @ pairs.vectors[:, col]
+        z /= np.linalg.norm(z)
+        bounds.append(theta + sign * float(np.linalg.norm(op.apply(z) - theta * z)))
+    return bounds[0], bounds[1]
 
 
 # ---------------------------------------------------------------------------

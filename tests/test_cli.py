@@ -556,6 +556,44 @@ class TestCheckpointAnalysis:
         capsys.readouterr()
 
 
+NON_FINITE_FLAGS = [
+    ("synth", ["--kind", "pareto_wishart", "--alpha", "nan"]),
+    ("synth", ["--kind", "pareto_wishart", "--alpha", "inf"]),
+    ("synth", ["--kind", "spiked_wishart", "--spikes", "nan"]),
+    ("synth", ["--kind", "spiked_wishart", "--spikes", "5,inf"]),
+    ("spectrum", ["--kappa", "nan"]),
+    ("spectrum", ["--kappa", "inf"]),
+    ("spectrum", ["--log", "--epsilon", "nan"]),
+    ("spectrum", ["--log", "--epsilon", "inf"]),
+    ("decompose", ["--kappa", "nan"]),
+    ("decompose", ["--kappa", "inf"]),
+    ("decompose", ["--epsilon", "nan"]),
+    ("decompose", ["--epsilon", "inf"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", NON_FINITE_FLAGS,
+                         ids=[f"{c}-{f[-2].lstrip('-')}-{f[-1]}"
+                              for c, f in NON_FINITE_FLAGS])
+def test_non_finite_flag_is_usage_before_any_output(request, tmp_path, capsys,
+                                                    command, flags):
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--p", "20", "--n", "20", *flags,
+                "--out-dir", str(out)]
+    elif command == "spectrum":
+        matrix = request.getfixturevalue("goe_dir") / "matrix.spdm"
+        argv = ["spectrum", "--matrix", str(matrix), "--steps", "16", *flags,
+                "--out-dir", str(out)]
+    else:
+        run = request.getfixturevalue("train_run")
+        argv = decompose_args(run["final"], run["data"], out, "--steps", "16",
+                              *flags)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _mutants(blob: bytes):
     """Strategy over every proper prefix and every single-bit flip of blob."""
     prefixes = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])

@@ -346,7 +346,7 @@ def report(trained_tiny_net):
     spec, theta, train, _ = trained_tiny_net
     return component_attribution(
         spec, theta, train,
-        estimator={"steps": 64, "n_vec": 2, "grid_points": 256, "seed": 1},
+        steps=64, n_vec=2, grid_points=256, seed=1,
     )
 
 
@@ -426,21 +426,14 @@ class TestAttributionReport:
             return forward(*args)
 
         monkeypatch.setattr(net_module, "_forward", counted)
-        component_attribution(spec, theta, train,
-                              estimator={"steps": 16, "grid_points": 64})
+        component_attribution(spec, theta, train, steps=16, grid_points=64)
         assert len(calls) == 1
-
-    def test_unknown_estimator_key_rejected(self, trained_tiny_net):
-        spec, theta, train, _ = trained_tiny_net
-        with pytest.raises(UsageError, match="estimator"):
-            component_attribution(spec, theta, train,
-                                  estimator={"steps": 16, "turbo": True})
 
     def test_fresh_initialization_also_reports(self, trained_tiny_net):
         spec, _, train, _ = trained_tiny_net
         report = component_attribution(
             spec, init_params(spec, seed=0), train,
-            estimator={"steps": 32, "grid_points": 128},
+            steps=32, grid_points=128,
         )
         validate_report(report)
 
