@@ -44,6 +44,7 @@ from .lanczos import (
     SpectralDensity,
     approx_log_spectrum,
     approx_spectrum,
+    check_estimator,
 )
 from .linalg import dense_eig
 from .net import MlpSpec, load_checkpoint, save_checkpoint
@@ -231,11 +232,15 @@ def _density_rows(density: SpectralDensity) -> list:
 
 def cmd_spectrum(args) -> int:
     start = time.monotonic()
-    op, in_params, inputs = _spectrum_operator(args)
-
     steps = args.steps
     if steps is None:
         steps = DEFAULT_LOG_STEPS if args.log else DEFAULT_STEPS
+    check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
+                    args.epsilon if args.log else None)
+    if args.deflate is not None and args.deflate < 1:
+        raise UsageError("--deflate takes a positive count")
+    op, in_params, inputs = _spectrum_operator(args)
+
     est_params = {
         "steps": steps, "grid_points": args.grid_points, "n_vec": args.n_vec,
         "kappa": args.kappa, "seed": args.seed, "log": bool(args.log),
@@ -247,8 +252,6 @@ def cmd_spectrum(args) -> int:
 
     top = None
     if args.deflate is not None:
-        if args.deflate < 1:
-            raise UsageError("--deflate takes a positive count")
         top, op = low_rank_deflation(op, args.deflate, seed=args.seed)
 
     if args.log:
@@ -296,6 +299,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_decompose(args) -> int:
     start = time.monotonic()
+    steps = args.steps if args.steps is not None else DEFAULT_LOG_STEPS
+    check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
+                    args.epsilon)
     ck_path = _require_file(args.checkpoint, "checkpoint")
     ck = load_checkpoint(ck_path)
     data_path = _require_file(args.data, "data config")
@@ -303,7 +309,7 @@ def cmd_decompose(args) -> int:
     data, data_files = _dataset_from_config(data_cfg)
 
     estimator = {
-        "steps": args.steps if args.steps is not None else DEFAULT_LOG_STEPS,
+        "steps": steps,
         "grid_points": args.grid_points,
         "n_vec": args.n_vec,
         "kappa": args.kappa,

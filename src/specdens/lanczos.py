@@ -1,7 +1,9 @@
 """Stochastic Lanczos estimation of spectral densities.
 
 The workhorse is a three-term recurrence that keeps only three working
-vectors (`fast_lanczos`). On top of it sit the range estimator, the
+vectors (`fast_lanczos`); the ``n_vec`` runs of one density advance in
+lockstep, one block product per step, when the operator has a native
+block product. On top of it sit the range estimator, the
 smoothed density estimator on a normalized grid, and a log-magnitude
 variant that resolves many orders of magnitude at once.
 Ritz values and weights (Gauss quadrature nodes and squared first
@@ -142,40 +144,64 @@ def _start_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _three_term(op: SymmetricOperator, v1: np.ndarray,
-                steps: int) -> tuple[list, list, bool]:
-    """The bare recurrence: three working vectors, no reorthogonalization.
+def _three_term(op: SymmetricOperator, V1: np.ndarray,
+                steps: int) -> list[tuple[list, list, bool]]:
+    """One bare recurrence per column of the Fortran-order block ``V1``.
 
-    Memory stays O(p) whatever ``steps`` is; no basis vector is kept. A
-    non-finite matvec raises :class:`NumericalError` at the step that
-    produced it.
+    The recurrences share one block product per step and nothing else;
+    this is not block Lanczos. Each column's alpha and beta come from its
+    own dot product and norm and the updates are elementwise, so every
+    column gets the bits it would get alone in a one-column block. A
+    column that breaks down leaves the block and the rest go on. Three
+    working blocks, no reorthogonalization: memory stays O(p k) whatever
+    ``steps`` is. A non-finite product, alpha or beta raises
+    :class:`NumericalError` at the step that produced it. Returns
+    (alphas, betas, breakdown) per column.
     """
-    alpha: list[float] = []
-    beta: list[float] = []
-    v_prev = None
-    v = v1
-    breakdown = False
+    name = op.label or "<anon>"
+    k = V1.shape[1]
+    alphas, betas = [[] for _ in range(k)], [[] for _ in range(k)]
+    breakdown = [False] * k
+    live = list(range(k))               # block column -> run
+    V_prev = b = None
+    V = V1
     for m in range(1, steps + 1):
-        w = op.apply(v)
-        if not np.isfinite(w).all():
+        W = np.asfortranarray(op.apply(V))
+        if not np.isfinite(W).all():
             raise NumericalError(
-                f"operator {op.label or '<anon>'} returned a non-finite "
-                f"vector at Lanczos step {m}")
+                f"operator {name} returned a non-finite vector at Lanczos "
+                f"step {m}")
         if m > 1:
-            w = w - beta[-1] * v_prev
-        a = float(w @ v)
-        alpha.append(a)
+            W = W - V_prev * b
+        cols = range(len(live))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = [float(W[:, j] @ V[:, j]) for j in cols]
+            if m < steps:
+                W = W - V * a
+                b = [float(np.linalg.norm(W[:, j])) for j in cols]
+        if not all(map(math.isfinite, a if m == steps else a + b)):
+            raise NumericalError(
+                f"operator {name} gave a non-finite Lanczos coefficient at "
+                f"step {m}")
+        for r, x in zip(live, a):
+            alphas[r].append(x)
         if m == steps:
             break
-        w = w - a * v
-        b = float(np.linalg.norm(w))
-        if b <= _BREAKDOWN_TOL:
-            breakdown = True
-            break
-        beta.append(b)
-        v_prev = v
-        v = w / b
-    return alpha, beta, breakdown
+        keep = [x > _BREAKDOWN_TOL for x in b]
+        for r, x, kept in zip(live, b, keep):
+            if kept:
+                betas[r].append(x)
+            else:
+                breakdown[r] = True
+        if not all(keep):
+            live = [r for r, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            b = [x for x, kept in zip(b, keep) if kept]
+            W, V = (np.asfortranarray(X[:, keep]) for X in (W, V))
+        V_prev = V
+        V = W / b
+    return list(zip(alphas, betas, breakdown))
 
 
 def _summarize(alpha, beta, seed, breakdown) -> tuple[TridiagonalMatrix, RitzSummary]:
@@ -185,6 +211,15 @@ def _summarize(alpha, beta, seed, breakdown) -> tuple[TridiagonalMatrix, RitzSum
     summary = RitzSummary(theta=pairs.values, weights=weights, seed=seed,
                           steps=T.order, breakdown=breakdown)
     return T, summary
+
+
+def _lockstep(op: SymmetricOperator, steps: int,
+              seeds: list) -> list[tuple[TridiagonalMatrix, RitzSummary]]:
+    """One Lanczos run per seed, advanced together (see :func:`_three_term`)."""
+    V1 = np.asfortranarray(np.column_stack(
+        [_start_vector(op.dim, np.random.default_rng(s)) for s in seeds]))
+    runs = _three_term(op, V1, steps)
+    return [_summarize(a, b, s, broke) for (a, b, broke), s in zip(runs, seeds)]
 
 
 def fast_lanczos(op: SymmetricOperator, steps: int,
@@ -202,32 +237,29 @@ def fast_lanczos(op: SymmetricOperator, steps: int,
     """
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    v1 = _start_vector(op.dim, np.random.default_rng(seed))
-    alpha, beta, breakdown = _three_term(op, v1, steps)
-    return _summarize(alpha, beta, seed, breakdown)
+    return _lockstep(op, steps, [seed])[0]
 
 
 def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
     """Bracket the spectrum with one short Lanczos run and widen by a margin.
 
-    One recurrence of ``m + 1`` products, ``m = min(DEFAULT_RANGE_STEPS,
-    dim)``, keeps three working vectors, so memory stays O(p). The extremal
-    Ritz values of its leading m steps are pushed outward by their residual
-    norms, which Paige's relation gives without the Ritz vectors:
-    ``||A z - theta z|| = beta_m |y_m|``, the next off-diagonal times the
-    last entry of the tridiagonal eigenvector (0 after a breakdown, where
-    the Ritz values are exact). The interval is then widened by the
-    relative margin ``DEFAULT_RANGE_TAU``. Degenerate spectra (single
-    point) cannot be bracketed and raise; callers may construct a
-    NormalizationMap by hand for those.
+    One :func:`fast_lanczos` run of ``m + 1`` products, ``m =
+    min(DEFAULT_RANGE_STEPS, dim)``, keeps three working vectors, so memory
+    stays O(p). The extremal Ritz values of its leading m steps are pushed
+    outward by their residual norms, which Paige's relation gives without
+    the Ritz vectors: ``||A z - theta z|| = beta_m |y_m|``, the next
+    off-diagonal times the last entry of the tridiagonal eigenvector (0
+    after a breakdown, where the Ritz values are exact). The interval is
+    then widened by the relative margin ``DEFAULT_RANGE_TAU``. Degenerate
+    spectra (single point) cannot be bracketed and raise; callers may
+    construct a NormalizationMap by hand for those.
     """
     m = min(DEFAULT_RANGE_STEPS, op.dim)
-    v1 = _start_vector(op.dim, np.random.default_rng(seed))
-    alpha, beta, _ = _three_term(op, v1, m + 1)
-    k = min(len(alpha), m)
-    T = TridiagonalMatrix(alpha=np.array(alpha[:k]), beta=np.array(beta[:k - 1]))
-    pairs = eig_tridiagonal(T, vectors="full")
-    beta_k = beta[k - 1] if len(beta) >= k else 0.0
+    T, _ = fast_lanczos(op, m + 1, seed)
+    k = min(T.order, m)
+    head = TridiagonalMatrix(alpha=T.alpha[:k], beta=T.beta[:k - 1])
+    pairs = eig_tridiagonal(head, vectors="full")
+    beta_k = T.beta[k - 1] if T.beta.size >= k else 0.0
     r_lo, r_hi = beta_k * np.abs(pairs.vectors[-1, [0, -1]])
     return NormalizationMap.from_bounds(float(pairs.values[0] - r_lo),
                                         float(pairs.values[-1] + r_hi),
@@ -334,23 +366,44 @@ def _smooth(nodes, grid: np.ndarray, t_grid: np.ndarray, sigma: float,
                            negative_mass=neg_mass)
 
 
-def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
-              kappa: float, seed: int, normalization: NormalizationMap | None,
-              epsilon: float | None = None) -> SpectralDensity:
-    """The body of both estimators: ``n_vec`` Lanczos passes on the operator
-    mapped to [-1, 1], smoothed on the linear axis, or on the log axis when
-    ``epsilon`` is given."""
+def check_estimator(steps: int, grid_points: int, n_vec: int, kappa: float,
+                    epsilon: float | None = None) -> float:
+    """Reject estimator settings no density can be built from, and return
+    the bump width ``sigma_for(steps, kappa)``. ``epsilon`` is checked only
+    when given, for the log axis. Raises :class:`UsageError`; cheap, so
+    callers can check before they build or write anything."""
     if n_vec < 1:
         raise UsageError("n_vec must be >= 1")
     if steps < 2:
         raise UsageError("need at least two Lanczos steps for a density")
-    sigma = sigma_for(steps, kappa)
+    if grid_points < 2:
+        raise UsageError("grid needs at least two points")
+    if epsilon is not None:
+        _require_log_shift(epsilon)
+    return sigma_for(steps, kappa)
+
+
+def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
+              kappa: float, seed: int, normalization: NormalizationMap | None,
+              epsilon: float | None = None) -> SpectralDensity:
+    """The body of both estimators: ``n_vec`` Lanczos runs on the operator
+    mapped to [-1, 1], smoothed on the linear axis, or on the log axis when
+    ``epsilon`` is given.
+
+    The runs share one block product per step when the normalized
+    operator has a native one (a dense matrix, possibly deflated). Others
+    go one at a time, so a network operator sees one vector per product
+    and keeps O(p) working memory.
+    """
+    sigma = check_estimator(steps, grid_points, n_vec, kappa, epsilon)
     lin_map = normalization
     if lin_map is None:
         lin_map = estimate_range(op, seed=[seed, 0])
     aop = affine_operator(op, lin_map)
-    summaries = [fast_lanczos(aop, steps, [seed, 1 + l])[1]
-                 for l in range(n_vec)]
+    seeds = [[seed, 1 + l] for l in range(n_vec)]
+    width = n_vec if aop.has_matmat else 1
+    summaries = [summary for i in range(0, n_vec, width)
+                 for _, summary in _lockstep(aop, steps, seeds[i:i + width])]
     nodes = [(s.theta, s.weights) for s in summaries]
     if epsilon is not None:
         nodes = [(lin_map.denormalize(t), w) for t, w in nodes]
@@ -440,7 +493,6 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
     Ritz values at or below -epsilon land in the mirrored ``negative``
     branch and are tallied in ``negative_mass``.
     """
-    _require_log_shift(epsilon)
     # unlike the linear estimator, steps are NOT clamped at the dimension:
     # on the log axis the bulk occupies a sliver of the linear range, and
     # only the nodes contributed by iterations past dim resolve it

@@ -1,8 +1,9 @@
 """Matrix-free symmetric linear operators and their combinators.
 
-An operator is a dimension plus a matvec; everything downstream (Lanczos,
-top-eigenpair extraction, deflation) touches matrices only through `apply`. The
-combinators preserve symmetry by construction.
+An operator is a dimension plus a matvec, and optionally a block product;
+everything downstream (Lanczos, top-eigenpair extraction, deflation) touches
+matrices only through `apply`. The combinators preserve symmetry by
+construction.
 """
 
 from __future__ import annotations
@@ -90,28 +91,54 @@ class NormalizationMap:
 class SymmetricOperator:
     """A symmetric linear map on R^p exposed only through matvecs.
 
+    `apply` takes one vector of shape ``(dim,)`` or a block of ``k``
+    column vectors of shape ``(dim, k)`` and returns the same shape. A
+    one-column block goes through ``matvec``; a wider block goes through
+    the optional block product ``matmat`` when the operator has one, and
+    otherwise through ``matvec`` one contiguous column at a time.
     `apply` is deterministic: the same vector in gives bit-identical
     vectors out. Symmetry is the caller's promise for hand-built matvecs;
     every combinator below preserves it, and tests probe it stochastically.
     """
 
     def __init__(self, dim: int, matvec: Callable[[np.ndarray], np.ndarray],
-                 label: str = ""):
+                 label: str = "",
+                 matmat: Callable[[np.ndarray], np.ndarray] | None = None):
         if dim < 1:
             raise UsageError("operator dimension must be >= 1")
         self.dim = int(dim)
         self.label = label
         self._matvec = matvec
+        self._matmat = matmat
+
+    @property
+    def has_matmat(self) -> bool:
+        """Whether wide blocks get a native block product, not a column loop."""
+        return self._matmat is not None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
+        if not (v.ndim in (1, 2) and v.shape[0] == self.dim
+                and (v.ndim == 1 or v.shape[1] >= 1)):
             raise UsageError(
-                f"operator {self.label or '<anon>'} expects shape ({self.dim},), "
-                f"got {v.shape}"
+                f"operator {self.label or '<anon>'} expects shape "
+                f"({self.dim},) or ({self.dim}, k), got {v.shape}"
             )
-        out = np.asarray(self._matvec(v), dtype=np.float64)
-        if out.shape != (self.dim,):
+        if v.ndim == 1:
+            return self._checked(self._matvec, v)
+        if v.shape[1] == 1:
+            return self._checked(self._matvec, v[:, 0])[:, None]
+        if self._matmat is not None:
+            return self._checked(self._matmat, v)
+        out = np.empty(v.shape, order="F")
+        for j in range(v.shape[1]):
+            out[:, j] = self._checked(self._matvec, np.ascontiguousarray(v[:, j]))
+        return out
+
+    @staticmethod
+    def _checked(product, v: np.ndarray) -> np.ndarray:
+        out = np.asarray(product(v), dtype=np.float64)
+        if out.shape != v.shape:
             raise UsageError("matvec returned wrong shape")
         return out
 
@@ -119,22 +146,46 @@ class SymmetricOperator:
         return f"SymmetricOperator(dim={self.dim}, label={self.label!r})"
 
 
+# rows per panel of a dense block product: 32-row panels were measured to
+# give the same bits at 1 and 2 OpenBLAS threads, 64-row panels did not
+_PANEL_ROWS = 32
+
+
 def dense_operator(A: np.ndarray, label: str = "dense") -> SymmetricOperator:
-    """Wrap a dense symmetric matrix (validated to 1e-12 relative)."""
+    """Wrap a dense symmetric matrix (validated to 1e-12 relative).
+
+    A single vector is one GEMV. A block is multiplied ``_PANEL_ROWS`` rows
+    of A at a time: each panel product gives the same bits at any BLAS
+    thread count, which one GEMM over the whole of A does not.
+    """
     A = np.asarray(A, dtype=np.float64)
     _require_symmetric(A)
-    return SymmetricOperator(A.shape[0], lambda v: A @ v, label=label)
+
+    def matmat(V):
+        out = np.empty(V.shape, order="F")
+        for i in range(0, A.shape[0], _PANEL_ROWS):
+            out[i:i + _PANEL_ROWS] = A[i:i + _PANEL_ROWS] @ V
+        return out
+
+    return SymmetricOperator(A.shape[0], lambda v: A @ v, label=label,
+                             matmat=matmat)
+
+
+def _combined(dim: int, product, label: str,
+              *inner: SymmetricOperator) -> SymmetricOperator:
+    """An operator whose ``product`` works on vectors and blocks alike; it
+    is the block product too exactly when every inner operator has one."""
+    native = all(op.has_matmat for op in inner)
+    return SymmetricOperator(dim, product, label=label,
+                             matmat=product if native else None)
 
 
 def affine_operator(op: SymmetricOperator,
                     norm_map: NormalizationMap) -> SymmetricOperator:
     """(A - center * I) / half_width — the normalized operator."""
     c, d = norm_map.center, norm_map.half_width
-    return SymmetricOperator(
-        op.dim,
-        lambda v: (op.apply(v) - c * v) / d,
-        label=f"normalized({op.label})",
-    )
+    return _combined(op.dim, lambda v: (op.apply(v) - c * v) / d,
+                     f"normalized({op.label})", op)
 
 
 def deflated_operator(op: SymmetricOperator, basis: np.ndarray) -> SymmetricOperator:
@@ -162,7 +213,7 @@ def deflated_operator(op: SymmetricOperator, basis: np.ndarray) -> SymmetricOper
         u = op.apply(w)
         return u - Q @ (Q.T @ u) if k else u
 
-    return SymmetricOperator(op.dim, matvec, label=f"deflated({op.label},k={k})")
+    return _combined(op.dim, matvec, f"deflated({op.label},k={k})", op)
 
 
 def _check_dims(a: SymmetricOperator, b: SymmetricOperator) -> None:
@@ -174,12 +225,12 @@ def _check_dims(a: SymmetricOperator, b: SymmetricOperator) -> None:
 
 def sum_operator(a: SymmetricOperator, b: SymmetricOperator) -> SymmetricOperator:
     _check_dims(a, b)
-    return SymmetricOperator(a.dim, lambda v: a.apply(v) + b.apply(v),
-                             label=f"{a.label}+{b.label}")
+    return _combined(a.dim, lambda v: a.apply(v) + b.apply(v),
+                     f"{a.label}+{b.label}", a, b)
 
 
 def difference_operator(a: SymmetricOperator,
                         b: SymmetricOperator) -> SymmetricOperator:
     _check_dims(a, b)
-    return SymmetricOperator(a.dim, lambda v: a.apply(v) - b.apply(v),
-                             label=f"{a.label}-{b.label}")
+    return _combined(a.dim, lambda v: a.apply(v) - b.apply(v),
+                     f"{a.label}-{b.label}", a, b)

@@ -8,9 +8,11 @@ what a command imports and on BLAS thread counts need a fresh one.
 import gzip
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +298,22 @@ class TestSpectrum:
         assert one == (tmp_path / "2" / "density.json").read_bytes()
         assert json.loads(one)["density"]["scale"] == "log"
 
+        # with n_vec > 1 the runs share 32-row panel block products of the
+        # deflated matrix, and the deflation projects blocks with small GEMMs
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "assert main(['spectrum', '--matrix', sys.argv[1], '--n-vec', '4',\n"
+            "             '--deflate', '2', '--steps', '128',\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+        )
+        for threads in ("1", "2"):
+            run_python(script, path, tmp_path / f"block{threads}",
+                       OPENBLAS_NUM_THREADS=threads)
+        for name in ("density.json", "top_spectrum.json"):
+            assert (tmp_path / "block1" / name).read_bytes() == \
+                (tmp_path / "block2" / name).read_bytes()
+
     @pytest.mark.parametrize("deflate", [[], ["--deflate", "2"]],
                              ids=["plain", "deflated"])
     def test_non_finite_operator_is_numerical_failure(self, tmp_path, capsys,
@@ -309,6 +327,21 @@ class TestSpectrum:
         assert rc == 4
         err = capsys.readouterr().err
         assert "matrix:big.spdm" in err and "non-finite" in err
+
+    def test_overflowing_lanczos_coefficient_is_caught_at_its_step(
+            self, tmp_path, capsys):
+        # the matvec is finite, but its norm overflows at step 1
+        A = np.random.default_rng(3).standard_normal((20, 20))
+        path = tmp_path / "huge.spdm"
+        write_matrix(path, (A + A.T) * 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["spectrum", "--matrix", str(path), "--steps", "16",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "matrix:huge.spdm" in err and "non-finite" in err
+        assert re.search(r"step 1\b", err)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_file_is_input_error(self, tmp_path, capsys,
@@ -592,6 +625,46 @@ def test_non_finite_flag_is_usage_before_any_output(request, tmp_path, capsys,
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+BAD_ESTIMATOR_SETTINGS = [
+    ("spectrum", ["--kappa", "nan"]),
+    ("spectrum", ["--kappa", "1"]),
+    ("spectrum", ["--deflate", "0"]),
+    ("spectrum", ["--n-vec", "0"]),
+    ("spectrum", ["--steps", "1"]),
+    ("spectrum", ["--grid-points", "-1"]),
+    ("spectrum", ["--log", "--epsilon", "0"]),
+    ("decompose", ["--kappa", "nan"]),
+    ("decompose", ["--n-vec", "0"]),
+    ("decompose", ["--steps", "1"]),
+    ("decompose", ["--grid-points", "1"]),
+    ("decompose", ["--epsilon", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", BAD_ESTIMATOR_SETTINGS,
+                         ids=[f"{c}-{f[-2].lstrip('-')}-{f[-1]}"
+                              for c, f in BAD_ESTIMATOR_SETTINGS])
+def test_bad_estimator_setting_exits_before_anything_is_built(
+        request, tmp_path, capsys, monkeypatch, command, flags):
+    out = tmp_path / "od" / "x"
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("input read before the settings were checked")
+
+    if command == "spectrum":
+        monkeypatch.setattr("specdens.cli.read_matrix", not_reached)
+        matrix = request.getfixturevalue("goe_dir") / "matrix.spdm"
+        argv = ["spectrum", "--matrix", str(matrix), *flags,
+                "--out-dir", str(out)]
+    else:
+        monkeypatch.setattr("specdens.cli.load_checkpoint", not_reached)
+        run = request.getfixturevalue("train_run")
+        argv = decompose_args(run["final"], run["data"], out, *flags)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _mutants(blob: bytes):

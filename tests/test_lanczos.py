@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import accumulate_bumps_loop, explicit_residual_bounds, slow_lanczos
-from specdens import lanczos
+from specdens import lanczos, net
 from specdens.errors import DegenerateSpectrumError, UsageError
 from specdens.lanczos import (
     DEFAULT_KAPPA,
@@ -31,7 +31,13 @@ from specdens.lanczos import (
     tv_distance,
 )
 from specdens.linalg import dense_eig
-from specdens.operators import NormalizationMap, SymmetricOperator, dense_operator
+from specdens.net import hessian_operator
+from specdens.operators import (
+    NormalizationMap,
+    SymmetricOperator,
+    affine_operator,
+    dense_operator,
+)
 from specdens.rmt import EnsembleSpec, sample
 
 
@@ -103,6 +109,64 @@ class TestFastLanczos:
         _, s2 = fast_lanczos(op, 20, seed=[7, 1])
         assert np.array_equal(s1.theta, s2.theta)
         assert np.array_equal(s1.weights, s2.weights)
+
+
+def column_loop_operator(A, widths=None):
+    """A dense operator whose block product is an exact column loop of the
+    same GEMV its matvec runs; ``widths`` records each block's width."""
+    def matmat(V):
+        if widths is not None:
+            widths.append(V.shape[1])
+        return np.column_stack([A @ V[:, j] for j in range(V.shape[1])])
+
+    return SymmetricOperator(A.shape[0], lambda v: A @ v, label="loop",
+                             matmat=matmat)
+
+
+class TestLockstep:
+    """The n_vec runs of a density advance together, one block product per
+    step, and each run keeps the bits it would have alone."""
+
+    def test_block_runs_match_lone_runs_bit_for_bit(self):
+        widths = []
+        op = column_loop_operator(random_symmetric(40, 6), widths)
+        density = approx_spectrum(op, steps=30, n_vec=4, seed=9)
+        assert widths == [4] * 30          # the range estimate runs alone
+        aop = affine_operator(op, density.normalization)
+        for l, got in enumerate(density.ritz):
+            _, alone = fast_lanczos(aop, 30, [9, 1 + l])
+            assert got.seed == alone.seed
+            assert np.array_equal(got.theta, alone.theta)
+            assert np.array_equal(got.weights, alone.weights)
+
+    def test_broken_down_column_leaves_the_block(self, rng):
+        d = np.arange(1.0, 13.0)
+        op = column_loop_operator(np.diag(d))
+        V1 = np.zeros((12, 2), order="F")
+        V1[3, 0] = 1.0                      # an eigenvector: breaks at step 1
+        V1[:, 1] = rng.standard_normal(12)
+        V1[:, 1] /= np.linalg.norm(V1[:, 1])
+        runs = lanczos._three_term(op, V1, 8)
+        assert [broke for _, _, broke in runs] == [True, False]
+        assert runs[0][:2] == ([4.0], [])
+        for j, run in enumerate(runs):
+            assert run == lanczos._three_term(op, V1[:, [j]], 8)[0]
+
+    def test_network_operator_gets_one_vector_at_a_time(self, monkeypatch,
+                                                        trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        op = hessian_operator(spec, theta, train, which="hess")
+        assert not op.has_matmat
+        shapes = []
+        real_hvp = net.hvp
+
+        def spy(lin, v, **kwargs):
+            shapes.append(v.shape)
+            return real_hvp(lin, v, **kwargs)
+
+        monkeypatch.setattr(net, "hvp", spy)
+        approx_log_spectrum(op, steps=20, n_vec=3, seed=1)
+        assert shapes == [(op.dim,)] * (33 + 3 * 20)
 
 
 class TestSlowLanczos:

@@ -36,10 +36,33 @@ class TestSymmetricOperator:
 
     def test_wrong_shape_rejected(self):
         op = SymmetricOperator(3, lambda v: v)
+        for shape in [(4,), (4, 1), (3, 0), (3, 1, 1)]:
+            with pytest.raises(UsageError):
+                op.apply(np.ones(shape))
+
+    def test_block_product_of_wrong_shape_rejected(self):
+        op = SymmetricOperator(3, lambda v: v, matmat=lambda V: V[:, :1])
         with pytest.raises(UsageError):
-            op.apply(np.ones(4))
-        with pytest.raises(UsageError):
-            op.apply(np.ones((3, 1)))
+            op.apply(np.ones((3, 2)))
+
+    def test_one_column_is_a_block(self):
+        op = SymmetricOperator(3, lambda v: 2.0 * v)
+        out = op.apply(np.ones((3, 1)))
+        assert out.shape == (3, 1)
+        np.testing.assert_array_equal(out, 2.0 * np.ones((3, 1)))
+
+    def test_column_loop_without_block_product(self, rng):
+        seen = []
+
+        def matvec(v):
+            seen.append((v.shape, v.flags.c_contiguous))
+            return 3.0 * v
+
+        op = SymmetricOperator(4, matvec)
+        assert not op.has_matmat
+        V = rng.standard_normal((4, 3))             # C order: strided columns
+        np.testing.assert_array_equal(op.apply(V), 3.0 * V)
+        assert seen == [((4,), True)] * 3
 
     def test_zero_dim_rejected(self):
         with pytest.raises(UsageError):
@@ -61,6 +84,19 @@ class TestDenseOperator:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(AsymmetricInputError):
             dense_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_panel_block_product_matches_gemm(self, rng):
+        # 70 rows: two full 32-row panels and a short one
+        A = rng.standard_normal((70, 70))
+        A = (A + A.T) / 2
+        op = dense_operator(A)
+        assert op.has_matmat
+        V = rng.standard_normal((70, 3))
+        exact = A @ V
+        assert np.max(np.abs(op.apply(V) - exact)) <= 1e-12 * np.max(np.abs(exact))
+        v = rng.standard_normal(70)
+        np.testing.assert_array_equal(op.apply(v[:, None])[:, 0], A @ v)
+        np.testing.assert_array_equal(op.apply(v), A @ v)
 
 
 class TestNormalizationMap:
