@@ -60,7 +60,10 @@ class RitzSummary:
     ``weights`` are the squared first components of the tridiagonal
     eigenvectors; they always sum to 1. ``steps`` is how many iterations
     actually ran — fewer than requested only on lucky breakdown, which is
-    flagged rather than hidden.
+    flagged rather than hidden. ``residual`` is the norm of the residual
+    the last step left, beta_M, or 0 below the breakdown tolerance; by
+    Paige's relation, Ritz pair i has residual ``residual * |y_M,i|``.
+    Reports do not carry it: :meth:`to_dict` keeps its schema.
     """
 
     theta: np.ndarray
@@ -68,6 +71,7 @@ class RitzSummary:
     seed: object
     steps: int
     breakdown: bool = False
+    residual: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -156,7 +160,8 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     working blocks, no reorthogonalization: memory stays O(p k) whatever
     ``steps`` is. A non-finite product, alpha or beta raises
     :class:`NumericalError` at the step that produced it. Returns
-    (alphas, betas, breakdown) per column.
+    (alphas, betas, breakdown) per column, with one beta per alpha: the
+    last is the norm of the residual the run ended on.
     """
     name = op.label or "<anon>"
     k = V1.shape[1]
@@ -176,23 +181,20 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
         cols = range(len(live))
         with np.errstate(over="ignore", invalid="ignore"):
             a = [float(W[:, j] @ V[:, j]) for j in cols]
-            if m < steps:
-                W = W - V * a
-                b = [float(np.linalg.norm(W[:, j])) for j in cols]
-        if not all(map(math.isfinite, a if m == steps else a + b)):
+            W = W - V * a
+            b = [float(np.linalg.norm(W[:, j])) for j in cols]
+        if not all(map(math.isfinite, a + b)):
             raise NumericalError(
                 f"operator {name} gave a non-finite Lanczos coefficient at "
                 f"step {m}")
-        for r, x in zip(live, a):
+        for r, x, y in zip(live, a, b):
             alphas[r].append(x)
+            betas[r].append(y)
         if m == steps:
             break
         keep = [x > _BREAKDOWN_TOL for x in b]
-        for r, x, kept in zip(live, b, keep):
-            if kept:
-                betas[r].append(x)
-            else:
-                breakdown[r] = True
+        for r, kept in zip(live, keep):
+            breakdown[r] = not kept
         if not all(keep):
             live = [r for r, kept in zip(live, keep) if kept]
             if not live:
@@ -204,12 +206,15 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     return list(zip(alphas, betas, breakdown))
 
 
-def _summarize(alpha, beta, seed, breakdown) -> tuple[TridiagonalMatrix, RitzSummary]:
+def _summarize(alpha, beta, seed, breakdown,
+               residual=0.0) -> tuple[TridiagonalMatrix, RitzSummary]:
     T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
     pairs = eig_tridiagonal(T, vectors="first")
     weights = pairs.first_components ** 2
+    if residual <= _BREAKDOWN_TOL:
+        residual = 0.0
     summary = RitzSummary(theta=pairs.values, weights=weights, seed=seed,
-                          steps=T.order, breakdown=breakdown)
+                          steps=T.order, breakdown=breakdown, residual=residual)
     return T, summary
 
 
@@ -219,7 +224,8 @@ def _lockstep(op: SymmetricOperator, steps: int,
     V1 = np.asfortranarray(np.column_stack(
         [_start_vector(op.dim, np.random.default_rng(s)) for s in seeds]))
     runs = _three_term(op, V1, steps)
-    return [_summarize(a, b, s, broke) for (a, b, broke), s in zip(runs, seeds)]
+    return [_summarize(a, b[:-1], s, broke, b[-1])
+            for (a, b, broke), s in zip(runs, seeds)]
 
 
 def fast_lanczos(op: SymmetricOperator, steps: int,
@@ -243,24 +249,20 @@ def fast_lanczos(op: SymmetricOperator, steps: int,
 def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
     """Bracket the spectrum with one short Lanczos run and widen by a margin.
 
-    One :func:`fast_lanczos` run of ``m + 1`` products, ``m =
-    min(DEFAULT_RANGE_STEPS, dim)``, keeps three working vectors, so memory
-    stays O(p). The extremal Ritz values of its leading m steps are pushed
-    outward by their residual norms, which Paige's relation gives without
-    the Ritz vectors: ``||A z - theta z|| = beta_m |y_m|``, the next
-    off-diagonal times the last entry of the tridiagonal eigenvector (0
+    One :func:`fast_lanczos` run of ``m = min(DEFAULT_RANGE_STEPS, dim)``
+    products keeps three working vectors, so memory stays O(p). Its
+    extremal Ritz values are pushed outward by their residual norms,
+    which Paige's relation gives without the Ritz vectors:
+    ``||A z - theta z|| = beta_m |y_m|``, the norm of the residual the
+    last step left times the last entry of the tridiagonal eigenvector (0
     after a breakdown, where the Ritz values are exact). The interval is
     then widened by the relative margin ``DEFAULT_RANGE_TAU``. Degenerate
     spectra (single point) cannot be bracketed and raise; callers may
     construct a NormalizationMap by hand for those.
     """
-    m = min(DEFAULT_RANGE_STEPS, op.dim)
-    T, _ = fast_lanczos(op, m + 1, seed)
-    k = min(T.order, m)
-    head = TridiagonalMatrix(alpha=T.alpha[:k], beta=T.beta[:k - 1])
-    pairs = eig_tridiagonal(head, vectors="full")
-    beta_k = T.beta[k - 1] if T.beta.size >= k else 0.0
-    r_lo, r_hi = beta_k * np.abs(pairs.vectors[-1, [0, -1]])
+    T, ritz = fast_lanczos(op, min(DEFAULT_RANGE_STEPS, op.dim), seed)
+    pairs = eig_tridiagonal(T, vectors="full")
+    r_lo, r_hi = ritz.residual * np.abs(pairs.vectors[-1, [0, -1]])
     return NormalizationMap.from_bounds(float(pairs.values[0] - r_lo),
                                         float(pairs.values[-1] + r_hi),
                                         DEFAULT_RANGE_TAU)

@@ -2,17 +2,24 @@
 
 `eig_tridiagonal` powers the estimators: it turns each Lanczos tridiagonal
 into Ritz values and weights in O(M) memory, with bits that do not depend
-on the BLAS thread count. `dense_eig` is the validation-side route for
-explicit matrices. The independent checks on both (a hand-written QL
-iteration, Householder reduction and Sturm bisection) live with the tests,
-in ``tests/oracles.py``.
+on the BLAS thread count. Its three LAPACK routines are called through
+ctypes from the one scipy extension that exports them, so no command
+that solves a tridiagonal problem imports the ``scipy.linalg`` package.
+`dense_eig` is the validation-side route for explicit matrices. The
+independent checks on both (a hand-written QL iteration, Householder
+reduction and Sturm bisection) live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +27,8 @@ import numpy as np
 from .errors import AsymmetricInputError, ConvergenceError, UsageError
 
 _DENSE_SIZE_CAP = 4096
+# rows per panel of the symmetry check, whose buffer is 64 x p doubles
+_SYMMETRY_PANEL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -68,31 +77,57 @@ class EigenPairs:
     vectors: np.ndarray | None = None
 
 
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
+
+
 @functools.cache
 def _lapack():
     """``(dstev, dpttrf, dbdsqr)`` from the LAPACK that scipy ships.
 
-    Imported on first use rather than with the module: ``scipy.linalg``
-    costs about 0.35 s and 28 MB at start-up, which commands that never
-    solve a tridiagonal problem should not pay. ``scipy.linalg.lapack``
-    does not wrap ``dbdsqr``, so it is taken from the C entry points that
-    ``scipy.linalg.cython_lapack`` exports as capsules (LP64 ``int``).
-    """
-    from scipy.linalg import cython_lapack, lapack
+    Each is the C entry point that scipy's ``cython_lapack`` extension
+    exports as a capsule (LP64 ``int``), called through ctypes: ``int*``
+    arguments take ``ctypes.c_int``, ``double*`` ones a data address. Only
+    that extension is loaded, without running ``scipy/linalg/__init__.py``:
+    the ``scipy.linalg`` package would cost about 0.27 s and 20 MB of peak
+    memory in every ``spectrum`` and ``decompose`` process. Loaded on first
+    use, so commands that solve no tridiagonal problem pay nothing.
 
+    The extension is registered in ``sys.modules`` under its own name, so
+    a later ``import scipy.linalg`` (ARPACK deflation) reuses it instead
+    of initialising it twice. That import does not bind it as an
+    attribute of ``scipy.linalg``; ``from scipy.linalg import
+    cython_lapack`` still finds it.
+    """
+    module = sys.modules.get(_CYTHON_LAPACK)
+    if module is None:
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            _CYTHON_LAPACK, [os.path.join(scipy_dirs[0], "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_CYTHON_LAPACK] = module
+    capi = module.__pyx_capi__
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                     ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    capsule = cython_lapack.__pyx_capi__["dbdsqr"]
-    address = get_pointer(capsule, get_name(capsule))
-    # dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work,
-    # info): int* arguments take ctypes.c_int, double* ones a data address
+
+    def bind(name, *argtypes):
+        capsule = capi[name]
+        return ctypes.CFUNCTYPE(None, *argtypes)(
+            get_pointer(capsule, get_name(capsule)))
+
     i, d = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    dbdsqr = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, i, i, i, d, d, d, i,
-                              d, i, d, i, d, i)(address)
-    return lapack.dstev, lapack.dpttrf, dbdsqr
+    # dstev(jobz, n, d, e, z, ldz, work, info)
+    dstev = bind("dstev", ctypes.c_char_p, i, d, d, d, i, d, i)
+    # dpttrf(n, d, e, info)
+    dpttrf = bind("dpttrf", i, d, d, i)
+    # dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work,
+    # info)
+    dbdsqr = bind("dbdsqr", ctypes.c_char_p, i, i, i, i, d, d, d, i, d, i, d,
+                  i, d, i)
+    return dstev, dpttrf, dbdsqr
 
 
 def _times_eigenvectors(alpha: np.ndarray, beta: np.ndarray,
@@ -112,14 +147,17 @@ def _times_eigenvectors(alpha: np.ndarray, beta: np.ndarray,
     pad[1:-1] = beta
     radius = float(np.max(np.abs(alpha) + pad[:-1] + pad[1:]))
     shift = 2.0 * radius if radius > 0.0 else 1.0
-    D, L, info = dpttrf(alpha + shift, beta)
-    if info != 0:
-        raise ConvergenceError(f"LAPACK dpttrf failed (info={info})")
+    # dpttrf overwrites D and L with the factor: fresh arrays, not T's
+    D, L = alpha + shift, beta.copy()
+    info = ctypes.c_int(0)
+    dpttrf(ctypes.c_int(n), D.ctypes.data, L.ctypes.data, info)
+    if info.value != 0:
+        raise ConvergenceError(f"LAPACK dpttrf failed (info={info.value})")
     np.sqrt(D, out=D)
     L *= D[:-1]
     work = np.empty(4 * n)
     nru = U.shape[0]
-    one, info = ctypes.c_int(1), ctypes.c_int(0)
+    one = ctypes.c_int(1)
     # no right vectors (ncvt=0) and no C (ncc=0): VT and C are never read
     dbdsqr(b"L", ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(nru),
            ctypes.c_int(0), D.ctypes.data, L.ctypes.data, work.ctypes.data,
@@ -133,7 +171,8 @@ def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
     """Eigendecomposition of a symmetric tridiagonal matrix (LAPACK).
 
     Eigenvalues come from ``dstev`` without vectors (root-free QR,
-    ``dsterf``). ``vectors`` selects how much eigenvector information is
+    ``dsterf``, after ``dstev`` rescales a matrix whose norm is near under-
+    or overflow). ``vectors`` selects how much eigenvector information is
     computed besides:
 
     - ``"none"``  : eigenvalues only (first_components returned as NaN),
@@ -148,16 +187,16 @@ def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
     if vectors not in ("none", "first", "full"):
         raise UsageError(f"unknown vectors mode {vectors!r}")
     n = T.order
-    if n == 1:
-        # the LAPACK wrappers reject an empty subdiagonal
-        Z = np.ones((1, 1))
-        first = np.full(1, np.nan) if vectors == "none" else Z[0].copy()
-        return EigenPairs(values=T.alpha.copy(), first_components=first,
-                          vectors=Z if vectors == "full" else None)
-    dstev = _lapack()[0]
-    values, _, info = dstev(T.alpha, T.beta, compute_v=0)
-    if info != 0:
-        raise ConvergenceError(f"LAPACK dstev failed (info={info})")
+    # dstev overwrites d with the eigenvalues and e with scratch, and the
+    # arrays of a TridiagonalMatrix may be shared: hand it copies
+    values, scratch = T.alpha.copy(), T.beta.copy()
+    unused, info = np.empty(1), ctypes.c_int(0)
+    # jobz "N": Z (ldz 1) and the work array are never referenced
+    _lapack()[0](b"N", ctypes.c_int(n), values.ctypes.data,
+                 scratch.ctypes.data, unused.ctypes.data, ctypes.c_int(1),
+                 unused.ctypes.data, info)
+    if info.value != 0:
+        raise ConvergenceError(f"LAPACK dstev failed (info={info.value})")
     if vectors == "none":
         return EigenPairs(values=values, first_components=np.full(n, np.nan))
     U = np.eye(n, order="F") if vectors == "full" else np.eye(1, n, order="F")
@@ -177,8 +216,16 @@ def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:
     scale = max(float(A.max()), -float(A.min()))
     if not math.isfinite(scale):
         raise UsageError("matrix has non-finite entries")
-    D = np.subtract(A, A.T)
-    defect = float(np.abs(D, out=D).max())
+    # max|A - A^T| over row panels of the upper triangle, A[i:i+b, i:]
+    # against A[i:, i:i+b]^T: the same exact max, in one b x p buffer
+    # instead of a p x p temporary
+    p, b = A.shape[0], _SYMMETRY_PANEL_ROWS
+    panel = np.empty((min(b, p), p))
+    defect = 0.0
+    for i in range(0, p, b):
+        D = panel[:min(b, p - i), :p - i]
+        np.subtract(A[i:i + b, i:], A[i:, i:i + b].T, out=D)
+        defect = max(defect, float(np.abs(D, out=D).max()))
     if defect > tol * max(scale, 1e-300):
         raise AsymmetricInputError(
             f"matrix asymmetric: max|A - A^T| = {defect:.3e} vs scale {scale:.3e}"

@@ -25,12 +25,14 @@ MATRIX_VERSION = 1
 MANIFEST_SCHEMA = "run-manifest/v1"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -62,33 +64,45 @@ def sha256_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 def write_matrix(path, A: np.ndarray) -> None:
+    """Write ``A`` as a matrix file. The header goes out first, then the
+    array's own buffer: a C-ordered little-endian float64 array is written
+    without a copy, any other layout with one."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise UsageError(f"matrix file holds square matrices; got {A.shape}")
     header = MATRIX_MAGIC + struct.pack("<IQ", MATRIX_VERSION, A.shape[0])
-    payload = np.ascontiguousarray(A, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    payload = np.ascontiguousarray(A, dtype="<f8")
+    atomic_write_bytes(path, header, payload)
 
 
 def read_matrix(path) -> np.ndarray:
+    """Read a matrix file into one float64 array, checking magic, version
+    and the file size before the payload is allocated."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != MATRIX_MAGIC:
-        raise InputFormatError(f"{path}: not a matrix file (bad magic)")
-    version, dim = struct.unpack("<IQ", blob[4:16])
-    if version != MATRIX_VERSION:
-        raise InputFormatError(f"{path}: unsupported matrix format version {version}")
-    expected = 16 + dim * dim * 8
-    if len(blob) != expected:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != MATRIX_MAGIC:
+            raise InputFormatError(f"{path}: not a matrix file (bad magic)")
+        version, dim = struct.unpack("<IQ", header[4:])
+        if version != MATRIX_VERSION:
+            raise InputFormatError(
+                f"{path}: unsupported matrix format version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = 16 + dim * dim * 8
+        if size != expected:
+            raise InputFormatError(
+                f"{path}: truncated or padded payload "
+                f"({size} bytes, expected {expected} for dim {dim})"
+            )
+        A = np.empty((dim, dim), dtype="<f8")
+        got = fh.readinto(A)
+    if got != A.nbytes:
         raise InputFormatError(
-            f"{path}: truncated or padded payload "
-            f"({len(blob)} bytes, expected {expected} for dim {dim})"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=16)
+            f"{path}: truncated payload ({16 + got} bytes read, "
+            f"expected {expected} for dim {dim})")
     # max and min propagate NaN and expose +-inf without a temporary
-    if flat.size and not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
+    if A.size and not (np.isfinite(A.max()) and np.isfinite(A.min())):
         raise InputFormatError(f"{path}: matrix has non-finite entries")
-    return flat.reshape(dim, dim).astype(np.float64)
+    return A.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------

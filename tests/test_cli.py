@@ -12,6 +12,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -96,6 +97,46 @@ class TestMatrixFile:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InputFormatError, match="truncated"):
             read_matrix(path)
+
+    @pytest.mark.parametrize("layout", ["C", "F", ">f8"])
+    def test_bytes_are_header_then_row_major_payload(self, tmp_path, layout):
+        A = np.random.default_rng(3).standard_normal((5, 5))
+        given = {"C": A, "F": np.asfortranarray(A), ">f8": A.astype(">f8")}
+        path = tmp_path / "a.spdm"
+        write_matrix(path, given[layout])
+        assert path.read_bytes() == \
+            MATRIX_MAGIC + struct.pack("<IQ", 1, 5) + A.astype("<f8").tobytes()
+
+    def test_read_holds_one_copy_of_the_matrix(self, tmp_path):
+        p = 500
+        path = tmp_path / "a.spdm"
+        write_matrix(path, np.random.default_rng(4).standard_normal((p, p)))
+        read_matrix(path)
+        tracemalloc.start()
+        try:
+            A = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (p, p) and A.dtype == np.float64
+        assert peak <= 1.1 * 8 * p * p
+
+    def test_oversized_header_is_rejected_before_allocating(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "huge.spdm"
+        path.write_bytes(MATRIX_MAGIC + struct.pack("<IQ", 1, 2 ** 32))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError, match="truncated or padded"):
+                read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        rc = main(["spectrum", "--matrix", str(path), "--steps", "4",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "huge.spdm" in capsys.readouterr().err
 
 
 class TestManifestAndCsv:
@@ -278,6 +319,33 @@ class TestSpectrum:
         )
         out = run_python(script, goe_dir / "matrix.spdm", tmp_path)
         assert out.split() == ["False", "True"]
+
+    def test_lapack_load_is_shared_with_a_later_scipy_linalg(self, goe_dir,
+                                                             tmp_path):
+        # the Ritz solver loads scipy's cython_lapack extension alone;
+        # deflation then imports scipy.linalg, which must reuse it
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "matrix, out, order = sys.argv[1:]\n"
+            "runs = {'log': ['--log', '--steps', '64'],\n"
+            "        'deflate': ['--deflate', '1', '--steps', '16']}\n"
+            "for name in order.split(','):\n"
+            "    assert main(['spectrum', '--matrix', matrix, *runs[name],\n"
+            "                 '--out-dir', f'{out}/{name}']) == 0\n"
+            "    print(name, 'scipy.linalg' in sys.modules)\n"
+            "from scipy.linalg import cython_lapack, eigh\n"
+            "assert cython_lapack is sys.modules['scipy.linalg.cython_lapack']\n"
+            "print(eigh([[2.0, 0.0], [0.0, 1.0]], eigvals_only=True).tolist())\n"
+        )
+        matrix = goe_dir / "matrix.spdm"
+        out = run_python(script, matrix, tmp_path / "a", "log,deflate")
+        assert out.splitlines() == ["log False", "deflate True", "[1.0, 2.0]"]
+        out = run_python(script, matrix, tmp_path / "b", "deflate,log")
+        assert out.splitlines() == ["deflate True", "log True", "[1.0, 2.0]"]
+        for name in ("log", "deflate"):
+            assert (tmp_path / "a" / name / "density.json").read_bytes() == \
+                (tmp_path / "b" / name / "density.json").read_bytes()
 
     def test_log_density_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # p = 2000 is large enough for OpenBLAS to split a matvec between
@@ -511,6 +579,22 @@ class TestCheckpointAnalysis:
         assert report["class_count"] == 3
         assert report["param_count"] == 67
         assert report["manifest"] == manifest_of(tmp_path, "decompose")["id"]
+
+    def test_decompose_does_not_import_scipy_linalg(self, train_run,
+                                                    tmp_path):
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "assert main(['decompose', '--checkpoint', sys.argv[1],\n"
+            "             '--data', sys.argv[2], '--steps', '48',\n"
+            "             '--n-vec', '1', '--grid-points', '128',\n"
+            "             '--out-dir', sys.argv[3]]) == 0\n"
+            "print('scipy.linalg' in sys.modules,\n"
+            "      'scipy.linalg.cython_lapack' in sys.modules)\n"
+        )
+        out = run_python(script, train_run["final"], train_run["data"],
+                         tmp_path)
+        assert out.split() == ["False", "True"]
 
     def test_data_dimension_mismatch_is_input_error(self, train_run, tmp_path,
                                                     capsys):

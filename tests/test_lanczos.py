@@ -148,7 +148,7 @@ class TestLockstep:
         V1[:, 1] /= np.linalg.norm(V1[:, 1])
         runs = lanczos._three_term(op, V1, 8)
         assert [broke for _, _, broke in runs] == [True, False]
-        assert runs[0][:2] == ([4.0], [])
+        assert runs[0][:2] == ([4.0], [0.0])
         for j, run in enumerate(runs):
             assert run == lanczos._three_term(op, V1[:, [j]], 8)[0]
 
@@ -166,7 +166,7 @@ class TestLockstep:
 
         monkeypatch.setattr(net, "hvp", spy)
         approx_log_spectrum(op, steps=20, n_vec=3, seed=1)
-        assert shapes == [(op.dim,)] * (33 + 3 * 20)
+        assert shapes == [(op.dim,)] * (32 + 3 * 20)
 
 
 class TestSlowLanczos:

@@ -6,6 +6,8 @@ bisection in oracles.py are independent of them, and the tests here keep
 the library honest against the oracles and the oracles against each other.
 """
 
+import ctypes
+import functools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdens import linalg
 from specdens.errors import AsymmetricInputError, ConvergenceError, UsageError
 from specdens.lanczos import (
     accumulate_bumps,
@@ -225,6 +228,72 @@ class TestRitzWeightsAgainstQL:
 
 
 # ---------------------------------------------------------------------------
+# the ctypes LAPACK route against scipy's f2py wrappers
+# ---------------------------------------------------------------------------
+
+def _ctypes_dpttrf(d, e):
+    D, L, info = d.copy(), e.copy(), ctypes.c_int(0)
+    linalg._lapack()[1](ctypes.c_int(d.size), D.ctypes.data, L.ctypes.data,
+                        info)
+    return D, L, info.value
+
+
+@functools.cache
+def _tridiagonals():
+    """Random tridiagonals, and a ghost-heavy Lanczos one: 2048 steps at
+    p = 200 repeat most Ritz values."""
+    rng = np.random.default_rng(21)
+    out = [(rng.standard_normal(n), np.abs(rng.standard_normal(n - 1)))
+           for n in (2, 3, 17, 200)]
+    T = _lanczos_tridiagonal(sample(EnsembleSpec(kind="goe", p=200, seed=4)),
+                             2048, 4)
+    return out + [(T.alpha, T.beta)]
+
+
+class TestLapackRouteMatchesF2py:
+    """``eig_tridiagonal`` calls dstev and dpttrf through the cython_lapack
+    capsules; scipy.linalg.lapack's f2py wrappers of the same routines are
+    the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_same_bits_as_the_f2py_wrappers(self, scale):
+        from scipy.linalg import lapack
+
+        for alpha, beta in _tridiagonals():
+            alpha, beta = alpha * scale, beta * scale
+            ref, _, info = lapack.dstev(alpha, beta, compute_v=0)
+            assert info == 0
+            got = eig_tridiagonal(TridiagonalMatrix(alpha, beta), "none")
+            assert np.array_equal(got.values, ref)
+            # a shifted, strictly diagonally dominant matrix, as the one
+            # whose factor gives the Ritz weights
+            d = alpha + 2.0 * np.max(np.abs(alpha) + np.append(beta, 0.0)
+                                     + np.append(0.0, beta))
+            D_ref, L_ref, info = lapack.dpttrf(d, beta)
+            assert info == 0
+            D, L, info = _ctypes_dpttrf(d, beta)
+            assert info == 0
+            assert np.array_equal(D, D_ref) and np.array_equal(L, L_ref)
+
+    def test_ghost_heavy_tridiagonal_is_among_the_cases(self):
+        T = TridiagonalMatrix(*_tridiagonals()[-1])
+        values = eig_tridiagonal(T, "none").values
+        assert T.order == 2048
+        assert np.sum(np.diff(values) < 1e-10) > 1024
+
+    def test_failures_match_the_f2py_wrappers(self):
+        from scipy.linalg import lapack
+
+        d, e = np.array([1.0, -1.0, 2.0]), np.array([0.0, 0.5])
+        assert _ctypes_dpttrf(d, e)[2] == lapack.dpttrf(d, e)[2] == 2
+        alpha, beta = np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0])
+        info = lapack.dstev(alpha, beta, compute_v=0)[2]
+        assert info != 0
+        with pytest.raises(ConvergenceError, match=f"dstev.*info={info}"):
+            eig_tridiagonal(TridiagonalMatrix(alpha, beta))
+
+
+# ---------------------------------------------------------------------------
 # householder_tridiagonalize (the oracle's dense-to-tridiagonal reduction)
 # ---------------------------------------------------------------------------
 
@@ -309,6 +378,30 @@ class TestDenseEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInputError):
             dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_symmetry_check_holds_a_panel_not_a_matrix(self):
+        p = 500
+        A = sample(EnsembleSpec(kind="goe", p=p, seed=3))
+        tracemalloc.start()
+        try:
+            linalg._require_symmetric(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 8 * p * p
+
+    def test_asymmetry_defect_is_the_exact_max(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((150, 150))
+        A = A + A.T
+        A[140, 7] += 3e-9           # met from the upper triangle, at [7, 140]
+        A[2, 90] -= 1e-9
+        defect = float(np.abs(A - A.T).max())
+        scale = float(np.abs(A).max())
+        with pytest.raises(AsymmetricInputError) as info:
+            dense_eig(A)
+        assert str(info.value) == (f"matrix asymmetric: max|A - A^T| = "
+                                   f"{defect:.3e} vs scale {scale:.3e}")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
