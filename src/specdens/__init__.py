@@ -31,7 +31,6 @@ from .linalg import EigenPairs, TridiagonalMatrix, dense_eig, eig_tridiagonal
 from .net import (
     Checkpoint,
     MlpSpec,
-    error_rate,
     gnvp,
     gradient,
     hessian_operator,
@@ -40,7 +39,6 @@ from .net import (
     init_params,
     linearize,
     load_checkpoint,
-    loss,
     save_checkpoint,
 )
 from .operators import (

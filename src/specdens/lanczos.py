@@ -8,8 +8,9 @@ smoothed density estimator on a normalized grid, and a log-magnitude
 variant that resolves many orders of magnitude at once.
 Ritz values and weights (Gauss quadrature nodes and squared first
 components) come from the LAPACK tridiagonal solver in
-:mod:`specdens.linalg`; the hand-written QL iteration that checks it lives
-with the tests.
+:mod:`specdens.linalg`, which takes the runs of one lockstep batch
+together; the hand-written QL iteration that checks it lives with the
+tests.
 
 Densities are accumulated as exact Gaussian masses per grid cell
 (difference of CDFs) rather than pointwise kernel evaluations: for large M
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .linalg import TridiagonalMatrix, eig_tridiagonal
+from .linalg import TridiagonalMatrix, eig_tridiagonal, ritz_pairs
 from .operators import NormalizationMap, SymmetricOperator, affine_operator
 
 _BREAKDOWN_TOL = 1e-12
@@ -46,11 +47,20 @@ DEFAULT_KAPPA = 3.0
 DEFAULT_LOG_STEPS = 2048
 DEFAULT_LOG_EPSILON = 1e-5
 
-# standard normal CDF, elementwise; math.erfc spares importing scipy.special
-# (about 0.3 s and 26 MB) for this one function. Called with a float64
-# ``out`` and casting="unsafe", numpy converts through a small buffer
-# instead of a full object array.
-_normal_cdf = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), 1, 1)
+# math.erfc, elementwise; it spares importing scipy.special (about 0.3 s
+# and 26 MB) for this one function. Called with a float64 ``out`` and
+# casting="unsafe", numpy converts through a small buffer instead of a
+# full object array.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-d float64 array, 0.5 * erfc(-x / sqrt 2),
+    with the bits of that formula evaluated one float at a time."""
+    out = _erfc(np.divide(-x, math.sqrt(2.0)), out=np.empty(x.size),
+                casting="unsafe")
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,26 +216,32 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     return list(zip(alphas, betas, breakdown))
 
 
-def _summarize(alpha, beta, seed, breakdown,
-               residual=0.0) -> tuple[TridiagonalMatrix, RitzSummary]:
-    T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
-    pairs = eig_tridiagonal(T, vectors="first")
-    weights = pairs.first_components ** 2
-    if residual <= _BREAKDOWN_TOL:
-        residual = 0.0
-    summary = RitzSummary(theta=pairs.values, weights=weights, seed=seed,
-                          steps=T.order, breakdown=breakdown, residual=residual)
-    return T, summary
+def _summarize(runs) -> list[tuple[TridiagonalMatrix, RitzSummary]]:
+    """The tridiagonal and Ritz summary of each run, given as (alphas,
+    betas, seed, breakdown, residual), from one batched Ritz solve."""
+    Ts = [TridiagonalMatrix(alpha=np.array(a), beta=np.array(b))
+          for a, b, *_ in runs]
+    out = []
+    for T, pairs, (_, _, seed, breakdown, residual) in zip(Ts, ritz_pairs(Ts),
+                                                            runs):
+        if residual <= _BREAKDOWN_TOL:
+            residual = 0.0
+        out.append((T, RitzSummary(
+            theta=pairs.values, weights=pairs.first_components ** 2,
+            seed=seed, steps=T.order, breakdown=breakdown,
+            residual=residual)))
+    return out
 
 
 def _lockstep(op: SymmetricOperator, steps: int,
               seeds: list) -> list[tuple[TridiagonalMatrix, RitzSummary]]:
-    """One Lanczos run per seed, advanced together (see :func:`_three_term`)."""
+    """One Lanczos run per seed, advanced together (see :func:`_three_term`),
+    and their Ritz pairs solved together."""
     V1 = np.asfortranarray(np.column_stack(
         [_start_vector(op.dim, np.random.default_rng(s)) for s in seeds]))
     runs = _three_term(op, V1, steps)
-    return [_summarize(a, b[:-1], s, broke, b[-1])
-            for (a, b, broke), s in zip(runs, seeds)]
+    return _summarize([(a, b[:-1], s, broke, b[-1])
+                       for (a, b, broke), s in zip(runs, seeds)])
 
 
 def fast_lanczos(op: SymmetricOperator, steps: int,
@@ -317,8 +333,7 @@ def accumulate_bumps(centers: np.ndarray, weights: np.ndarray,
         spans = b - a + 1
         owner = np.repeat(np.arange(c.size), spans)
         edge = np.arange(owner.size) - (np.cumsum(spans) - spans - a)[owner]
-        cdf = _normal_cdf((edges[edge] - c[owner]) / sigma,
-                          out=np.empty(owner.size), casting="unsafe")
+        cdf = _normal_cdf((edges[edge] - c[owner]) / sigma)
         # each edge past a bump's first closes the cell below it; add.at
         # adds in bump order, the order of one bump at a time
         inner = np.flatnonzero(edge > a[owner])

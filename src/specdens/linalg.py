@@ -1,10 +1,12 @@
 """Dense and tridiagonal symmetric eigensolvers, both on LAPACK.
 
-`eig_tridiagonal` powers the estimators: it turns each Lanczos tridiagonal
-into Ritz values and weights in O(M) memory, with bits that do not depend
-on the BLAS thread count. Its three LAPACK routines are called through
-ctypes from the one scipy extension that exports them, so no command
-that solves a tridiagonal problem imports the ``scipy.linalg`` package.
+`ritz_pairs` powers the estimators: it turns the Lanczos tridiagonals of
+a density into Ritz values and weights in O(M) memory each, running their
+LAPACK calls in parallel on the usable CPUs, with bits that depend on
+neither that count nor the BLAS thread count. `eig_tridiagonal` is its
+one-matrix case. The three LAPACK routines are called through ctypes
+from the one scipy extension that exports them, so no command that solves
+a tridiagonal problem imports the ``scipy.linalg`` package.
 `dense_eig` is the validation-side route for explicit matrices. The
 independent checks on both (a hand-written QL iteration, Householder
 reduction and Sturm bisection) live with the tests, in
@@ -20,6 +22,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,18 +133,16 @@ def _lapack():
     return dstev, dpttrf, dbdsqr
 
 
-def _times_eigenvectors(alpha: np.ndarray, beta: np.ndarray,
-                        U: np.ndarray) -> None:
-    """Overwrite ``U`` (Fortran order, ``nru`` x n) with ``U @ Q``, where
-    the columns of Q are the eigenvectors of T in *descending* order.
+def _shifted_factor(T: TridiagonalMatrix, dpttrf,
+                    info: ctypes.c_int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal of the lower bidiagonal factor B = L D^(1/2)
+    of T + s I, whose left singular vectors are the eigenvectors of T.
 
     T + s I, shifted by twice its Gershgorin radius, is strictly diagonally
-    dominant, so its Cholesky factor B = L D^(1/2) is stable, and the left
-    singular vectors of B are the eigenvectors of T. ``dbdsqr`` applies its
-    rotations to U one at a time: no BLAS-3, so the bits do not depend on
-    the BLAS thread count, and only U and 4n doubles of work are held.
+    dominant, so its Cholesky factor is stable. A ``dpttrf`` failure is
+    left in ``info``, with the factor unscaled.
     """
-    _, dpttrf, dbdsqr = _lapack()
+    alpha, beta = T.alpha, T.beta
     n = alpha.size
     pad = np.zeros(n + 1)
     pad[1:-1] = beta
@@ -149,22 +150,112 @@ def _times_eigenvectors(alpha: np.ndarray, beta: np.ndarray,
     shift = 2.0 * radius if radius > 0.0 else 1.0
     # dpttrf overwrites D and L with the factor: fresh arrays, not T's
     D, L = alpha + shift, beta.copy()
-    info = ctypes.c_int(0)
     dpttrf(ctypes.c_int(n), D.ctypes.data, L.ctypes.data, info)
-    if info.value != 0:
-        raise ConvergenceError(f"LAPACK dpttrf failed (info={info.value})")
-    np.sqrt(D, out=D)
-    L *= D[:-1]
-    work = np.empty(4 * n)
-    nru = U.shape[0]
-    one = ctypes.c_int(1)
-    # no right vectors (ncvt=0) and no C (ncc=0): VT and C are never read
-    dbdsqr(b"L", ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(nru),
-           ctypes.c_int(0), D.ctypes.data, L.ctypes.data, work.ctypes.data,
-           one, U.ctypes.data, ctypes.c_int(max(nru, 1)), work.ctypes.data,
-           one, work.ctypes.data, info)
-    if info.value != 0:
-        raise ConvergenceError(f"LAPACK dbdsqr failed (info={info.value})")
+    if info.value == 0:
+        np.sqrt(D, out=D)
+        L *= D[:-1]
+    return D, L
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(tasks: list) -> None:
+    """Call every task once, taking them in list order, on ``min(len(tasks),
+    usable CPUs)`` threads, the calling thread among them; with one usable
+    CPU the calling thread runs them all. A task must do nothing but call
+    a ctypes LAPACK entry point, which releases the GIL for the length of
+    the call: numpy's ``errstate`` is thread-local, so a numpy op in
+    another thread would warn where the caller ignores, and a traced
+    function would open spans from the wrong thread."""
+    queue = iter(tasks)      # next() on one list iterator is atomic under the GIL
+
+    def drain():
+        for task in queue:
+            task()
+
+    threads = [threading.Thread(target=drain)
+               for _ in range(min(len(tasks), _usable_cpus()) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+    finally:
+        # the tasks write into arrays the caller owns: wait for all of them
+        for thread in threads:
+            thread.join()
+
+
+def ritz_pairs(Ts: list[TridiagonalMatrix],
+               vectors: str = "first") -> list[EigenPairs]:
+    """:func:`eig_tridiagonal` of every matrix in ``Ts``, with the LAPACK
+    calls of all of them run in parallel.
+
+    Everything but LAPACK runs on the calling thread: the copies, the
+    Gershgorin shift, the ``dpttrf`` factor and its scaling, and every
+    output and work array. Each matrix's ``dstev`` and ``dbdsqr`` are then
+    separate tasks, the ``dbdsqr`` ones first and longest first, for
+    :func:`_run_tasks`. Each call is single-threaded and deterministic, so
+    the bits do not depend on how many threads ran them. A failure is
+    raised as a sequential solve would raise it: the first matrix in
+    ``Ts`` first, and ``dstev``, ``dpttrf``, ``dbdsqr`` in that order.
+    """
+    if vectors not in ("none", "first", "full"):
+        raise UsageError(f"unknown vectors mode {vectors!r}")
+    dstev, dpttrf, dbdsqr = _lapack()
+    one, unused = ctypes.c_int(1), np.empty(1)
+    # solves holds every array a task writes or reads until the tasks end
+    solves, vector_tasks, value_tasks = [], [], []
+    for T in Ts:
+        n = T.order
+        # dstev overwrites d with the eigenvalues and e with scratch, and
+        # the arrays of a TridiagonalMatrix may be shared: hand it copies
+        values, scratch = T.alpha.copy(), T.beta.copy()
+        infos = [ctypes.c_int(0) for _ in range(3)]
+        # jobz "N": Z (ldz 1) and the work array are never referenced
+        value_tasks.append((n, functools.partial(
+            dstev, b"N", ctypes.c_int(n), values.ctypes.data,
+            scratch.ctypes.data, unused.ctypes.data, one, unused.ctypes.data,
+            infos[0])))
+        U = D = L = work = None
+        if vectors != "none":
+            U = np.eye(n, order="F") if vectors == "full" else np.eye(1, n, order="F")
+            D, L = _shifted_factor(T, dpttrf, infos[1])
+            work = np.empty(4 * n)
+            nru = U.shape[0]
+            # dbdsqr applies its rotations to U one at a time: no BLAS-3,
+            # so the bits do not depend on the BLAS thread count. No right
+            # vectors (ncvt=0) and no C (ncc=0): VT and C are never read
+            if infos[1].value == 0:
+                vector_tasks.append((n, functools.partial(
+                    dbdsqr, b"L", ctypes.c_int(n), ctypes.c_int(0),
+                    ctypes.c_int(nru), ctypes.c_int(0), D.ctypes.data,
+                    L.ctypes.data, work.ctypes.data, one, U.ctypes.data,
+                    ctypes.c_int(max(nru, 1)), work.ctypes.data, one,
+                    work.ctypes.data, infos[2])))
+        solves.append((values, U, infos, scratch, D, L, work))
+    _run_tasks([task for tasks in (vector_tasks, value_tasks)
+                for _, task in sorted(tasks, key=lambda job: -job[0])])
+    out = []
+    for values, U, infos, *_ in solves:
+        for routine, info in zip(("dstev", "dpttrf", "dbdsqr"), infos):
+            if info.value != 0:
+                raise ConvergenceError(
+                    f"LAPACK {routine} failed (info={info.value})")
+        if U is None:
+            out.append(EigenPairs(values=values,
+                                  first_components=np.full(values.size, np.nan)))
+            continue
+        # dbdsqr orders singular values, hence eigenvalues, descending
+        U = U[:, ::-1]
+        out.append(EigenPairs(values=values, first_components=U[0].copy(),
+                              vectors=U if vectors == "full" else None))
+    return out
 
 
 def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
@@ -180,31 +271,13 @@ def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
       for Ritz weights,
     - ``"full"``  : complete eigenvector matrix, O(M^2).
 
-    Eigenvectors come from the bidiagonal SVD of a shifted Cholesky factor
-    (see :func:`_times_eigenvectors`). The output bits are the same for any
-    BLAS thread count. A LAPACK failure raises :class:`ConvergenceError`.
+    Eigenvectors come from ``dbdsqr``, the bidiagonal SVD of a shifted
+    Cholesky factor (see :func:`_shifted_factor`), holding only the
+    requested rows and 4M doubles of work. The output bits are the same
+    for any BLAS thread count. A LAPACK failure raises
+    :class:`ConvergenceError`. The one-matrix case of :func:`ritz_pairs`.
     """
-    if vectors not in ("none", "first", "full"):
-        raise UsageError(f"unknown vectors mode {vectors!r}")
-    n = T.order
-    # dstev overwrites d with the eigenvalues and e with scratch, and the
-    # arrays of a TridiagonalMatrix may be shared: hand it copies
-    values, scratch = T.alpha.copy(), T.beta.copy()
-    unused, info = np.empty(1), ctypes.c_int(0)
-    # jobz "N": Z (ldz 1) and the work array are never referenced
-    _lapack()[0](b"N", ctypes.c_int(n), values.ctypes.data,
-                 scratch.ctypes.data, unused.ctypes.data, ctypes.c_int(1),
-                 unused.ctypes.data, info)
-    if info.value != 0:
-        raise ConvergenceError(f"LAPACK dstev failed (info={info.value})")
-    if vectors == "none":
-        return EigenPairs(values=values, first_components=np.full(n, np.nan))
-    U = np.eye(n, order="F") if vectors == "full" else np.eye(1, n, order="F")
-    _times_eigenvectors(T.alpha, T.beta, U)
-    # dbdsqr orders singular values, hence eigenvalues, descending
-    U = U[:, ::-1]
-    return EigenPairs(values=values, first_components=U[0].copy(),
-                      vectors=U if vectors == "full" else None)
+    return ritz_pairs([T], vectors)[0]
 
 
 def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:

@@ -224,16 +224,6 @@ def _fisher_mul(P: np.ndarray, U: np.ndarray) -> np.ndarray:
 # public API
 # ---------------------------------------------------------------------------
 
-def predict_logits(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    Ws, bs = unflatten(spec, theta)
-    _, _, Z = _forward(spec, Ws, bs, np.asarray(X, dtype=np.float64))
-    return Z
-
-
-def predict_probs(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return _softmax(predict_logits(spec, theta, X))
-
-
 def loss_and_error(spec: MlpSpec, theta: np.ndarray,
                    data: LabeledDataset) -> tuple[float, float]:
     """Mean cross-entropy and misclassification fraction under argmax
@@ -243,16 +233,6 @@ def loss_and_error(spec: MlpSpec, theta: np.ndarray,
     _, _, Z = _forward(spec, Ws, bs, data.x)
     return (_loss_sum(Z, data.y) / data.n,
             int(np.sum(np.argmax(Z, axis=1) != data.y)) / data.n)
-
-
-def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
-    """Mean cross-entropy over all examples."""
-    return loss_and_error(spec, theta, data)[0]
-
-
-def error_rate(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
-    """Misclassification fraction under argmax decoding."""
-    return loss_and_error(spec, theta, data)[1]
 
 
 def gradient(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> np.ndarray:

@@ -31,7 +31,8 @@ from specdens.linalg import (
     _require_symmetric,
     eig_tridiagonal,
 )
-from specdens.net import _forward, predict_probs, unflatten
+from specdens.data import LabeledDataset
+from specdens.net import MlpSpec, _forward, _softmax, loss_and_error, unflatten
 from specdens.operators import SymmetricOperator
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -311,7 +312,7 @@ def slow_lanczos(op: SymmetricOperator, steps: int,
         beta.append(b)
         v_prev = v
         v = w / b
-    return _summarize(alpha, beta, seed, breakdown)
+    return _summarize([(alpha, beta, seed, breakdown, 0.0)])[0]
 
 
 def explicit_residual_bounds(op: SymmetricOperator, steps: int,
@@ -439,6 +440,13 @@ def semicircle_density(lam, radius: float = 2.0) -> np.ndarray:
 # smoothed densities, one bump at a time
 # ---------------------------------------------------------------------------
 
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """0.5 * erfc(-x / sqrt 2) one float at a time: the reference for the
+    bits of ``lanczos._normal_cdf``."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x],
+                    dtype=np.float64)
+
+
 def accumulate_bumps_loop(centers, weights, grid, sigma: float) -> np.ndarray:
     """Gaussian cell masses deposited bump by bump, in bump order: the
     reference for the vectorized ``lanczos.accumulate_bumps`` (same cells,
@@ -460,10 +468,33 @@ def accumulate_bumps_loop(centers, weights, grid, sigma: float) -> np.ndarray:
         j1 = min(int(np.searchsorted(edges, c + reach, side="right")), K)
         if j0 >= j1:
             continue
-        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0))
-                        for x in (edges[j0:j1 + 1] - c) / sigma])
+        cdf = normal_cdf((edges[j0:j1 + 1] - c) / sigma)
         values[j0:j1] += w * np.diff(cdf)
     return values / h
+
+
+# ---------------------------------------------------------------------------
+# network evaluation: the library's forward pass, for the tests to call
+# ---------------------------------------------------------------------------
+
+def predict_logits(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    Ws, bs = unflatten(spec, theta)
+    _, _, Z = _forward(spec, Ws, bs, np.asarray(X, dtype=np.float64))
+    return Z
+
+
+def predict_probs(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return _softmax(predict_logits(spec, theta, X))
+
+
+def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
+    """Mean cross-entropy over all examples."""
+    return loss_and_error(spec, theta, data)[0]
+
+
+def error_rate(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
+    """Misclassification fraction under argmax decoding."""
+    return loss_and_error(spec, theta, data)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    error_rate,
     fd_hessian,
     fd_hvp,
     per_example_vectors,
@@ -30,7 +31,6 @@ from specdens.lanczos import (
 from specdens.linalg import dense_eig
 from specdens.net import (
     MlpSpec,
-    error_rate,
     gnvp,
     gradient,
     hessian_operator,

@@ -347,6 +347,30 @@ class TestSpectrum:
             assert (tmp_path / "a" / name / "density.json").read_bytes() == \
                 (tmp_path / "b" / name / "density.json").read_bytes()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_log_density_bytes_do_not_depend_on_usable_cpus(self, goe_dir,
+                                                            tmp_path):
+        # the Ritz solves of the three runs fan out over the usable CPUs;
+        # pinned to one, the same tasks run one after another
+        script = (
+            "import os, sys\n"
+            "if sys.argv[3] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from specdens import linalg\n"
+            "from specdens.cli import main\n"
+            "assert main(['spectrum', '--matrix', sys.argv[1], '--log',\n"
+            "             '--steps', '512', '--n-vec', '3',\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+            "print(linalg._usable_cpus() == 1)\n"
+        )
+        matrix = goe_dir / "matrix.spdm"
+        assert run_python(script, matrix, tmp_path / "pin", "pin") == "True\n"
+        run_python(script, matrix, tmp_path / "free", "free")
+        pinned = (tmp_path / "pin" / "density.json").read_bytes()
+        assert pinned == (tmp_path / "free" / "density.json").read_bytes()
+        assert len(json.loads(pinned)["density"]["ritz"]) == 3
+
     def test_log_density_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # p = 2000 is large enough for OpenBLAS to split a matvec between
         # threads, and 2048 steps run far past the loss of orthogonality
@@ -536,6 +560,25 @@ class TestTrain:
         )
         out = run_python(script, train_run["config"], tmp_path)
         assert out.split("\n")[:2] == ["[]", "False"]
+
+    def test_no_thread_pool_or_logging_is_loaded(self, goe_dir, tmp_path):
+        # the Ritz solves fan out on bare threads; concurrent.futures and
+        # logging would add about 8 ms and 0.25 MB to every start-up
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "unwanted = ('concurrent', 'logging')\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in unwanted)\n"
+            "print(loaded())\n"
+            "assert main(['spectrum', '--matrix', sys.argv[1], '--log',\n"
+            "             '--steps', '64', '--n-vec', '2',\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+            "print(loaded())\n"
+        )
+        out = run_python(script, goe_dir / "matrix.spdm", tmp_path)
+        assert out.splitlines() == ["[]", "[]"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "none.json"),

@@ -13,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import accumulate_bumps_loop, explicit_residual_bounds, slow_lanczos
+from oracles import (
+    accumulate_bumps_loop,
+    explicit_residual_bounds,
+    normal_cdf,
+    slow_lanczos,
+)
 from specdens import lanczos, net
 from specdens.errors import DegenerateSpectrumError, UsageError
 from specdens.lanczos import (
@@ -321,6 +326,18 @@ class TestAccumulateBumps:
             got = accumulate_bumps(centers, weights, grid, sigma)
             assert np.array_equal(got, accumulate_bumps_loop(
                 centers, weights, grid, sigma))
+
+    def test_normal_cdf_has_the_bits_of_the_formula(self, rng):
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, tiny, -tiny, 37.0, -37.0, 38.5,
+             -38.5, 6.0, -6.0, np.inf, -np.inf],
+            rng.standard_normal(2000) * 6.0,
+            rng.uniform(-40.0, 40.0, 2000),
+        ])
+        got = lanczos._normal_cdf(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == normal_cdf(x).tobytes()
 
     def test_no_bump_on_the_grid_gives_zeros(self):
         grid = np.linspace(-1.0, 1.0, 33)

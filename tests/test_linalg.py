@@ -8,14 +8,16 @@ the library honest against the oracles and the oracles against each other.
 
 import ctypes
 import functools
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdens import linalg
+from specdens import lanczos, linalg
 from specdens.errors import AsymmetricInputError, ConvergenceError, UsageError
 from specdens.lanczos import (
     accumulate_bumps,
@@ -291,6 +293,126 @@ class TestLapackRouteMatchesF2py:
         assert info != 0
         with pytest.raises(ConvergenceError, match=f"dstev.*info={info}"):
             eig_tridiagonal(TridiagonalMatrix(alpha, beta))
+
+
+# ---------------------------------------------------------------------------
+# ritz_pairs: the batched solve, its threads and its failures
+# ---------------------------------------------------------------------------
+
+def _bits(pairs):
+    return pairs.values.tobytes(), pairs.first_components.tobytes()
+
+
+@functools.cache
+def _batch():
+    """Tridiagonals of orders 1, 2, 32, 512 and 2048, the ghost-heavy one
+    among them, and a Lanczos run shortened by breakdown."""
+    rng = np.random.default_rng(31)
+    out = [TridiagonalMatrix(rng.standard_normal(n),
+                             np.abs(rng.standard_normal(n - 1)))
+           for n in (1, 2, 32, 512, 2048)]
+    out.append(TridiagonalMatrix(*_tridiagonals()[-1]))
+    # five distinct eigenvalues: the recurrence breaks down after 5 steps
+    op = dense_operator(np.diag(np.repeat([-2.0, -0.5, 0.0, 1.0, 3.0], 8)))
+    T, ritz = fast_lanczos(op, 20, 7)
+    assert ritz.breakdown and T.order == 5
+    return out + [T]
+
+
+class TestRitzPairs:
+    def test_bitwise_equal_to_sequential_solves(self, monkeypatch):
+        Ts = _batch()
+        batched = [_bits(p) for p in linalg.ritz_pairs(Ts)]
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+        assert [_bits(eig_tridiagonal(T)) for T in Ts] == batched
+        assert [_bits(p) for p in linalg.ritz_pairs(Ts)] == batched
+        assert [T.order for T in Ts] == [1, 2, 32, 512, 2048, 2048, 5]
+
+    def test_full_and_none_modes_match_the_one_matrix_solves(self):
+        Ts = _batch()[:4]
+        for mode in ("none", "full"):
+            for got, T in zip(linalg.ritz_pairs(Ts, mode), Ts):
+                ref = eig_tridiagonal(T, mode)
+                assert _bits(got) == _bits(ref)
+                if mode == "full":
+                    assert np.array_equal(got.vectors, ref.vectors)
+
+    def test_input_is_not_overwritten(self):
+        Ts = _batch()[2:4]
+        before = [(T.alpha.copy(), T.beta.copy()) for T in Ts]
+        linalg.ritz_pairs(Ts + Ts)        # shared arrays, solved twice
+        for T, (alpha, beta) in zip(Ts, before):
+            assert np.array_equal(T.alpha, alpha)
+            assert np.array_equal(T.beta, beta)
+
+    def test_empty_batch(self):
+        assert linalg.ritz_pairs([]) == []
+
+    @pytest.mark.parametrize("cpus,tasks,threads", [
+        (1, 6, 0), (2, 6, 1), (4, 3, 2), (4, 1, 0), (3, 0, 0)])
+    def test_worker_count(self, monkeypatch, cpus, tasks, threads):
+        """min(tasks, usable CPUs) workers, the calling thread one of them;
+        every task runs once, taken in list order."""
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg.threading, "Thread", Counted)
+        ran = []
+        linalg._run_tasks([functools.partial(ran.append, i)
+                           for i in range(tasks)])
+        assert len(started) == threads
+        assert sorted(ran) == list(range(tasks))
+        if threads == 0:
+            assert ran == list(range(tasks))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_failures_raise_in_sequential_order(self, monkeypatch, cpus):
+        """The lowest failing matrix raises, dstev before dbdsqr, with the
+        one-matrix message, and no warning escapes from a worker thread."""
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        # a warning turned error in a worker would end up here
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        healthy = _batch()[2:4]
+        nan = TridiagonalMatrix(alpha=[1.0, np.nan, 2.0], beta=[1.0, 1.0])
+        big = TridiagonalMatrix(alpha=[1.0, 2.0, 3.0], beta=[1e308, 1e308])
+        messages = {}
+        for name, T in (("nan", nan), ("big", big)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ConvergenceError) as info:
+                eig_tridiagonal(T)
+            messages[name] = str(info.value)
+        assert "dstev" in messages["nan"] and "dbdsqr" in messages["big"]
+        for order, first in (((nan, big), "nan"), ((big, nan), "big")):
+            Ts = [healthy[0], *order[:1], healthy[1], *order[1:], healthy[0]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(ConvergenceError) as info:
+                    linalg.ritz_pairs(Ts)
+            assert str(info.value) == messages[first]
+        assert escaped == []
+
+    def test_lockstep_runs_share_one_batched_solve(self, monkeypatch):
+        sizes = []
+        solve = lanczos.ritz_pairs
+
+        def counted(Ts):
+            sizes.append(len(Ts))
+            return solve(Ts)
+
+        monkeypatch.setattr(lanczos, "ritz_pairs", counted)
+        A = sample(EnsembleSpec(kind="goe", p=50, seed=2))
+        density = lanczos.approx_spectrum(dense_operator(A), steps=40,
+                                          n_vec=3, grid_points=64)
+        # the range estimate's run, then the density's three together
+        assert sizes == [1, 3]
+        assert len(density.ritz) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from specdens.errors import DimensionMismatchError, InputFormatError, UsageError
 from specdens.net import (
     Checkpoint,
     MlpSpec,
-    error_rate,
     flatten,
     gnvp,
     gradient,
@@ -28,23 +27,24 @@ from specdens.net import (
     init_params,
     linearize,
     load_checkpoint,
-    loss,
     loss_and_error,
-    predict_logits,
-    predict_probs,
     save_checkpoint,
     unflatten,
 )
 from specdens.operators import difference_operator
 
 from oracles import (
+    error_rate,
     explicit_gauss_newton,
     explicit_logit_jacobian,
     fd_gradient,
     fd_hessian,
     fd_hvp,
+    loss,
     op_to_dense,
     per_example_logit_vjp,
+    predict_logits,
+    predict_probs,
     symmetry_defect,
 )
 
