@@ -46,7 +46,7 @@ from .lanczos import (
     approx_spectrum,
     check_estimator,
 )
-from .linalg import dense_eig
+from .linalg import DENSE_SIZE_CAP, dense_eig
 from .net import MlpSpec, load_checkpoint, save_checkpoint
 from .operators import dense_operator
 from .pipeline import (
@@ -67,8 +67,6 @@ from .storage import (
     write_manifest,
     write_matrix,
 )
-
-ORACLE_EIG_CAP = 4096  # dense eigendecomposition gets slow past this
 
 DENSITY_CSV_SCHEMA = "density-csv/v1"
 ORACLE_CSV_SCHEMA = "oracle-spectrum-csv/v1"
@@ -178,8 +176,8 @@ def cmd_synth(args) -> int:
     write_matrix(matrix_path, Y)
     outputs = [matrix_path]
 
-    if ens.p <= ORACLE_EIG_CAP:
-        values = dense_eig(Y).values
+    if ens.p <= DENSE_SIZE_CAP:
+        values = dense_eig(Y)
         oracle_path = out / "oracle_spectrum.csv"
         rows = [(i, float(v)) for i, v in enumerate(values)]
         atomic_write_text(oracle_path, csv_text(

@@ -123,8 +123,7 @@ def factor_eigenvalues(F: np.ndarray) -> np.ndarray:
     if r == 0:
         return np.empty(0)
     gram = F @ F.T
-    pairs = dense_eig(0.5 * (gram + gram.T))
-    return pairs.values[::-1].copy()
+    return dense_eig(0.5 * (gram + gram.T))[::-1].copy()
 
 
 def _b2_matvec(lin: Linearization, members: np.ndarray, stats: ClusterStats,

@@ -277,8 +277,8 @@ def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
     construct a NormalizationMap by hand for those.
     """
     T, ritz = fast_lanczos(op, min(DEFAULT_RANGE_STEPS, op.dim), seed)
-    pairs = eig_tridiagonal(T, vectors="full")
-    r_lo, r_hi = ritz.residual * np.abs(pairs.vectors[-1, [0, -1]])
+    pairs = eig_tridiagonal(T)
+    r_lo, r_hi = ritz.residual * np.abs(pairs.last_components[[0, -1]])
     return NormalizationMap.from_bounds(float(pairs.values[0] - r_lo),
                                         float(pairs.values[-1] + r_hi),
                                         DEFAULT_RANGE_TAU)

@@ -1,13 +1,14 @@
 """Dense and tridiagonal symmetric eigensolvers, both on LAPACK.
 
 `ritz_pairs` powers the estimators: it turns the Lanczos tridiagonals of
-a density into Ritz values and weights in O(M) memory each, running their
-LAPACK calls in parallel on the usable CPUs, with bits that depend on
-neither that count nor the BLAS thread count. `eig_tridiagonal` is its
-one-matrix case. The three LAPACK routines are called through ctypes
-from the one scipy extension that exports them, so no command that solves
-a tridiagonal problem imports the ``scipy.linalg`` package.
-`dense_eig` is the validation-side route for explicit matrices. The
+a density into Ritz values and the first and last components of their
+eigenvectors, in O(M) memory each, running their LAPACK calls in parallel
+on the usable CPUs, with bits that depend on neither that count nor the
+BLAS thread count. `eig_tridiagonal` is its one-matrix case. The three
+LAPACK routines are called through ctypes from the one scipy extension
+that exports them, so no command that solves a tridiagonal problem
+imports the ``scipy.linalg`` package.
+`dense_eig` gives the eigenvalues of an explicit matrix. The
 independent checks on both (a hand-written QL iteration, Householder
 reduction and Sturm bisection) live with the tests, in
 ``tests/oracles.py``.
@@ -29,7 +30,8 @@ import numpy as np
 
 from .errors import AsymmetricInputError, ConvergenceError, UsageError
 
-_DENSE_SIZE_CAP = 4096
+# dense_eig refuses larger matrices: beyond this, estimate matrix-free
+DENSE_SIZE_CAP = 4096
 # rows per panel of the symmetry check, whose buffer is 64 x p doubles
 _SYMMETRY_PANEL_ROWS = 64
 
@@ -62,22 +64,17 @@ class TridiagonalMatrix:
     def order(self) -> int:
         return self.alpha.size
 
-    def to_dense(self) -> np.ndarray:
-        T = np.diag(self.alpha)
-        if self.beta.size:
-            T += np.diag(self.beta, 1) + np.diag(self.beta, -1)
-        return T
-
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Eigenvalues ascending, first components of the (orthonormal)
-    eigenvectors, and optionally the full eigenvector matrix (one
-    eigenvector per column, aligned with ``values``)."""
+    """Eigenvalues ascending, with the first and the last component of each
+    (orthonormal) eigenvector, aligned with ``values``: the squared first
+    components are the Gauss quadrature weights, and by Paige's relation
+    the last ones scale the Ritz residuals."""
 
     values: np.ndarray
     first_components: np.ndarray
-    vectors: np.ndarray | None = None
+    last_components: np.ndarray
 
 
 _CYTHON_LAPACK = "scipy.linalg.cython_lapack"
@@ -191,8 +188,7 @@ def _run_tasks(tasks: list) -> None:
             thread.join()
 
 
-def ritz_pairs(Ts: list[TridiagonalMatrix],
-               vectors: str = "first") -> list[EigenPairs]:
+def ritz_pairs(Ts: list[TridiagonalMatrix]) -> list[EigenPairs]:
     """:func:`eig_tridiagonal` of every matrix in ``Ts``, with the LAPACK
     calls of all of them run in parallel.
 
@@ -205,10 +201,8 @@ def ritz_pairs(Ts: list[TridiagonalMatrix],
     raised as a sequential solve would raise it: the first matrix in
     ``Ts`` first, and ``dstev``, ``dpttrf``, ``dbdsqr`` in that order.
     """
-    if vectors not in ("none", "first", "full"):
-        raise UsageError(f"unknown vectors mode {vectors!r}")
     dstev, dpttrf, dbdsqr = _lapack()
-    one, unused = ctypes.c_int(1), np.empty(1)
+    one, two, unused = ctypes.c_int(1), ctypes.c_int(2), np.empty(1)
     # solves holds every array a task writes or reads until the tasks end
     solves, vector_tasks, value_tasks = [], [], []
     for T in Ts:
@@ -222,22 +216,22 @@ def ritz_pairs(Ts: list[TridiagonalMatrix],
             dstev, b"N", ctypes.c_int(n), values.ctypes.data,
             scratch.ctypes.data, unused.ctypes.data, one, unused.ctypes.data,
             infos[0])))
-        U = D = L = work = None
-        if vectors != "none":
-            U = np.eye(n, order="F") if vectors == "full" else np.eye(1, n, order="F")
-            D, L = _shifted_factor(T, dpttrf, infos[1])
-            work = np.empty(4 * n)
-            nru = U.shape[0]
-            # dbdsqr applies its rotations to U one at a time: no BLAS-3,
-            # so the bits do not depend on the BLAS thread count. No right
-            # vectors (ncvt=0) and no C (ncc=0): VT and C are never read
-            if infos[1].value == 0:
-                vector_tasks.append((n, functools.partial(
-                    dbdsqr, b"L", ctypes.c_int(n), ctypes.c_int(0),
-                    ctypes.c_int(nru), ctypes.c_int(0), D.ctypes.data,
-                    L.ctypes.data, work.ctypes.data, one, U.ctypes.data,
-                    ctypes.c_int(max(nru, 1)), work.ctypes.data, one,
-                    work.ctypes.data, infos[2])))
+        # rows e_1 and e_n of the identity: dbdsqr rotates every row of U
+        # on its own, so these come out as rows 1 and n of the full
+        # eigenvector matrix, bit for bit
+        U = np.zeros((2, n), order="F")
+        U[0, 0] = U[1, -1] = 1.0
+        D, L = _shifted_factor(T, dpttrf, infos[1])
+        work = np.empty(4 * n)
+        # dbdsqr applies its rotations to U one at a time: no BLAS-3, so
+        # the bits do not depend on the BLAS thread count. No right vectors
+        # (ncvt=0) and no C (ncc=0): VT and C are never read
+        if infos[1].value == 0:
+            vector_tasks.append((n, functools.partial(
+                dbdsqr, b"L", ctypes.c_int(n), ctypes.c_int(0), two,
+                ctypes.c_int(0), D.ctypes.data, L.ctypes.data,
+                work.ctypes.data, one, U.ctypes.data, two, work.ctypes.data,
+                one, work.ctypes.data, infos[2])))
         solves.append((values, U, infos, scratch, D, L, work))
     _run_tasks([task for tasks in (vector_tasks, value_tasks)
                 for _, task in sorted(tasks, key=lambda job: -job[0])])
@@ -247,37 +241,26 @@ def ritz_pairs(Ts: list[TridiagonalMatrix],
             if info.value != 0:
                 raise ConvergenceError(
                     f"LAPACK {routine} failed (info={info.value})")
-        if U is None:
-            out.append(EigenPairs(values=values,
-                                  first_components=np.full(values.size, np.nan)))
-            continue
         # dbdsqr orders singular values, hence eigenvalues, descending
-        U = U[:, ::-1]
-        out.append(EigenPairs(values=values, first_components=U[0].copy(),
-                              vectors=U if vectors == "full" else None))
+        out.append(EigenPairs(values=values, first_components=U[0, ::-1].copy(),
+                              last_components=U[1, ::-1].copy()))
     return out
 
 
-def eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
-    """Eigendecomposition of a symmetric tridiagonal matrix (LAPACK).
+def eig_tridiagonal(T: TridiagonalMatrix) -> EigenPairs:
+    """Eigenvalues of a symmetric tridiagonal matrix with the first and
+    last components of its eigenvectors (LAPACK), in O(M) memory.
 
     Eigenvalues come from ``dstev`` without vectors (root-free QR,
     ``dsterf``, after ``dstev`` rescales a matrix whose norm is near under-
-    or overflow). ``vectors`` selects how much eigenvector information is
-    computed besides:
-
-    - ``"none"``  : eigenvalues only (first_components returned as NaN),
-    - ``"first"`` : first components only — O(M) memory, the right mode
-      for Ritz weights,
-    - ``"full"``  : complete eigenvector matrix, O(M^2).
-
-    Eigenvectors come from ``dbdsqr``, the bidiagonal SVD of a shifted
-    Cholesky factor (see :func:`_shifted_factor`), holding only the
-    requested rows and 4M doubles of work. The output bits are the same
-    for any BLAS thread count. A LAPACK failure raises
-    :class:`ConvergenceError`. The one-matrix case of :func:`ritz_pairs`.
+    or overflow). The two eigenvector rows come from ``dbdsqr``, the
+    bidiagonal SVD of a shifted Cholesky factor (see
+    :func:`_shifted_factor`), which carries only those rows and 4M doubles
+    of work. The output bits are the same for any BLAS thread count. A
+    LAPACK failure raises :class:`ConvergenceError`. The one-matrix case
+    of :func:`ritz_pairs`.
     """
-    return ritz_pairs([T], vectors)[0]
+    return ritz_pairs([T])[0]
 
 
 def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:
@@ -305,25 +288,18 @@ def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:
         )
 
 
-def dense_eig(A: np.ndarray, vectors: bool = False,
-              size_cap: int = _DENSE_SIZE_CAP) -> EigenPairs:
-    """Full eigendecomposition of a dense symmetric matrix (LAPACK).
+def dense_eig(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a dense symmetric matrix, ascending (LAPACK).
 
-    The validation-side route: refuses matrices larger than ``size_cap``
-    (default 4096) — beyond that, use the matrix-free estimators in
-    :mod:`specdens.lanczos`, which is what they are for. Without
-    ``vectors`` only the eigenvalues are computed, and ``first_components``
-    are NaN as in :func:`eig_tridiagonal`'s ``"none"`` mode.
+    Refuses matrices larger than ``DENSE_SIZE_CAP``: beyond that, use the
+    matrix-free estimators in :mod:`specdens.lanczos`, which is what they
+    are for.
     """
     A = np.asarray(A, dtype=np.float64)
     _require_symmetric(A)
-    if A.shape[0] > size_cap:
+    if A.shape[0] > DENSE_SIZE_CAP:
         raise UsageError(
-            f"dense_eig refuses p = {A.shape[0]} > {size_cap}; "
+            f"dense_eig refuses p = {A.shape[0]} > {DENSE_SIZE_CAP}; "
             "use the matrix-free spectrum estimators for operators this large"
         )
-    if not vectors:
-        w = np.linalg.eigvalsh(A)
-        return EigenPairs(values=w, first_components=np.full(w.size, np.nan))
-    w, V = np.linalg.eigh(A)
-    return EigenPairs(values=w, first_components=V[0, :].copy(), vectors=V)
+    return np.linalg.eigvalsh(A)

@@ -93,9 +93,9 @@ class SymmetricOperator:
 
     `apply` takes one vector of shape ``(dim,)`` or a block of ``k``
     column vectors of shape ``(dim, k)`` and returns the same shape. A
-    one-column block goes through ``matvec``; a wider block goes through
-    the optional block product ``matmat`` when the operator has one, and
-    otherwise through ``matvec`` one contiguous column at a time.
+    one-column block goes through ``matvec``; a wider block needs the
+    optional block product ``matmat``, and an operator without one rejects
+    it: callers that batch vectors check :attr:`has_matmat` first.
     `apply` is deterministic: the same vector in gives bit-identical
     vectors out. Symmetry is the caller's promise for hand-built matvecs;
     every combinator below preserves it, and tests probe it stochastically.
@@ -113,7 +113,7 @@ class SymmetricOperator:
 
     @property
     def has_matmat(self) -> bool:
-        """Whether wide blocks get a native block product, not a column loop."""
+        """Whether :meth:`apply` takes blocks wider than one column."""
         return self._matmat is not None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -128,12 +128,11 @@ class SymmetricOperator:
             return self._checked(self._matvec, v)
         if v.shape[1] == 1:
             return self._checked(self._matvec, v[:, 0])[:, None]
-        if self._matmat is not None:
-            return self._checked(self._matmat, v)
-        out = np.empty(v.shape, order="F")
-        for j in range(v.shape[1]):
-            out[:, j] = self._checked(self._matvec, np.ascontiguousarray(v[:, j]))
-        return out
+        if self._matmat is None:
+            raise UsageError(
+                f"operator {self.label or '<anon>'} has no block product for "
+                f"a block of {v.shape[1]} columns")
+        return self._checked(self._matmat, v)
 
     @staticmethod
     def _checked(product, v: np.ndarray) -> np.ndarray:

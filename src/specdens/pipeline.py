@@ -196,15 +196,17 @@ def load_idx(images_path, labels_path,
     if limit_per_class is not None:
         if limit_per_class < 1:
             raise UsageError("limit_per_class must be >= 1")
-        seen = np.zeros(class_count, dtype=np.int64)
-        keep = np.zeros(y.size, dtype=bool)
-        for i, label in enumerate(y):
-            if seen[label] < limit_per_class:
-                keep[i] = True
-                seen[label] += 1
+        keep = _first_per_class(y, limit_per_class, class_count)
         x, y = x[keep], y[keep]
 
     return LabeledDataset(x=x, y=y, class_count=class_count, split="train")
+
+
+def _first_per_class(y: np.ndarray, k: int, class_count: int) -> np.ndarray:
+    """Ascending indices of the first ``k`` labels of each class in
+    ``range(class_count)``, in the order they come in ``y``."""
+    return np.sort(np.concatenate([np.flatnonzero(y == c)[:k]
+                                   for c in range(class_count)]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ of matrix-free products. Slow is fine; independent is the point.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from specdens.lanczos import (
     _start_vector,
     _summarize,
 )
+from specdens import linalg
 from specdens.linalg import (
     EigenPairs,
     TridiagonalMatrix,
@@ -100,36 +102,24 @@ def bisection_eigenvalues(alpha, beta, tol: float = 1e-13) -> np.ndarray:
 # symmetric tridiagonal eigenpairs by implicit-shift QL iteration
 # ---------------------------------------------------------------------------
 
-def ql_eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPairs:
-    """Eigendecomposition of a symmetric tridiagonal matrix.
+def ql_eig_tridiagonal(T: TridiagonalMatrix) -> EigenPairs:
+    """Eigenvalues of a symmetric tridiagonal matrix with the first and last
+    components of its eigenvectors.
 
     Implicit-shift QL iteration with Wilkinson shifts, in plain Python: the
-    hand-written counterpart of :func:`specdens.linalg.eig_tridiagonal`. ``vectors`` selects
-    how much eigenvector information is accumulated:
-
-    - ``"none"``  : eigenvalues only (first_components returned as NaN),
-    - ``"first"`` : first components only — O(M) extra memory, the right
-      mode for Ritz weights,
-    - ``"full"``  : complete eigenvector matrix, O(M^2).
-
-    Ties in the eigenvalues are broken by ascending pre-sort index so the
-    output is deterministic.
+    hand-written counterpart of :func:`specdens.linalg.eig_tridiagonal`.
+    Only rows 1 and n of the eigenvector matrix are accumulated, so extra
+    memory is O(M). Ties in the eigenvalues are broken by ascending
+    pre-sort index so the output is deterministic.
     """
-    if vectors not in ("none", "first", "full"):
-        raise UsageError(f"unknown vectors mode {vectors!r}")
     n = T.order
     # work in plain Python floats: the scalar recurrence dominates and
     # ndarray scalar indexing is several times slower
     d = [float(x) for x in T.alpha]
     e = [float(x) for x in T.beta] + [0.0]
 
-    z_first: list[float] | None = None
-    Z: np.ndarray | None = None
-    if vectors == "first":
-        z_first = [0.0] * n
-        z_first[0] = 1.0
-    elif vectors == "full":
-        Z = np.eye(n)
+    # rows 1 and n of the identity, rotated as the whole matrix would be
+    rows = ([1.0] + [0.0] * (n - 1), [0.0] * (n - 1) + [1.0])
 
     for l in range(n):
         sweeps = 0
@@ -172,14 +162,10 @@ def ql_eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPai
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if z_first is not None:
-                    f = z_first[i + 1]
-                    z_first[i + 1] = s * z_first[i] + c * f
-                    z_first[i] = c * z_first[i] - s * f
-                elif Z is not None:
-                    col = Z[:, i + 1].copy()
-                    Z[:, i + 1] = s * Z[:, i] + c * col
-                    Z[:, i] = c * Z[:, i] - s * col
+                for z in rows:
+                    f = z[i + 1]
+                    z[i + 1] = s * z[i] + c * f
+                    z[i] = c * z[i] - s * f
             if underflow:
                 continue
             d[l] -= p
@@ -189,13 +175,41 @@ def ql_eig_tridiagonal(T: TridiagonalMatrix, vectors: str = "first") -> EigenPai
     values = np.array(d)
     order = np.argsort(values, kind="stable")
     values = values[order]
-    if z_first is not None:
-        first = np.array(z_first)[order]
-        return EigenPairs(values=values, first_components=first)
-    if Z is not None:
-        Z = Z[:, order]
-        return EigenPairs(values=values, first_components=Z[0].copy(), vectors=Z)
-    return EigenPairs(values=values, first_components=np.full(n, np.nan))
+    first, last = (np.array(z)[order] for z in rows)
+    return EigenPairs(values=values, first_components=first,
+                      last_components=last)
+
+
+def dbdsqr_eigenvectors(T: TridiagonalMatrix, rows=None) -> np.ndarray:
+    """Rows ``rows`` (default all) of the eigenvector matrix of T, one
+    column per eigenvalue in ascending order, from the library's own
+    LAPACK route: ``dbdsqr`` on the shifted Cholesky factor, started from
+    those rows of the identity. By default that is the whole matrix, the
+    full-vector route, which takes O(M^2) memory and about 30 s at
+    M = 2048.
+
+    A reference with the library's bits, not an independent oracle: rows
+    1 and n must equal the library's first and last components bit for
+    bit, and where Ritz values come in near-equal ghost pairs a different
+    solver may return another vector of the pair.
+    """
+    _, dpttrf, dbdsqr = linalg._lapack()
+    n = T.order
+    info = ctypes.c_int(0)
+    D, L = linalg._shifted_factor(T, dpttrf, info)
+    if info.value != 0:
+        raise ConvergenceError(f"LAPACK dpttrf failed (info={info.value})")
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    U = np.zeros((rows.size, n), order="F")
+    U[np.arange(rows.size), rows] = 1.0
+    work = np.empty(4 * n)
+    one, nru = ctypes.c_int(1), ctypes.c_int(U.shape[0])
+    dbdsqr(b"L", ctypes.c_int(n), ctypes.c_int(0), nru, ctypes.c_int(0),
+           D.ctypes.data, L.ctypes.data, work.ctypes.data, one, U.ctypes.data,
+           nru, work.ctypes.data, one, work.ctypes.data, info)
+    if info.value != 0:
+        raise ConvergenceError(f"LAPACK dbdsqr failed (info={info.value})")
+    return U[:, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +338,10 @@ def explicit_residual_bounds(op: SymmetricOperator, steps: int,
     builds the two extremal Ritz vectors z = V y, and measures
     ||A z - theta z|| with two more products instead of reading the
     residual off the recurrence. The tridiagonal eigenvectors come from
-    the library's solver on purpose: once orthogonality is lost, Ritz
-    values come in near-equal ghost pairs, and a different solver may
-    return another vector of the pair, with another residual. Returns the
-    unpadded (low, high).
+    the library's LAPACK route on purpose (:func:`dbdsqr_eigenvectors`):
+    once orthogonality is lost, Ritz values come in near-equal ghost
+    pairs, and a different solver may return another vector of the pair,
+    with another residual. Returns the unpadded (low, high).
     """
     m = min(steps, op.dim)
     v = _start_vector(op.dim, np.random.default_rng(seed))
@@ -351,13 +365,12 @@ def explicit_residual_bounds(op: SymmetricOperator, steps: int,
         v_prev = v
         v = w / b
     k = len(alpha)
-    pairs = eig_tridiagonal(TridiagonalMatrix(alpha=np.array(alpha),
-                                              beta=np.array(beta)),
-                            vectors="full")
+    T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
+    values, vectors = eig_tridiagonal(T).values, dbdsqr_eigenvectors(T)
     bounds = []
     for col, sign in ((0, -1.0), (-1, 1.0)):
-        theta = float(pairs.values[col])
-        z = V[:, :k] @ pairs.vectors[:, col]
+        theta = float(values[col])
+        z = V[:, :k] @ vectors[:, col]
         z /= np.linalg.norm(z)
         bounds.append(theta + sign * float(np.linalg.norm(op.apply(z) - theta * z)))
     return bounds[0], bounds[1]
@@ -471,6 +484,22 @@ def accumulate_bumps_loop(centers, weights, grid, sigma: float) -> np.ndarray:
         cdf = normal_cdf((edges[j0:j1 + 1] - c) / sigma)
         values[j0:j1] += w * np.diff(cdf)
     return values / h
+
+
+# ---------------------------------------------------------------------------
+# per-class subsampling, one label at a time
+# ---------------------------------------------------------------------------
+
+def first_per_class_loop(y, k: int) -> np.ndarray:
+    """Indices of the first ``k`` labels of each class, walking ``y`` once
+    in order: the reference for ``pipeline.load_idx(limit_per_class=k)``."""
+    seen: dict[int, int] = {}
+    keep = []
+    for i, label in enumerate(y):
+        if seen.get(int(label), 0) < k:
+            keep.append(i)
+            seen[int(label)] = seen.get(int(label), 0) + 1
+    return np.array(keep, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

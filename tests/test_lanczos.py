@@ -102,7 +102,7 @@ class TestFastLanczos:
 
     def test_theta_within_spectral_range(self):
         A = random_symmetric(40, 2)
-        lo, hi = dense_eig(A).values[[0, -1]]
+        lo, hi = dense_eig(A)[[0, -1]]
         _, summary = fast_lanczos(dense_operator(A), 60, seed=3)
         pad = 1e-8 * max(abs(lo), abs(hi))
         assert summary.theta.min() >= lo - pad
@@ -177,7 +177,7 @@ class TestLockstep:
 class TestSlowLanczos:
     def test_full_steps_reproduce_dense_spectrum(self):
         A = random_symmetric(80, 5)
-        oracle = dense_eig(A).values
+        oracle = dense_eig(A)
         _, summary = slow_lanczos(dense_operator(A), 80, seed=0)
         np.testing.assert_allclose(summary.theta, oracle,
                                    atol=1e-10 * np.abs(oracle).max())
@@ -225,7 +225,7 @@ class TestEstimateRange:
 
     def test_brackets_true_spectrum(self):
         A = random_symmetric(120, 6)
-        true = dense_eig(A).values
+        true = dense_eig(A)
         nm = estimate_range(dense_operator(A), seed=1)
         assert nm.lambda_min <= true[0]
         assert nm.lambda_max >= true[-1]
@@ -396,7 +396,7 @@ class TestApproxSpectrum:
         # variance (measured ~0.12); concentration tightens it at scale
         A = random_symmetric(200, 9)
         est = approx_spectrum(dense_operator(A), steps=64, n_vec=8, seed=3)
-        ref = density_from_eigenvalues(dense_eig(A).values, like=est)
+        ref = density_from_eigenvalues(dense_eig(A), like=est)
         assert tv_distance(est, ref) <= 0.2
 
     def test_steps_clamped_at_dimension_with_warning(self):
@@ -501,7 +501,7 @@ class TestApproxLogSpectrum:
         A = self.wishart(80, 160, 7)
         est = approx_log_spectrum(dense_operator(A), steps=256, n_vec=8,
                                   seed=8)
-        ref = density_from_eigenvalues(dense_eig(A).values, like=est)
+        ref = density_from_eigenvalues(dense_eig(A), like=est)
         assert tv_distance(est, ref) <= 0.3
 
     def test_epsilon_validation(self):
@@ -576,7 +576,7 @@ class TestDensityFromEigenvalues:
     def test_reference_curve_has_unit_mass(self):
         A = random_symmetric(50, 18)
         est = approx_spectrum(dense_operator(A), steps=24, seed=1)
-        ref = density_from_eigenvalues(dense_eig(A).values, like=est)
+        ref = density_from_eigenvalues(dense_eig(A), like=est)
         assert ref.mass() == pytest.approx(1.0, abs=0.01)
 
     def test_empty_input_rejected(self):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdens import lanczos, linalg
+from specdens import cli, lanczos, linalg
 from specdens.errors import AsymmetricInputError, ConvergenceError, UsageError
 from specdens.lanczos import (
     accumulate_bumps,
@@ -31,6 +31,7 @@ from specdens.rmt import EnsembleSpec, sample
 
 from oracles import (
     bisection_eigenvalues,
+    dbdsqr_eigenvectors,
     householder_tridiagonalize,
     ql_eig_tridiagonal,
     tridiag_to_dense,
@@ -71,16 +72,18 @@ class TestEigTridiagonal:
         np.testing.assert_allclose(pairs.values, oracle, atol=1e-10)
 
     def test_full_vectors_reconstruct(self):
+        """The reference's whole eigenvector matrix, paired with the
+        library's values, solves T y = theta y."""
         rng = np.random.default_rng(3)
         alpha = rng.standard_normal(30)
         beta = np.abs(rng.standard_normal(29))
         T = TridiagonalMatrix(alpha=alpha, beta=beta)
-        pairs = eig_tridiagonal(T, vectors="full")
+        values, vectors = eig_tridiagonal(T).values, dbdsqr_eigenvectors(T)
         dense = tridiag_to_dense(alpha, beta)
         for m in range(30):
-            y = pairs.vectors[:, m]
-            resid = np.linalg.norm(dense @ y - pairs.values[m] * y)
-            assert resid <= 1e-10 * max(1.0, abs(pairs.values[m]))
+            y = vectors[:, m]
+            resid = np.linalg.norm(dense @ y - values[m] * y)
+            assert resid <= 1e-10 * max(1.0, abs(values[m]))
 
     def test_first_components_are_first_row_of_orthogonal_matrix(self):
         rng = np.random.default_rng(11)
@@ -88,17 +91,7 @@ class TestEigTridiagonal:
         beta = np.abs(rng.standard_normal(39))
         pairs = eig_tridiagonal(TridiagonalMatrix(alpha=alpha, beta=beta))
         assert abs(np.sum(pairs.first_components ** 2) - 1.0) <= 1e-8
-
-    def test_vectors_none_gives_values_only(self):
-        pairs = eig_tridiagonal(
-            TridiagonalMatrix(alpha=[1.0, 2.0], beta=[0.5]), vectors="none")
-        assert np.all(np.isnan(pairs.first_components))
-        assert pairs.values[0] < pairs.values[1]
-
-    def test_bad_vectors_mode_rejected(self):
-        T = TridiagonalMatrix(alpha=[1.0], beta=[])
-        with pytest.raises(UsageError):
-            eig_tridiagonal(T, vectors="some")
+        assert abs(np.sum(pairs.last_components ** 2) - 1.0) <= 1e-8
 
     def test_negative_beta_rejected(self):
         with pytest.raises(UsageError):
@@ -161,6 +154,7 @@ class TestRitzWeightsAgainstQL:
         # ghosts: most Ritz values repeat a neighbour to near machine precision
         assert np.sum(np.diff(got.values) < 1e-10) > steps // 2
         np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-12)
+        assert abs(np.sum(got.last_components ** 2) - 1.0) <= 1e-13
         w_got = got.first_components ** 2
         assert abs(w_got.sum() - 1.0) <= 1e-13
         # a ghost cluster shares its weight arbitrarily between its copies,
@@ -173,6 +167,20 @@ class TestRitzWeightsAgainstQL:
         h = grid[1] - grid[0]
         assert np.sum(np.abs(d_got - d_ref)) * h <= 1e-10
 
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_last_components_match_the_ql_oracle(self, n):
+        """Away from ghosts the eigenvectors are well conditioned, so the
+        independent QL iteration pins both rows down, up to sign."""
+        rng = np.random.default_rng(n)
+        T = TridiagonalMatrix(alpha=rng.standard_normal(n),
+                              beta=np.abs(rng.standard_normal(n - 1)))
+        got, ref = eig_tridiagonal(T), ql_eig_tridiagonal(T)
+        assert np.diff(ref.values).min() > 1e-6
+        for row in ("first_components", "last_components"):
+            np.testing.assert_allclose(np.abs(getattr(got, row)),
+                                       np.abs(getattr(ref, row)),
+                                       rtol=0, atol=1e-12)
+
     def test_first_components_use_o_m_memory(self):
         rng = np.random.default_rng(8)
         n = 2048
@@ -181,38 +189,38 @@ class TestRitzWeightsAgainstQL:
         eig_tridiagonal(T)            # loads LAPACK outside the measurement
         tracemalloc.start()
         try:
-            pairs = eig_tridiagonal(T, vectors="first")
+            pairs = eig_tridiagonal(T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20         # an n x n matrix would be 33.5 MB
         assert abs(np.sum(pairs.first_components ** 2) - 1.0) <= 1e-13
+        assert abs(np.sum(pairs.last_components ** 2) - 1.0) <= 1e-13
 
     def test_full_vectors_share_the_first_components(self):
+        """The full-vector reference route shares the values and both
+        rows with the library's solve, bit for bit, and is orthogonal."""
         rng = np.random.default_rng(12)
         T = TridiagonalMatrix(alpha=rng.standard_normal(64),
                               beta=np.abs(rng.standard_normal(63)))
-        first = eig_tridiagonal(T, vectors="first")
-        full = eig_tridiagonal(T, vectors="full")
-        assert np.array_equal(first.values, full.values)
-        assert np.array_equal(first.first_components, full.first_components)
-        np.testing.assert_allclose(full.vectors.T @ full.vectors, np.eye(64),
+        pairs = eig_tridiagonal(T)
+        vectors = dbdsqr_eigenvectors(T)
+        assert np.array_equal(pairs.first_components, vectors[0])
+        assert np.array_equal(pairs.last_components, vectors[-1])
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(64),
                                    atol=1e-13)
 
     def test_order_one(self):
-        T = TridiagonalMatrix(alpha=[2.5], beta=[])
-        for mode in ("first", "full"):
-            pairs = eig_tridiagonal(T, vectors=mode)
-            assert pairs.values.tolist() == [2.5]
-            assert pairs.first_components.tolist() == [1.0]
-        assert eig_tridiagonal(T, vectors="full").vectors.tolist() == [[1.0]]
-        assert np.isnan(eig_tridiagonal(T, vectors="none").first_components[0])
+        pairs = eig_tridiagonal(TridiagonalMatrix(alpha=[2.5], beta=[]))
+        assert pairs.values.tolist() == [2.5]
+        assert pairs.first_components.tolist() == [1.0]
+        assert pairs.last_components.tolist() == [1.0]
 
     def test_input_is_not_overwritten(self):
         alpha = np.array([1.0, -2.0, 0.5])
         beta = np.array([0.3, 0.7])
         T = TridiagonalMatrix(alpha=alpha.copy(), beta=beta.copy())
-        eig_tridiagonal(T, vectors="full")
+        eig_tridiagonal(T)
         assert np.array_equal(T.alpha, alpha) and np.array_equal(T.beta, beta)
 
     def test_lapack_failure_is_convergence_error(self):
@@ -220,10 +228,10 @@ class TestRitzWeightsAgainstQL:
         with pytest.raises(ConvergenceError, match="dstev"):
             eig_tridiagonal(TridiagonalMatrix(alpha=[1.0, np.nan, 2.0],
                                               beta=[1.0, 1.0]))
-        # dstev copes with entries near the overflow threshold, but the
-        # shifted factor overflows and dbdsqr reports the failure
+        # dstev copes with entries near the overflow threshold (a dstev
+        # failure would be raised first), but the shifted factor overflows
+        # and dbdsqr reports the failure
         T = TridiagonalMatrix(alpha=[1.0, 2.0, 3.0], beta=[1e308, 1e308])
-        assert np.isfinite(eig_tridiagonal(T, vectors="none").values).all()
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError, match="dbdsqr"):
             eig_tridiagonal(T)
@@ -265,7 +273,7 @@ class TestLapackRouteMatchesF2py:
             alpha, beta = alpha * scale, beta * scale
             ref, _, info = lapack.dstev(alpha, beta, compute_v=0)
             assert info == 0
-            got = eig_tridiagonal(TridiagonalMatrix(alpha, beta), "none")
+            got = eig_tridiagonal(TridiagonalMatrix(alpha, beta))
             assert np.array_equal(got.values, ref)
             # a shifted, strictly diagonally dominant matrix, as the one
             # whose factor gives the Ritz weights
@@ -279,7 +287,7 @@ class TestLapackRouteMatchesF2py:
 
     def test_ghost_heavy_tridiagonal_is_among_the_cases(self):
         T = TridiagonalMatrix(*_tridiagonals()[-1])
-        values = eig_tridiagonal(T, "none").values
+        values = eig_tridiagonal(T).values
         assert T.order == 2048
         assert np.sum(np.diff(values) < 1e-10) > 1024
 
@@ -300,7 +308,8 @@ class TestLapackRouteMatchesF2py:
 # ---------------------------------------------------------------------------
 
 def _bits(pairs):
-    return pairs.values.tobytes(), pairs.first_components.tobytes()
+    return (pairs.values.tobytes(), pairs.first_components.tobytes(),
+            pairs.last_components.tobytes())
 
 
 @functools.cache
@@ -319,23 +328,40 @@ def _batch():
     return out + [T]
 
 
+def _reference_rows(T):
+    """Rows 1 and M of the eigenvector matrix of T from the reference
+    ``dbdsqr`` route. Below order 2048 that is the whole matrix; the full
+    route would take about 30 s per order-2048 matrix, so those start from
+    four rows of the identity instead, rows M and 1 among them in swapped
+    places."""
+    n = T.order
+    if n < 2048:
+        V = dbdsqr_eigenvectors(T)
+        return V[0], V[-1]
+    V = dbdsqr_eigenvectors(T, [n - 1, n // 2, 1, 0])
+    return V[3], V[0]
+
+
 class TestRitzPairs:
     def test_bitwise_equal_to_sequential_solves(self, monkeypatch):
-        Ts = _batch()
-        batched = [_bits(p) for p in linalg.ritz_pairs(Ts)]
-        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
-        assert [_bits(eig_tridiagonal(T)) for T in Ts] == batched
-        assert [_bits(p) for p in linalg.ritz_pairs(Ts)] == batched
-        assert [T.order for T in Ts] == [1, 2, 32, 512, 2048, 2048, 5]
-
-    def test_full_and_none_modes_match_the_one_matrix_solves(self):
-        Ts = _batch()[:4]
-        for mode in ("none", "full"):
-            for got, T in zip(linalg.ritz_pairs(Ts, mode), Ts):
-                ref = eig_tridiagonal(T, mode)
-                assert _bits(got) == _bits(ref)
-                if mode == "full":
-                    assert np.array_equal(got.vectors, ref.vectors)
+        """Batched at 2 usable CPUs, batched at 1 and one at a time give
+        the same bits, and the first and last components are the first and
+        last rows of the full-vector route's eigenvector matrix; also with
+        every matrix scaled near under- and overflow."""
+        assert [T.order for T in _batch()] == [1, 2, 32, 512, 2048, 2048, 5]
+        for scale in (1.0, 1e200, 1e-200):
+            Ts = [TridiagonalMatrix(T.alpha * scale, T.beta * scale)
+                  for T in _batch()]
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+            batched = linalg.ritz_pairs(Ts)
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+            bits = list(map(_bits, batched))
+            assert [_bits(eig_tridiagonal(T)) for T in Ts] == bits
+            assert list(map(_bits, linalg.ritz_pairs(Ts))) == bits
+            for pairs, T in zip(batched, Ts):
+                first, last = _reference_rows(T)
+                assert np.array_equal(pairs.first_components, first)
+                assert np.array_equal(pairs.last_components, last)
 
     def test_input_is_not_overwritten(self):
         Ts = _batch()[2:4]
@@ -440,7 +466,8 @@ class TestHouseholder:
         A = (A + A.T) / 2
         T, Q = householder_tridiagonalize(A)
         scale = np.linalg.norm(A)
-        assert np.linalg.norm(Q.T @ A @ Q - T.to_dense()) <= 1e-10 * scale
+        assert (np.linalg.norm(Q.T @ A @ Q - tridiag_to_dense(T.alpha, T.beta))
+                <= 1e-10 * scale)
         assert np.linalg.norm(Q.T @ Q - np.eye(40)) <= 1e-12
 
     def test_spectrum_matches_dense_oracle_100(self):
@@ -449,7 +476,7 @@ class TestHouseholder:
         A = (A + A.T) / 2
         T, _ = householder_tridiagonalize(A)
         hand = eig_tridiagonal(T).values
-        oracle = dense_eig(A).values
+        oracle = dense_eig(A)
         np.testing.assert_allclose(hand, oracle,
                                    atol=1e-8 * np.abs(oracle).max())
 
@@ -464,38 +491,30 @@ class TestHouseholder:
 
 class TestDenseEig:
     def test_identity(self):
-        pairs = dense_eig(np.eye(10))
-        np.testing.assert_array_equal(pairs.values, np.ones(10))
-        assert np.all(np.isnan(pairs.first_components))
-        assert pairs.vectors is None
+        values = dense_eig(np.eye(10))
+        np.testing.assert_array_equal(values, np.ones(10))
 
     def test_spiked_diagonal(self):
-        A = np.diag([5.0, 4.0, 3.0] + [0.0] * 7)
-        pairs = dense_eig(A)
-        np.testing.assert_allclose(pairs.values[-3:], [3.0, 4.0, 5.0], atol=0)
-        np.testing.assert_allclose(pairs.values[:7], 0.0, atol=0)
-
-    def test_pair_residuals(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((60, 60))
-        A = (A + A.T) / 2
-        pairs = dense_eig(A, vectors=True)
-        scale = np.linalg.norm(A, 2)
-        for m in range(0, 60, 7):
-            v = pairs.vectors[:, m]
-            assert np.linalg.norm(A @ v - pairs.values[m] * v) <= 1e-8 * scale
+        values = dense_eig(np.diag([5.0, 4.0, 3.0] + [0.0] * 7))
+        np.testing.assert_allclose(values[-3:], [3.0, 4.0, 5.0], atol=0)
+        np.testing.assert_allclose(values[:7], 0.0, atol=0)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((80, 80))
         A = (A + A.T) / 2
-        values = dense_eig(A).values
+        values = dense_eig(A)
         assert abs(values.sum() - np.trace(A)) <= 1e-8 * 80 * np.abs(values).max()
 
-    def test_size_cap_rejected_with_guidance(self):
-        big = np.zeros((5, 5))
-        with pytest.raises(UsageError, match="matrix-free"):
-            dense_eig(big, size_cap=4)
+    def test_size_cap_rejected_with_guidance(self, monkeypatch):
+        """The cap is one public constant, which synth's oracle shares, and
+        a matrix above it is refused with a pointer to the estimators."""
+        assert linalg.DENSE_SIZE_CAP == 4096
+        assert cli.DENSE_SIZE_CAP is linalg.DENSE_SIZE_CAP
+        monkeypatch.setattr(linalg, "DENSE_SIZE_CAP", 4)
+        assert dense_eig(np.zeros((4, 4))).tolist() == [0.0] * 4
+        with pytest.raises(UsageError, match="p = 5 > 4.*matrix-free"):
+            dense_eig(np.zeros((5, 5)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInputError):

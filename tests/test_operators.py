@@ -51,18 +51,20 @@ class TestSymmetricOperator:
         assert out.shape == (3, 1)
         np.testing.assert_array_equal(out, 2.0 * np.ones((3, 1)))
 
-    def test_column_loop_without_block_product(self, rng):
+    def test_wide_block_without_block_product_rejected(self, rng):
+        """Only an operator with a matmat takes blocks wider than one
+        column; the rest are refused by name, before any product runs."""
         seen = []
 
         def matvec(v):
-            seen.append((v.shape, v.flags.c_contiguous))
+            seen.append(v.shape)
             return 3.0 * v
 
-        op = SymmetricOperator(4, matvec)
+        op = SymmetricOperator(4, matvec, label="net")
         assert not op.has_matmat
-        V = rng.standard_normal((4, 3))             # C order: strided columns
-        np.testing.assert_array_equal(op.apply(V), 3.0 * V)
-        assert seen == [((4,), True)] * 3
+        with pytest.raises(UsageError, match="operator net .* 3 columns"):
+            op.apply(rng.standard_normal((4, 3)))
+        assert seen == []
 
     def test_zero_dim_rejected(self):
         with pytest.raises(UsageError):
@@ -147,16 +149,16 @@ class TestAffineOperator:
     def test_two_point_spectrum_lands_symmetric(self):
         nm = NormalizationMap.from_bounds(0.0, 2.0, tau=0.05)
         op = affine_operator(dense_operator(np.diag([0.0, 2.0])), nm)
-        values = dense_eig(op_to_dense(op)).values
+        values = dense_eig(op_to_dense(op))
         np.testing.assert_allclose(values, [-1 / 1.1, 1 / 1.1], atol=1e-14)
 
     def test_spectrum_maps_eigenvalue_wise(self, rng):
         A = rng.standard_normal((30, 30))
         A = (A + A.T) / 2
-        raw = dense_eig(A).values
+        raw = dense_eig(A)
         nm = NormalizationMap.from_bounds(float(raw[0]), float(raw[-1]),
                                           tau=0.05)
-        mapped = dense_eig(op_to_dense(affine_operator(dense_operator(A), nm))).values
+        mapped = dense_eig(op_to_dense(affine_operator(dense_operator(A), nm)))
         np.testing.assert_allclose(mapped, nm.normalize(raw), atol=1e-12)
         assert np.all(np.abs(mapped) < 1.0)
 
@@ -171,7 +173,7 @@ class TestDeflatedOperator:
     def test_top_three_eigenvalues_land_at_zero(self):
         A = np.diag([5.0, 4.0, 3.0] + [1.0] * 7)
         defl = deflated_operator(dense_operator(A), np.eye(10)[:, :3])
-        values = dense_eig(op_to_dense(defl)).values
+        values = dense_eig(op_to_dense(defl))
         np.testing.assert_allclose(values[:3], 0.0, atol=1e-14)
         np.testing.assert_allclose(values[3:], 1.0, atol=1e-14)
 
@@ -222,8 +224,8 @@ class TestSumAndDifference:
         A = (A + A.T) / 2
         B = (B + B.T) / 2
         diff = difference_operator(dense_operator(A), dense_operator(B))
-        np.testing.assert_allclose(dense_eig(op_to_dense(diff)).values,
-                                   dense_eig(A - B).values, atol=1e-12)
+        np.testing.assert_allclose(dense_eig(op_to_dense(diff)),
+                                   dense_eig(A - B), atol=1e-12)
 
     def test_sum_of_scaled_identities(self):
         s = sum_operator(dense_operator(np.eye(3)),

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdens import net as net_module
 from specdens.errors import InputFormatError, UsageError
@@ -16,10 +18,13 @@ from specdens.pipeline import (
     GmmSpec,
     TrainConfig,
     TrainResult,
+    _first_per_class,
     gaussian_mixture,
     load_idx,
     train_sgd,
 )
+
+from oracles import first_per_class_loop
 
 
 def idx_image_bytes(images, magic=IDX_IMAGES_MAGIC):
@@ -121,6 +126,18 @@ class TestLoadIdx:
         np.testing.assert_array_equal(ds.y, [0, 1, 2, 0, 1, 2])
         np.testing.assert_allclose(ds.x, images.reshape(10, 6)[:6] / 255.0)
         assert ds.class_count == 3  # inferred before subsampling
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=40),
+           st.integers(min_value=1, max_value=4))
+    def test_first_per_class_matches_the_label_loop(self, labels, k):
+        """Random label streams: classes short of k, classes that never
+        appear below the largest label, and the empty stream."""
+        y = np.array(labels, dtype=np.int64)
+        class_count = int(y.max()) + 1 if y.size else 1
+        keep = _first_per_class(y, k, class_count)
+        assert keep.dtype == np.int64
+        np.testing.assert_array_equal(keep, first_per_class_loop(y, k))
 
     def test_limit_validation(self, tiny_idx):
         images, labels, tmp = tiny_idx

@@ -110,7 +110,7 @@ class TestSampledSpectra:
         # 50 bins keeps ~20 eigenvalues per occupied bin; finer grids just
         # measure the histogram's own shot noise, not the law
         A = sample(EnsembleSpec(kind="goe", p=1000, seed=1))
-        eigs = dense_eig(A).values
+        eigs = dense_eig(A)
         edges = np.linspace(-2.5, 2.5, 51)
         hist = np.histogram(eigs, bins=edges, density=True)[0]
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -122,7 +122,7 @@ class TestSampledSpectra:
     def test_wishart_bulk_matches_mp(self):
         p, n = 1000, 2000
         A = sample(EnsembleSpec(kind="spiked_wishart", p=p, n=n, seed=2))
-        eigs = dense_eig(A).values
+        eigs = dense_eig(A)
         gamma = n / p
         a, b = mp_support(gamma)
         edges = np.linspace(max(a - 0.3, 1e-3), b + 0.3, 51)
@@ -135,7 +135,7 @@ class TestSampledSpectra:
     def test_planted_spikes_appear_above_the_edge(self):
         spec = EnsembleSpec(kind="spiked_wishart", p=1000, n=1000,
                             spikes=(5.0, 4.0, 3.0), seed=3)
-        eigs = dense_eig(sample(spec)).values
+        eigs = dense_eig(sample(spec))
         _, edge = mp_support(1.0)
         outliers = eigs[eigs > edge + 0.25]
         assert len(outliers) == 3
@@ -147,7 +147,7 @@ class TestSampledSpectra:
     def test_pareto_has_heavy_upper_tail(self):
         spec = EnsembleSpec(kind="pareto_wishart", p=300, n=600, alpha=1.0,
                             seed=4)
-        eigs = dense_eig(sample(spec)).values
+        eigs = dense_eig(sample(spec))
         # heavy-tailed rows push the top eigenvalue orders of magnitude
         # beyond the light-tailed Wishart edge of ~(1+1/sqrt(2))^2 * scale
         assert eigs.max() > 50 * np.median(np.abs(eigs))
@@ -158,7 +158,7 @@ class TestSampledSpectra:
         # budget, not agreement in the limit
         A = sample(EnsembleSpec(kind="goe", p=800, seed=5))
         est = approx_spectrum(dense_operator(A), steps=64, n_vec=4, seed=0)
-        ref = density_from_eigenvalues(dense_eig(A).values, like=est)
+        ref = density_from_eigenvalues(dense_eig(A), like=est)
         assert tv_distance(est, ref) <= 0.2
 
 
