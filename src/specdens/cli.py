@@ -47,7 +47,7 @@ from .lanczos import (
     check_estimator,
 )
 from .linalg import DENSE_SIZE_CAP, dense_eig
-from .net import MlpSpec, load_checkpoint, save_checkpoint
+from .net import MlpSpec, hessian_operator, load_checkpoint, save_checkpoint
 from .operators import dense_operator
 from .pipeline import (
     METRICS_COLUMNS,
@@ -214,8 +214,6 @@ def _spectrum_operator(args) -> tuple:
     data_path = _require_file(args.data, "data config")
     data_cfg = _load_json(data_path, "data config")
     data, data_files = _dataset_from_config(data_cfg)
-    from .net import hessian_operator
-
     op = hessian_operator(ck.spec, ck.theta, data, which=args.which)
     params = {
         "checkpoint": str(ck_path), "data": data_cfg, "which": args.which,

@@ -164,9 +164,9 @@ class GaussNewtonParts:
     b2_factor: None = None  # always: B2 is matrix-free
 
     def total(self) -> SymmetricOperator:
-        s = sum_operator(sum_operator(self.a1, self.a2),
-                         sum_operator(self.b1, self.b2))
-        return SymmetricOperator(self.a1.dim, s.apply, label="a1+a2+b1+b2")
+        """A1 + A2 + B1 + B2, labelled ``a1+a2+b1+b2``."""
+        return sum_operator(sum_operator(self.a1, self.a2),
+                            sum_operator(self.b1, self.b2))
 
     def b2c_traces(self) -> np.ndarray:
         """Per-class trace of B2, normalized by the class example count.

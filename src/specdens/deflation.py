@@ -109,18 +109,8 @@ def low_rank_deflation(op: SymmetricOperator, count: int,
     """Find the top ``count`` eigenpairs and project them out.
 
     Returns the extracted spectrum and the deflated operator P A P with
-    P = I - Q Q^T. ``count = 0`` is a no-op: empty spectrum, operator
-    returned as is.
+    P = I - Q Q^T. ``count`` must be in [1, dim - 1], as
+    :func:`top_eigenpairs` checks.
     """
-    if count < 0:
-        raise UsageError("count must be nonnegative")
-    if count == 0:
-        empty = TopSpectrum(
-            values=np.empty(0),
-            basis=np.empty((op.dim, 0)),
-            residuals=np.empty(0),
-            matvecs=0,
-        )
-        return empty, op
     top = top_eigenpairs(op, count, seed=seed)
     return top, deflated_operator(op, top.basis)

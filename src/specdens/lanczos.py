@@ -71,7 +71,8 @@ class RitzSummary:
     eigenvectors; they always sum to 1. ``steps`` is how many iterations
     actually ran — fewer than requested only on lucky breakdown, which is
     flagged rather than hidden. ``residual`` is the norm of the residual
-    the last step left, beta_M, or 0 below the breakdown tolerance; by
+    the last step left, beta_M, or 0 when it is negligible against the
+    run's own coefficients (see :func:`_three_term`); by
     Paige's relation, Ritz pair i has residual ``residual * |y_M,i|``.
     Reports do not carry it: :meth:`to_dict` keeps its schema.
     """
@@ -159,24 +160,30 @@ def _start_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _three_term(op: SymmetricOperator, V1: np.ndarray,
-                steps: int) -> list[tuple[list, list, bool]]:
+                steps: int) -> list[tuple[TridiagonalMatrix, float, bool]]:
     """One bare recurrence per column of the Fortran-order block ``V1``.
 
     The recurrences share one block product per step and nothing else;
     this is not block Lanczos. Each column's alpha and beta come from its
     own dot product and norm and the updates are elementwise, so every
-    column gets the bits it would get alone in a one-column block. A
-    column that breaks down leaves the block and the rest go on. Three
+    column gets the bits it would get alone in a one-column block. Three
     working blocks, no reorthogonalization: memory stays O(p k) whatever
     ``steps`` is. A non-finite product, alpha or beta raises
-    :class:`NumericalError` at the step that produced it. Returns
-    (alphas, betas, breakdown) per column, with one beta per alpha: the
-    last is the norm of the residual the run ended on.
+    :class:`NumericalError` at the step that produced it.
+
+    A beta breaks its run down when it is at or below ``_BREAKDOWN_TOL``
+    times the largest |alpha| + beta the run has produced, so scaling the
+    operator by a power of two scales every coefficient and changes no
+    decision. The test runs once per step for every live column, the last
+    step included; a column that breaks down leaves the block and the
+    rest go on. Returns (T, residual, breakdown) per column: the
+    tridiagonal of the steps run, the beta of the last step (0 when it
+    failed the test), and whether the run stopped before ``steps``.
     """
     name = op.label or "<anon>"
     k = V1.shape[1]
     alphas, betas = [[] for _ in range(k)], [[] for _ in range(k)]
-    breakdown = [False] * k
+    scale, residual = [0.0] * k, [0.0] * k
     live = list(range(k))               # block column -> run
     V_prev = b = None
     V = V1
@@ -199,38 +206,24 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
                 f"step {m}")
         for r, x, y in zip(live, a, b):
             alphas[r].append(x)
-            betas[r].append(y)
+            scale[r] = max(scale[r], abs(x) + y)
+            residual[r] = y if y > _BREAKDOWN_TOL * scale[r] else 0.0
         if m == steps:
             break
-        keep = [x > _BREAKDOWN_TOL for x in b]
-        for r, kept in zip(live, keep):
-            breakdown[r] = not kept
+        keep = [residual[r] > 0.0 for r in live]
         if not all(keep):
             live = [r for r, kept in zip(live, keep) if kept]
             if not live:
                 break
             b = [x for x, kept in zip(b, keep) if kept]
             W, V = (np.asfortranarray(X[:, keep]) for X in (W, V))
+        for r, y in zip(live, b):
+            betas[r].append(y)
         V_prev = V
         V = W / b
-    return list(zip(alphas, betas, breakdown))
-
-
-def _summarize(runs) -> list[tuple[TridiagonalMatrix, RitzSummary]]:
-    """The tridiagonal and Ritz summary of each run, given as (alphas,
-    betas, seed, breakdown, residual), from one batched Ritz solve."""
-    Ts = [TridiagonalMatrix(alpha=np.array(a), beta=np.array(b))
-          for a, b, *_ in runs]
-    out = []
-    for T, pairs, (_, _, seed, breakdown, residual) in zip(Ts, ritz_pairs(Ts),
-                                                            runs):
-        if residual <= _BREAKDOWN_TOL:
-            residual = 0.0
-        out.append((T, RitzSummary(
-            theta=pairs.values, weights=pairs.first_components ** 2,
-            seed=seed, steps=T.order, breakdown=breakdown,
-            residual=residual)))
-    return out
+    return [(TridiagonalMatrix(alpha=np.array(a), beta=np.array(bs)), res,
+             len(a) < steps)
+            for a, bs, res in zip(alphas, betas, residual)]
 
 
 def _lockstep(op: SymmetricOperator, steps: int,
@@ -240,8 +233,11 @@ def _lockstep(op: SymmetricOperator, steps: int,
     V1 = np.asfortranarray(np.column_stack(
         [_start_vector(op.dim, np.random.default_rng(s)) for s in seeds]))
     runs = _three_term(op, V1, steps)
-    return _summarize([(a, b[:-1], s, broke, b[-1])
-                       for (a, b, broke), s in zip(runs, seeds)])
+    solved = ritz_pairs([T for T, _, _ in runs])
+    return [(T, RitzSummary(theta=pairs.values,
+                            weights=pairs.first_components ** 2, seed=seed,
+                            steps=T.order, breakdown=broke, residual=res))
+            for (T, res, broke), pairs, seed in zip(runs, solved, seeds)]
 
 
 def fast_lanczos(op: SymmetricOperator, steps: int,

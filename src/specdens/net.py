@@ -84,13 +84,6 @@ class MlpSpec:
             for din, dout in zip(self.layer_dims[:-1], self.layer_dims[1:])
         )
 
-    def to_dict(self) -> dict:
-        return {"layer_dims": list(self.layer_dims), "activation": self.activation}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(layer_dims=tuple(d["layer_dims"]), activation=d["activation"])
-
 
 def unflatten(spec: MlpSpec, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split a flat parameter vector into per-layer (weights, biases)."""

@@ -8,7 +8,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,16 +76,7 @@ class NormalizationMap:
         return np.asarray(t, dtype=np.float64) * self.half_width + self.center
 
     def to_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "half_width": self.half_width,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "delta": self.delta,
-            "tau": self.tau,
-            "raw_lambda_min": self.raw_lambda_min,
-            "raw_lambda_max": self.raw_lambda_max,
-        }
+        return asdict(self)
 
 
 class SymmetricOperator:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import struct
+import sys
 import typing
 import zlib
 from dataclasses import dataclass, field
@@ -34,9 +35,11 @@ IDX_LABELS_MAGIC = 0x00000801
 def _as_field(value, hint):
     """A JSON value as the field type ``hint`` asks for, or TypeError.
 
-    An int field takes an int, a float field an int or a float, a str field
-    a str, and a ``tuple[int, ...]`` field a list of ints; ``X | None`` also
-    takes null. A bool is not a number here.
+    An int field takes an int, a float field an int or a float of finite
+    float64 magnitude, a str field a str, and a ``tuple[int, ...]`` field a
+    list of ints; ``X | None`` also takes null. A bool is not a number
+    here, and NaN, the infinities (which ``json`` reads) and integers past
+    the float64 range are not floats.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -50,6 +53,8 @@ def _as_field(value, hint):
     kinds = (int, float) if hint is float else (hint,)
     if type(value) not in kinds:
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise TypeError(f"expected a finite number, got {value!r}")
     return value
 
 

@@ -108,15 +108,6 @@ class PowerLawFit:
     n_points: int
     window: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "exponent": self.exponent,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "window": list(self.window),
-        }
-
 
 def fit_power_law(density: SpectralDensity,
                   window: tuple[float, float]) -> PowerLawFit:

@@ -24,7 +24,6 @@ from specdens.lanczos import (
     _TRUNCATE_SIGMAS,
     RitzSummary,
     _start_vector,
-    _summarize,
 )
 from specdens import linalg
 from specdens.linalg import (
@@ -306,6 +305,7 @@ def slow_lanczos(op: SymmetricOperator, steps: int,
     beta: list[float] = []
     v_prev = None
     breakdown = False
+    scale = 0.0
     for m in range(1, steps + 1):
         V[:, m - 1] = v
         w = op.apply(v)
@@ -320,13 +320,18 @@ def slow_lanczos(op: SymmetricOperator, steps: int,
         for _ in range(2):
             w = w - basis @ (basis.T @ w)
         b = float(np.linalg.norm(w))
-        if b <= _BREAKDOWN_TOL:
+        scale = max(scale, abs(a) + b)
+        if b <= _BREAKDOWN_TOL * scale:
             breakdown = True
             break
         beta.append(b)
         v_prev = v
         v = w / b
-    return _summarize([(alpha, beta, seed, breakdown, 0.0)])[0]
+    T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
+    pairs = eig_tridiagonal(T)
+    return T, RitzSummary(theta=pairs.values,
+                          weights=pairs.first_components ** 2, seed=seed,
+                          steps=T.order, breakdown=breakdown)
 
 
 def explicit_residual_bounds(op: SymmetricOperator, steps: int,
@@ -349,6 +354,7 @@ def explicit_residual_bounds(op: SymmetricOperator, steps: int,
     alpha: list[float] = []
     beta: list[float] = []
     v_prev = None
+    scale = 0.0
     for j in range(m):
         V[:, j] = v
         w = op.apply(v)
@@ -359,7 +365,8 @@ def explicit_residual_bounds(op: SymmetricOperator, steps: int,
             break
         w = w - alpha[-1] * v
         b = float(np.linalg.norm(w))
-        if b <= _BREAKDOWN_TOL:
+        scale = max(scale, abs(alpha[-1]) + b)
+        if b <= _BREAKDOWN_TOL * scale:
             break
         beta.append(b)
         v_prev = v

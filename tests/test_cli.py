@@ -7,6 +7,7 @@ what a command imports and on BLAS thread counts need a fresh one.
 
 import gzip
 import json
+import math
 import os
 import re
 import struct
@@ -447,6 +448,19 @@ class TestSpectrum:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_tiny_scaled_matrix_has_unit_mass(self, tmp_path):
+        # every Lanczos beta of a 2^-40-scaled GOE is below 1e-12; breakdown
+        # is judged against the run's own coefficients, not that constant
+        path = tmp_path / "tiny.spdm"
+        write_matrix(path, 2.0 ** -40 * sample(EnsembleSpec(kind="goe", p=200,
+                                                            seed=5)))
+        rc = main(["spectrum", "--matrix", str(path), "--steps", "32",
+                   "--n-vec", "2", "--grid-points", "128",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "density.json").read_text())
+        assert report["mass"] == pytest.approx(1.0, abs=0.01)
+
     def test_deflate_must_be_positive(self, spiked_dir, tmp_path, capsys):
         rc = main(["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
                    "--deflate", "0", "--out-dir", str(tmp_path)])
@@ -886,11 +900,12 @@ class TestEmptyData:
         data = {"kind": "idx", "images": str(tmp_path / "images"),
                 "labels": str(tmp_path / "labels")}
         # an empty label file has one class, so a one-class net fits it
-        spec = MlpSpec(layer_dims=(4, 3, 1))
+        model = {"layer_dims": [4, 3, 1], "activation": "tanh"}
+        spec = MlpSpec(layer_dims=tuple(model["layer_dims"]))
         out = str(tmp_path / "out")
         if command == "train":
             cfg = write_json(tmp_path / "train.json", {
-                "data": data, "model": spec.to_dict(),
+                "data": data, "model": model,
                 "train": {"epochs": 1, "lr": 0.1}})
             argv = ["train", "--config", str(cfg), "--out-dir", out]
         else:
@@ -986,6 +1001,29 @@ class TestTrainInputFuzz:
         config[section][key] = value
         assert self.run_train(inputs, config) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, pytest.param(10 ** 400, id="10**400")])
+    @pytest.mark.parametrize("section,key", [
+        ("data", "separation"), ("data", "std"), ("train", "lr"),
+        ("train", "momentum"), ("train", "weight_decay"),
+        ("train", "anneal_factor")])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, section,
+                                              key, value):
+        # json writes and reads NaN, Infinity and -Infinity, and integers of
+        # any length; a float key rejects them with the config, before
+        # training could diverge or overflow or any output is written
+        config = {"data": dict(FUZZ_GMM), "model": dict(FUZZ_MODEL),
+                  "train": dict(FUZZ_TRAIN)}
+        config[section][key] = value
+        cfg = write_json(tmp_path / "train.json", config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["train", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"{key}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @_seeded_with_wrong_types

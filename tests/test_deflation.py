@@ -107,13 +107,10 @@ class TestLowRankDeflation:
         np.testing.assert_allclose(values[:3], 0.0, atol=1e-8)
         np.testing.assert_allclose(values[3:], 1.0, atol=1e-8)
 
-    def test_count_zero_is_identity_passthrough(self, rng):
+    def test_count_zero_rejected(self, rng):
         A = rng.standard_normal((20, 20))
-        op = dense_operator((A + A.T) / 2)
-        top, defl = low_rank_deflation(op, 0)
-        assert top.count == 0
-        assert defl is op
-        assert top.basis.shape == (20, 0)
+        with pytest.raises(UsageError, match="count must be in"):
+            low_rank_deflation(dense_operator((A + A.T) / 2), 0)
 
     def test_negative_count_rejected(self):
         with pytest.raises(UsageError):

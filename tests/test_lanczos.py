@@ -96,6 +96,19 @@ class TestFastLanczos:
         assert summary.breakdown
         assert summary.steps == 10
 
+    @pytest.mark.parametrize("exponent", [-70, 60])
+    def test_breakdowns_are_flagged_at_any_scale(self, exponent):
+        # breakdown is judged against the run's own coefficients, so the
+        # exhaustion at p = 10 and the identity's step-1 collapse are seen
+        # on scaled operators as on the plain ones
+        scale = 2.0 ** exponent
+        op = dense_operator(scale * random_symmetric(10, 1))
+        _, exhausted = fast_lanczos(op, 25, seed=0)
+        assert (exhausted.breakdown, exhausted.steps) == (True, 10)
+        _, flat = fast_lanczos(dense_operator(scale * np.eye(6)), 5, seed=0)
+        assert (flat.breakdown, flat.steps) == (True, 1)
+        assert flat.residual == 0.0
+
     def test_zero_steps_rejected(self):
         with pytest.raises(UsageError):
             fast_lanczos(dense_operator(np.eye(3)), 0, seed=0)
@@ -153,9 +166,14 @@ class TestLockstep:
         V1[:, 1] /= np.linalg.norm(V1[:, 1])
         runs = lanczos._three_term(op, V1, 8)
         assert [broke for _, _, broke in runs] == [True, False]
-        assert runs[0][:2] == ([4.0], [0.0])
-        for j, run in enumerate(runs):
-            assert run == lanczos._three_term(op, V1[:, [j]], 8)[0]
+        T, residual, _ = runs[0]
+        assert (T.alpha.tolist(), T.beta.tolist(), residual) == ([4.0], [], 0.0)
+        for j, (T, residual, broke) in enumerate(runs):
+            (alone, alone_residual, alone_broke), = lanczos._three_term(
+                op, V1[:, [j]], 8)
+            assert np.array_equal(T.alpha, alone.alpha)
+            assert np.array_equal(T.beta, alone.beta)
+            assert (residual, broke) == (alone_residual, alone_broke)
 
     def test_network_operator_gets_one_vector_at_a_time(self, monkeypatch,
                                                         trained_tiny_net):
@@ -232,6 +250,16 @@ class TestEstimateRange:
         # and is not wildly loose: margin stays within ~3x the tau widening
         width = true[-1] - true[0]
         assert nm.lambda_max - nm.lambda_min <= width * (1 + 8 * DEFAULT_RANGE_TAU)
+
+    @pytest.mark.parametrize("exponent", [-70, -40, 60])
+    def test_power_of_two_scaling_scales_the_range_exactly(self, exponent):
+        A = sample(EnsembleSpec(kind="goe", p=200, seed=0))
+        scale = 2.0 ** exponent
+        ref = estimate_range(dense_operator(A), seed=1)
+        got = estimate_range(dense_operator(scale * A), seed=1)
+        for name in ("center", "half_width", "lambda_min", "lambda_max",
+                     "raw_lambda_min", "raw_lambda_max"):
+            assert getattr(got, name) / scale == getattr(ref, name)
 
     def test_degenerate_spectrum_raises(self):
         # dim 1 gives an exactly-zero residual, so the collapse is certain;
@@ -440,6 +468,27 @@ class TestApproxSpectrum:
         np.testing.assert_allclose(db.values, da.values[::-1], atol=1e-12)
         for sa, sb in zip(da.ritz, db.ritz):
             np.testing.assert_allclose(sb.theta, -sa.theta[::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-70, -40, 60])
+    def test_power_of_two_scaling_scales_the_density_exactly(self, exponent):
+        # even exponents only: the square root in the Ritz solve's shifted
+        # factor rounds differently at odd ones
+        A = sample(EnsembleSpec(kind="goe", p=200, seed=0))
+        scale = 2.0 ** exponent
+        ref = approx_spectrum(dense_operator(A), steps=48, n_vec=2, seed=3)
+        got = approx_spectrum(dense_operator(scale * A), steps=48, n_vec=2,
+                              seed=3)
+        assert np.array_equal(got.grid / scale, ref.grid)
+        assert np.array_equal(got.values * scale, ref.values)
+        for a, b in zip(got.ritz, ref.ritz):
+            assert np.array_equal(a.theta, b.theta)
+            assert np.array_equal(a.weights, b.weights)
+
+    def test_tiny_operator_keeps_unit_mass(self):
+        # a 1e-12 scale puts every beta of the range estimate near 1e-12
+        A = 1e-12 * sample(EnsembleSpec(kind="goe", p=200, seed=0))
+        est = approx_spectrum(dense_operator(A), steps=48, n_vec=2, seed=3)
+        assert est.mass() == pytest.approx(1.0, abs=0.01)
 
     def test_generic_affine_map_loose(self):
         # a*A + b*I: the recurrence is chaotic past loss of orthogonality,

@@ -92,10 +92,6 @@ class TestSpecAndLayout:
         with pytest.raises(UsageError):
             MlpSpec(layer_dims=(4, 8, 3), activation="gelu")
 
-    def test_dict_round_trip(self):
-        spec = MlpSpec(layer_dims=(5, 7, 2), activation="relu")
-        assert MlpSpec.from_dict(spec.to_dict()) == spec
-
     def test_flatten_unflatten_identity(self, rng):
         spec = MlpSpec(layer_dims=(4, 6, 5, 3))
         theta = rng.standard_normal(spec.param_count)

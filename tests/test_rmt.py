@@ -191,10 +191,3 @@ class TestPowerLawFit:
         density = self.synthetic_density(-1.0, 1.0)
         with pytest.raises(UsageError, match="at least 5"):
             fit_power_law(density, window=(200.0, 300.0))
-
-    def test_to_dict_fields(self):
-        fit = fit_power_law(self.synthetic_density(-1.5, 2.0), (2.0, 50.0))
-        d = fit.to_dict()
-        assert set(d) == {"amplitude", "exponent", "r_squared", "n_points",
-                          "window"}
-        assert d["n_points"] == fit.n_points
