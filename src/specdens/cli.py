@@ -52,6 +52,7 @@ from .operators import dense_operator
 from .pipeline import (
     METRICS_COLUMNS,
     GmmSpec,
+    IdxSpec,
     TrainConfig,
     _strict_from_dict,
     gaussian_mixture,
@@ -75,9 +76,7 @@ DENSITY_JSON_SCHEMA = "density-report/v1"
 TOP_JSON_SCHEMA = "top-spectrum/v2"
 
 
-def _require_file(path, what: str) -> Path:
-    if not isinstance(path, (str, Path)):
-        raise UsageError(f"{what} must be a path string, got {path!r}")
+def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{what} not found: {p}")
@@ -105,32 +104,38 @@ def _out_dir(args) -> Path:
 # dataset configs: {"kind": "gmm", ...} or {"kind": "idx", ...}
 # ---------------------------------------------------------------------------
 
-def _dataset_from_config(cfg: dict) -> tuple[LabeledDataset, list]:
-    """Build the dataset a config describes; also return its input files."""
+def _datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset, list]:
+    """The train and test sets a data config describes, and its input
+    files. An idx config names one set, which serves as both; a gmm
+    config's ``split`` picks the set a curvature command reads."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
     if kind == "gmm":
         split = cfg.pop("split", "train")
         if split not in ("train", "test"):
             raise UsageError(f"gmm split must be 'train' or 'test', got {split!r}")
-        spec = GmmSpec.from_dict(cfg)
-        train, test = gaussian_mixture(spec)
-        return (train if split == "train" else test), []
+        train, test = gaussian_mixture(GmmSpec.from_dict(cfg))
+        return train, test, []
     if kind == "idx":
-        unknown = set(cfg) - {"images", "labels", "limit_per_class"}
-        if unknown:
-            raise UsageError(f"unknown idx data key(s): {', '.join(sorted(unknown))}")
-        for key in ("images", "labels"):
-            if key not in cfg:
-                raise UsageError(f"idx data config needs {key!r}")
-        images = _require_file(cfg["images"], "images file")
-        labels = _require_file(cfg["labels"], "labels file")
-        limit = cfg.get("limit_per_class")
-        if limit is not None and type(limit) is not int:
-            raise UsageError(f"limit_per_class must be an integer, got {limit!r}")
-        data = load_idx(images, labels, limit_per_class=limit)
-        return data, [images, labels]
+        spec = _strict_from_dict(IdxSpec, cfg, "idx data config")
+        images = _require_file(spec.images, "images file")
+        labels = _require_file(spec.labels, "labels file")
+        data = load_idx(images, labels, limit_per_class=spec.limit_per_class)
+        return data, data, [images, labels]
     raise UsageError(f"unknown data kind {kind!r}; pick 'gmm' or 'idx'")
+
+
+def _curvature_inputs(args) -> tuple:
+    """Load ``--checkpoint`` and the set ``--data`` names; return the
+    checkpoint, the set, the manifest params and the input files."""
+    ck_path = _require_file(args.checkpoint, "checkpoint")
+    ck = load_checkpoint(ck_path)
+    data_path = _require_file(args.data, "data config")
+    data_cfg = _load_json(data_path, "data config")
+    train, test, data_files = _datasets(data_cfg)
+    data = test if data_cfg.get("split") == "test" else train
+    params = {"checkpoint": str(ck_path), "data": data_cfg, "epoch": ck.epoch}
+    return ck, data, params, [ck_path, data_path, *data_files]
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +214,9 @@ def _spectrum_operator(args) -> tuple:
         raise UsageError("need an input: --matrix FILE, or --checkpoint with --data")
     if args.data is None:
         raise UsageError("--checkpoint needs --data pointing at a dataset config")
-    ck_path = _require_file(args.checkpoint, "checkpoint")
-    ck = load_checkpoint(ck_path)
-    data_path = _require_file(args.data, "data config")
-    data_cfg = _load_json(data_path, "data config")
-    data, data_files = _dataset_from_config(data_cfg)
+    ck, data, params, inputs = _curvature_inputs(args)
     op = hessian_operator(ck.spec, ck.theta, data, which=args.which)
-    params = {
-        "checkpoint": str(ck_path), "data": data_cfg, "which": args.which,
-        "epoch": ck.epoch,
-    }
-    return op, params, [ck_path, data_path, *data_files]
+    return op, {**params, "which": args.which}, inputs
 
 
 def _density_rows(density: SpectralDensity) -> list:
@@ -236,6 +233,9 @@ def cmd_spectrum(args) -> int:
     if args.deflate is not None and args.deflate < 1:
         raise UsageError("--deflate takes a positive count")
     op, in_params, inputs = _spectrum_operator(args)
+    if args.deflate is not None and args.deflate >= op.dim:
+        raise UsageError(f"--deflate takes 1 to p - 1 = {op.dim - 1}, "
+                         f"got {args.deflate}")
 
     est_params = {
         "steps": steps, "grid_points": args.grid_points, "n_vec": args.n_vec,
@@ -298,12 +298,7 @@ def cmd_decompose(args) -> int:
     steps = args.steps if args.steps is not None else DEFAULT_LOG_STEPS
     check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
                     args.epsilon)
-    ck_path = _require_file(args.checkpoint, "checkpoint")
-    ck = load_checkpoint(ck_path)
-    data_path = _require_file(args.data, "data config")
-    data_cfg = _load_json(data_path, "data config")
-    data, data_files = _dataset_from_config(data_cfg)
-
+    ck, data, params, inputs = _curvature_inputs(args)
     estimator = {
         "steps": steps,
         "grid_points": args.grid_points,
@@ -313,11 +308,8 @@ def cmd_decompose(args) -> int:
         "seed": args.seed,
     }
     out = _out_dir(args)
-    manifest = build_manifest(
-        "decompose",
-        {"checkpoint": str(ck_path), "data": data_cfg, "epoch": ck.epoch,
-         "estimator": estimator},
-        inputs=[ck_path, data_path, *data_files], version=__version__)
+    manifest = build_manifest("decompose", {**params, "estimator": estimator},
+                              inputs=inputs, version=__version__)
 
     report = component_attribution(ck.spec, ck.theta, data, **estimator)
     report["manifest"] = manifest["id"]
@@ -344,15 +336,7 @@ def cmd_train(args) -> int:
         if section not in cfg or not isinstance(cfg[section], dict):
             raise UsageError(f"config needs a {section!r} object")
 
-    data_cfg = dict(cfg["data"])
-    data_cfg.pop("split", None)                  # training always uses both
-    if data_cfg.get("kind") == "gmm":
-        train_data, data_files = _dataset_from_config({**data_cfg, "split": "train"})
-        test_data, _ = _dataset_from_config({**data_cfg, "split": "test"})
-    else:
-        train_data, data_files = _dataset_from_config(data_cfg)
-        test_data = train_data                   # idx configs carry one split
-
+    train_data, test_data, data_files = _datasets(cfg["data"])
     spec = _strict_from_dict(MlpSpec, cfg["model"], "model config")
     config = TrainConfig.from_dict(cfg["train"])
 

@@ -39,6 +39,7 @@ import numpy as np
 from .data import LabeledDataset, one_hot
 from .errors import DimensionMismatchError, InputFormatError, UsageError
 from .operators import SymmetricOperator
+from .storage import atomic_write_bytes
 
 _CHECKPOINT_VERSION = 1
 
@@ -467,8 +468,6 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
         payload["velocity"] = np.asarray(ck.velocity, dtype=np.float64)
     buf = io.BytesIO()
     np.savez(buf, **payload)
-    from .storage import atomic_write_bytes
-
     atomic_write_bytes(path, buf.getvalue())
 
 

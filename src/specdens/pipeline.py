@@ -119,26 +119,31 @@ class GmmSpec:
 def gaussian_mixture(spec: GmmSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic train/test draw. Class c is N(separation * e_c, std^2 I)."""
     rng = np.random.default_rng(spec.seed)
-    n_test = spec.n_test_per_class or spec.n_per_class
     means = np.zeros((spec.classes, spec.dim))
     means[np.arange(spec.classes), np.arange(spec.classes)] = spec.separation
 
     def draw(count: int, split: str) -> LabeledDataset:
-        xs, ys = [], []
-        for c in range(spec.classes):
-            xs.append(means[c] + spec.std * rng.standard_normal((count, spec.dim)))
-            ys.append(np.full(count, c, dtype=np.int64))
-        return LabeledDataset(
-            x=np.vstack(xs), y=np.concatenate(ys),
-            class_count=spec.classes, split=split,
-        )
+        y = np.repeat(np.arange(spec.classes, dtype=np.int64), count)
+        z = rng.standard_normal((spec.classes * count, spec.dim))
+        return LabeledDataset(x=means[y] + spec.std * z, y=y,
+                              class_count=spec.classes, split=split)
 
-    return draw(spec.n_per_class, "train"), draw(n_test, "test")
+    return (draw(spec.n_per_class, "train"),
+            draw(spec.n_test_per_class or spec.n_per_class, "test"))
 
 
 # ---------------------------------------------------------------------------
 # IDX image/label files
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IdxSpec:
+    """An IDX image/label file pair, read by :func:`load_idx`."""
+
+    images: str
+    labels: str
+    limit_per_class: int | None = None
+
 
 def _read_maybe_gzip(path) -> bytes:
     with open(path, "rb") as fh:
@@ -225,7 +230,8 @@ class TrainConfig:
     ``anneal_at`` defaults to one- and two-thirds of the run; at each
     listed epoch boundary the learning rate is multiplied by
     ``anneal_factor``. ``checkpoint_epochs`` defaults to the geometric set
-    {0, 1, 2, 4, 8, ...} plus the final epoch.
+    {0, 1, 2, 4, 8, ...}; the final epoch is always added. Both are
+    resolved on construction.
     """
 
     epochs: int
@@ -249,45 +255,29 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if self.anneal_at is not None:
-            object.__setattr__(self, "anneal_at",
-                               tuple(int(e) for e in self.anneal_at))
-        if self.checkpoint_epochs is not None:
-            object.__setattr__(self, "checkpoint_epochs",
-                               tuple(int(e) for e in self.checkpoint_epochs))
+        epochs = int(self.epochs)
+        anneal = self.anneal_at
+        if anneal is None:
+            anneal = (epochs // 3, (2 * epochs) // 3)
+        checkpoints = self.checkpoint_epochs
+        if checkpoints is None:
+            checkpoints = [0, *(1 << k for k in range(epochs.bit_length()))]
+        object.__setattr__(self, "anneal_at", tuple(int(e) for e in anneal))
+        object.__setattr__(self, "checkpoint_epochs", tuple(
+            sorted({int(e) for e in checkpoints} | {epochs})))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return _strict_from_dict(cls, d, "train config")
 
-    def anneal_points(self) -> tuple[int, ...]:
-        if self.anneal_at is not None:
-            return self.anneal_at
-        return (self.epochs // 3, (2 * self.epochs) // 3)
-
     def lr_for_epoch(self, epoch: int) -> float:
         """Learning rate in effect during 1-based epoch ``epoch``."""
-        stage = sum(1 for a in self.anneal_points() if 0 < a < epoch)
+        stage = sum(1 for a in self.anneal_at if 0 < a < epoch)
         return self.lr * self.anneal_factor ** stage
 
-    def checkpoint_set(self) -> set[int]:
-        if self.checkpoint_epochs is not None:
-            return set(self.checkpoint_epochs) | {self.epochs}
-        out = {0, self.epochs}
-        k = 1
-        while k <= self.epochs:
-            out.add(k)
-            k *= 2
-        return out
-
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "lr": self.lr, "momentum": self.momentum,
-            "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-            "seed": self.seed, "anneal_factor": self.anneal_factor,
-            "anneal_at": list(self.anneal_points()),
-            "checkpoint_epochs": sorted(self.checkpoint_set()),
-        }
+        return {**dataclasses.asdict(self), "anneal_at": list(self.anneal_at),
+                "checkpoint_epochs": list(self.checkpoint_epochs)}
 
 
 @dataclass(frozen=True)
@@ -355,7 +345,6 @@ def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
         start_epoch = resume_from.epoch
         seed = resume_from.seed
 
-    ck_set = config.checkpoint_set()
     result = TrainResult()
 
     def evaluate(epoch: int, lr_now: float) -> EpochMetrics:
@@ -375,7 +364,7 @@ def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
 
     if start_epoch == 0:
         result.metrics.append(evaluate(0, config.lr_for_epoch(1)))
-        if 0 in ck_set:
+        if 0 in config.checkpoint_epochs:
             result.checkpoints.append(snapshot(0, config.lr_for_epoch(1)))
 
     n = train.n
@@ -396,6 +385,6 @@ def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
             result.diverged = True
             break
         result.metrics.append(row)
-        if epoch in ck_set:
+        if epoch in config.checkpoint_epochs:
             result.checkpoints.append(snapshot(epoch, lr_now))
     return result

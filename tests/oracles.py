@@ -494,6 +494,26 @@ def accumulate_bumps_loop(centers, weights, grid, sigma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian-mixture draw, one class at a time
+# ---------------------------------------------------------------------------
+
+def gaussian_mixture_loop(spec) -> tuple:
+    """(x, y) of the train and test splits, drawn class by class from one
+    generator: the reference for ``pipeline.gaussian_mixture``."""
+    rng = np.random.default_rng(spec.seed)
+    splits = []
+    for count in (spec.n_per_class, spec.n_test_per_class or spec.n_per_class):
+        xs, ys = [], []
+        for c in range(spec.classes):
+            mean = np.zeros(spec.dim)
+            mean[c] = spec.separation
+            xs.append(mean + spec.std * rng.standard_normal((count, spec.dim)))
+            ys.append(np.full(count, c, dtype=np.int64))
+        splits.append((np.vstack(xs), np.concatenate(ys)))
+    return tuple(splits)
+
+
+# ---------------------------------------------------------------------------
 # per-class subsampling, one label at a time
 # ---------------------------------------------------------------------------
 

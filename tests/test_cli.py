@@ -33,6 +33,7 @@ from specdens.net import (
     load_checkpoint,
     save_checkpoint,
 )
+from specdens.pipeline import gaussian_mixture
 from specdens.rmt import EnsembleSpec, sample
 from specdens.storage import (
     MATRIX_MAGIC,
@@ -467,6 +468,16 @@ class TestSpectrum:
         assert rc == 2
         capsys.readouterr()
 
+    def test_deflate_must_leave_a_remainder(self, goe_dir, tmp_path, capsys):
+        matrix = goe_dir / "matrix.spdm"
+        p = read_matrix(matrix).shape[0]
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--matrix", str(matrix), "--deflate", str(p),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert f"1 to p - 1 = {p - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_log_axis_route(self, spiked_dir, tmp_path):
         rc = main(["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
                    "--log", "--steps", "64", "--n-vec", "2",
@@ -548,6 +559,29 @@ class TestTrain:
         assert main(["train", "--config", str(bad),
                      "--out-dir", str(tmp_path)]) == 2
         assert "unknown config section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", [5, "weird", None])
+    def test_gmm_split_outside_the_rule_is_usage(self, train_run, tmp_path,
+                                                 capsys, split):
+        doc = json.loads(train_run["config"].read_text())
+        doc["data"] = {**doc["data"], "split": split}
+        cfg = write_json(tmp_path / "train.json", doc)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "gmm split" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gmm_is_drawn_once(self, train_run, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return gaussian_mixture(spec)
+
+        monkeypatch.setattr("specdens.cli.gaussian_mixture", spy)
+        assert main(["train", "--config", str(train_run["config"]),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_divergence_exits_4_and_keeps_last_good(self, train_run, tmp_path,
                                                     capsys):
@@ -720,6 +754,52 @@ class TestCheckpointAnalysis:
                    "--data", str(data), "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "gzip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_decompose_g_is_the_spectrum_of_g(self, train_run, tmp_path,
+                                               split):
+        data = write_json(tmp_path / "data.json", {
+            **GMM_DATA, "n_test_per_class": 7, "split": split})
+        flags = ["--steps", "48", "--n-vec", "2", "--grid-points", "128",
+                 "--seed", "11"]
+        assert main(["spectrum", "--checkpoint", str(train_run["final"]),
+                     "--data", str(data), "--which", "g", "--log", *flags,
+                     "--out-dir", str(tmp_path / "s")]) == 0
+        assert main(decompose_args(train_run["final"], data, tmp_path / "d",
+                                   *flags)) == 0
+        density = json.loads((tmp_path / "s" / "density.json").read_text())
+        report = json.loads((tmp_path / "d" / "attribution.json").read_text())
+        g = report["densities"]["g"]
+        assert g.pop("method") == "slq"
+        assert g == density["density"]
+        assert [r["steps"] for r in g["ritz"]] == [48, 48]
+        assert report["n_examples"] == {"train": 60, "test": 21}[split]
+
+    @pytest.mark.parametrize("command", ["train", "spectrum", "decompose"])
+    def test_idx_takes_no_split(self, train_run, tmp_path, capsys, command):
+        images, labels = idx_pair(range(24), [0, 1, 2, 0, 1, 2])
+        (tmp_path / "images").write_bytes(images)
+        (tmp_path / "labels").write_bytes(labels)
+        idx = {"kind": "idx", "images": str(tmp_path / "images"),
+               "labels": str(tmp_path / "labels")}
+
+        def run(data, out):
+            if command == "train":
+                doc = json.loads(train_run["config"].read_text())
+                cfg = write_json(tmp_path / "train.json", {**doc, "data": data})
+                argv = ["train", "--config", str(cfg)]
+            else:
+                argv = [command, "--checkpoint", str(train_run["final"]),
+                        "--data", str(write_json(tmp_path / "data.json", data)),
+                        "--steps", "8"]
+            return main([*argv, "--out-dir", str(out)])
+
+        assert run(idx, tmp_path / "ok") == 0
+        out = tmp_path / "out"
+        assert run({**idx, "split": "train"}, out) == 2
+        assert "unknown idx data config key(s): split" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_split_value(self, train_run, tmp_path, capsys):
         wrong = tmp_path / "weird.json"

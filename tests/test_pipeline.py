@@ -24,7 +24,7 @@ from specdens.pipeline import (
     train_sgd,
 )
 
-from oracles import first_per_class_loop
+from oracles import first_per_class_loop, gaussian_mixture_loop
 
 
 def idx_image_bytes(images, magic=IDX_IMAGES_MAGIC):
@@ -164,6 +164,17 @@ class TestGaussianMixture:
         np.testing.assert_array_equal(np.bincount(train.y), [7, 7])
         np.testing.assert_array_equal(np.bincount(test.y), [4, 4])
 
+    @pytest.mark.parametrize("spec", [
+        GmmSpec(classes=3, n_per_class=5, dim=4, separation=2.0, seed=3),
+        GmmSpec(classes=4, n_per_class=3, dim=6, separation=1.5, std=0.7,
+                n_test_per_class=2, seed=9),
+    ])
+    def test_matches_the_class_by_class_draw(self, spec):
+        train, test = gaussian_mixture(spec)
+        for data, (x, y) in zip((train, test), gaussian_mixture_loop(spec)):
+            assert np.array_equal(data.x, x)
+            assert np.array_equal(data.y, y) and data.y.dtype == np.int64
+
     def test_class_means_sit_on_their_axes(self):
         spec = GmmSpec(classes=3, n_per_class=4000, dim=4, separation=6.0,
                        std=1.0, seed=1)
@@ -202,8 +213,8 @@ class TestTrainConfig:
             TrainConfig(epochs=1, lr=0.1, batch_size=0)
 
     def test_default_anneal_points_are_thirds(self):
-        assert TrainConfig(epochs=9, lr=0.1).anneal_points() == (3, 6)
-        assert TrainConfig(epochs=4, lr=0.1).anneal_points() == (1, 2)
+        assert TrainConfig(epochs=9, lr=0.1).anneal_at == (3, 6)
+        assert TrainConfig(epochs=4, lr=0.1).anneal_at == (1, 2)
 
     def test_lr_schedule_stages(self):
         """The rate drops the epoch after each anneal point."""
@@ -217,20 +228,23 @@ class TestTrainConfig:
         assert cfg.lr_for_epoch(1) == 1.0
 
     def test_checkpoint_set_default_is_geometric(self):
-        assert TrainConfig(epochs=10, lr=0.1).checkpoint_set() == \
-            {0, 1, 2, 4, 8, 10}
-        assert TrainConfig(epochs=1, lr=0.1).checkpoint_set() == {0, 1}
+        assert TrainConfig(epochs=10, lr=0.1).checkpoint_epochs == \
+            (0, 1, 2, 4, 8, 10)
+        assert TrainConfig(epochs=8, lr=0.1).checkpoint_epochs == \
+            (0, 1, 2, 4, 8)
+        assert TrainConfig(epochs=1, lr=0.1).checkpoint_epochs == (0, 1)
 
     def test_explicit_checkpoints_always_include_final(self):
         cfg = TrainConfig(epochs=10, lr=0.1, checkpoint_epochs=(3,))
-        assert cfg.checkpoint_set() == {3, 10}
+        assert cfg.checkpoint_epochs == (3, 10)
 
     def test_from_dict_strict_and_roundtrip(self):
         cfg = TrainConfig(epochs=6, lr=0.2, anneal_at=(2,))
         again = TrainConfig.from_dict(
             {k: v for k, v in cfg.to_dict().items()
              if k != "checkpoint_epochs"})
-        assert again.anneal_points() == (2,)
+        assert again.anneal_at == (2,)
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(UsageError, match="unknown train config key"):
             TrainConfig.from_dict({"epochs": 1, "lr": 0.1, "turbo": True})
 
@@ -265,7 +279,7 @@ class TestTrainSgd:
         cfg = TrainConfig(epochs=6, lr=0.1, batch_size=16, seed=1)
         result = train_sgd(net_spec, train, test, cfg)
         assert [c.epoch for c in result.checkpoints] == \
-            sorted(cfg.checkpoint_set())
+            list(cfg.checkpoint_epochs)
         assert result.final.epoch == 6
         assert result.final.meta["config"]["epochs"] == 6
 
