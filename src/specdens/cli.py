@@ -47,7 +47,13 @@ from .lanczos import (
     check_estimator,
 )
 from .linalg import DENSE_SIZE_CAP, dense_eig
-from .net import MlpSpec, hessian_operator, load_checkpoint, save_checkpoint
+from .net import (
+    MlpSpec,
+    hessian_operator,
+    linearize,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .operators import dense_operator
 from .pipeline import (
     METRICS_COLUMNS,
@@ -126,8 +132,9 @@ def _datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset, list]:
 
 
 def _curvature_inputs(args) -> tuple:
-    """Load ``--checkpoint`` and the set ``--data`` names; return the
-    checkpoint, the set, the manifest params and the input files."""
+    """Load ``--checkpoint`` and the set ``--data`` names, and linearize the
+    network on that set once; return the linearization, the manifest
+    params and the input files."""
     ck_path = _require_file(args.checkpoint, "checkpoint")
     ck = load_checkpoint(ck_path)
     data_path = _require_file(args.data, "data config")
@@ -135,7 +142,8 @@ def _curvature_inputs(args) -> tuple:
     train, test, data_files = _datasets(data_cfg)
     data = test if data_cfg.get("split") == "test" else train
     params = {"checkpoint": str(ck_path), "data": data_cfg, "epoch": ck.epoch}
-    return ck, data, params, [ck_path, data_path, *data_files]
+    return (linearize(ck.spec, ck.theta, data), params,
+            [ck_path, data_path, *data_files])
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +222,8 @@ def _spectrum_operator(args) -> tuple:
         raise UsageError("need an input: --matrix FILE, or --checkpoint with --data")
     if args.data is None:
         raise UsageError("--checkpoint needs --data pointing at a dataset config")
-    ck, data, params, inputs = _curvature_inputs(args)
-    op = hessian_operator(ck.spec, ck.theta, data, which=args.which)
+    lin, params, inputs = _curvature_inputs(args)
+    op = hessian_operator(lin, which=args.which)
     return op, {**params, "which": args.which}, inputs
 
 
@@ -298,7 +306,7 @@ def cmd_decompose(args) -> int:
     steps = args.steps if args.steps is not None else DEFAULT_LOG_STEPS
     check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
                     args.epsilon)
-    ck, data, params, inputs = _curvature_inputs(args)
+    lin, params, inputs = _curvature_inputs(args)
     estimator = {
         "steps": steps,
         "grid_points": args.grid_points,
@@ -311,7 +319,7 @@ def cmd_decompose(args) -> int:
     manifest = build_manifest("decompose", {**params, "estimator": estimator},
                               inputs=inputs, version=__version__)
 
-    report = component_attribution(ck.spec, ck.theta, data, **estimator)
+    report = component_attribution(lin, **estimator)
     report["manifest"] = manifest["id"]
     report_path = out / "attribution.json"
     atomic_write_text(report_path, json.dumps(report, indent=2) + "\n")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, one_hot
+from .data import one_hot
 from .errors import InputFormatError
 from .lanczos import (
     DEFAULT_GRID,
@@ -39,7 +39,7 @@ from .lanczos import (
     exact_log_spectrum,
 )
 from .linalg import dense_eig
-from .net import Linearization, MlpSpec, hessian_operator, linearize
+from .net import Linearization, hessian_operator
 from .operators import SymmetricOperator, difference_operator, sum_operator
 
 REPORT_SCHEMA = "attribution-report/v2"
@@ -71,7 +71,7 @@ class ClusterStats:
     n_total: int
 
 
-def cluster_statistics(lin: Linearization, labels: np.ndarray) -> ClusterStats:
+def cluster_statistics(lin: Linearization) -> ClusterStats:
     """Masses, means and weighted squared norms of every (true class c,
     class c') cluster, from 2 C^2 backward passes over class-c rows."""
     C = lin.spec.class_count
@@ -79,12 +79,12 @@ def cluster_statistics(lin: Linearization, labels: np.ndarray) -> ClusterStats:
     class_prob = np.zeros((C, C))
     class_mean = np.zeros((C, C, p))
     sq_norm_sums = np.zeros(C)
-    counts = np.bincount(labels, minlength=C)
+    counts = np.bincount(lin.labels, minlength=C)
     eye = np.eye(C)
     for c in range(C):
         if counts[c] == 0:
             continue
-        sub = lin.rows(labels == c)
+        sub = lin.rows(lin.labels == c)
         P = sub.probs
         class_prob[c] = P.sum(axis=0)
         for c2 in range(C):
@@ -107,7 +107,7 @@ def cluster_statistics(lin: Linearization, labels: np.ndarray) -> ClusterStats:
         off_mean=off_mean,
         sq_norm_sums=sq_norm_sums,
         counts=counts,
-        n_total=int(labels.size),
+        n_total=lin.n,
     )
 
 
@@ -148,8 +148,7 @@ class GaussNewtonParts:
 
     A1, A2 and B1 are F^T F for a factor F, so PSD-ness and the rank
     bounds are structural. B2 is applied matrix-free from the network's
-    linearization ``lin`` and the cluster means; it has no factor. Other
-    operators on the same data, such as G, can share ``lin``.
+    linearization and the cluster means; it has no factor.
     """
 
     a1: SymmetricOperator
@@ -160,7 +159,6 @@ class GaussNewtonParts:
     a2_factor: np.ndarray
     b1_factor: np.ndarray
     stats: ClusterStats
-    lin: Linearization
     b2_factor: None = None  # always: B2 is matrix-free
 
     def total(self) -> SymmetricOperator:
@@ -184,15 +182,12 @@ class GaussNewtonParts:
                          where=st.counts > 0)
 
 
-def build_decomposition(spec: MlpSpec, theta: np.ndarray,
-                        data: LabeledDataset) -> GaussNewtonParts:
-    """The four parts of G on ``data`` at ``theta``, in O(n * width + C^2 p)
-    memory. Data that does not fit the network raises
-    DimensionMismatchError; empty data raises UsageError."""
-    lin = linearize(spec, theta, data)
-    stats = cluster_statistics(lin, data.y)
-    C = spec.class_count
-    p = spec.param_count
+def build_decomposition(lin: Linearization) -> GaussNewtonParts:
+    """The four parts of G on ``lin``'s batch, in O(n * width + C^2 p)
+    memory."""
+    stats = cluster_statistics(lin)
+    C = lin.spec.class_count
+    p = lin.spec.param_count
     N = stats.n_total
 
     a1_factor = np.sqrt(stats.off_prob / N)[:, None] * stats.off_mean
@@ -211,7 +206,7 @@ def build_decomposition(spec: MlpSpec, theta: np.ndarray,
             )
     b1_factor = np.array(b1_rows) if b1_rows else np.empty((0, p))
 
-    members = one_hot(data.y, C)
+    members = one_hot(lin.labels, C)
     b2 = SymmetricOperator(p, lambda v: _b2_matvec(lin, members, stats, v),
                            label="b2")
     return GaussNewtonParts(
@@ -223,7 +218,6 @@ def build_decomposition(spec: MlpSpec, theta: np.ndarray,
         a2_factor=a2_factor,
         b1_factor=b1_factor,
         stats=stats,
-        lin=lin,
     )
 
 
@@ -241,8 +235,7 @@ def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,
     return worst
 
 
-def component_attribution(spec: MlpSpec, theta: np.ndarray,
-                          data: LabeledDataset, *,
+def component_attribution(lin: Linearization, *,
                           steps: int = DEFAULT_LOG_STEPS,
                           grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                           kappa: float = DEFAULT_KAPPA,
@@ -259,13 +252,13 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
     (``"method": "slq"``, with their Ritz sets). G - B2 = A1 + A2 + B1 has
     rank <= C^2, so its density is smoothed from the exact spectrum, the
     A1+A2+B1 eigenvalues plus p - C^2 zeros, on the grid and bump width an
-    estimate would use (``"method": "exact"``, no Ritz sets). The data is
-    forwarded once: G and the four parts share one linearization.
-    JSON-serializable; validated by :func:`validate_report`.
+    estimate would use (``"method": "exact"``, no Ritz sets). G and the
+    four parts share ``lin``, so no data is forwarded here.
+    JSON-serializable; :func:`validate_report` checks its structure.
     """
-    p = spec.param_count
-    parts = build_decomposition(spec, theta, data)
-    g_op = hessian_operator(spec, theta, data, which="g", lin=parts.lin)
+    p = lin.spec.param_count
+    parts = build_decomposition(lin)
+    g_op = hessian_operator(lin, which="g")
     # B2 comes from JVPs, VJPs and the cluster means, never from
     # G - (A1+A2+B1), so this compares G with four independent parts
     residual = identity_residual(g_op, parts, probes=20, seed=seed)
@@ -284,7 +277,7 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
     # the stacked factor has C^2 + C rows but rank <= C^2: within each class
     # the b1 rows are weighted deviations from their own mean, so they lose
     # one rank per class; keep only the entries that can be nonzero
-    C = spec.class_count
+    C = lin.spec.class_count
     a1a2b1 = factor_eigenvalues(np.vstack(
         [parts.a1_factor, parts.a2_factor, parts.b1_factor]))[: min(C * C, p)]
     densities["g_minus_b2"] = {**exact_log_spectrum(
@@ -294,7 +287,7 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
     report = {
         "schema": REPORT_SCHEMA,
         "class_count": C,
-        "n_examples": data.n,
+        "n_examples": lin.n,
         "param_count": p,
         "estimator": {
             "steps": steps, "grid_points": grid_points, "n_vec": n_vec,
@@ -306,7 +299,6 @@ def component_attribution(spec: MlpSpec, theta: np.ndarray,
         "a1a2b1_eigenvalues": a1a2b1.tolist(),
         "densities": densities,
     }
-    validate_report(report)
     return report
 
 

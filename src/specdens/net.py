@@ -245,7 +245,8 @@ class Linearization:
     backward state the Hessian products need. Every product below and
     every curvature product reuses it, and none forms a per-example
     Jacobian or a per-example parameter vector. All arrays hold one row
-    per example.
+    per example. The batch's true labels and split name ride along, so a
+    curvature routine needs nothing else.
     """
 
     spec: MlpSpec
@@ -254,6 +255,8 @@ class Linearization:
     primes: list           # phi'(S_l) of the hidden layers
     probs: np.ndarray      # (n, C)
     cotangent: np.ndarray  # (n, C): P - Y, the logit cotangent of the loss
+    labels: np.ndarray     # (n,): the true classes
+    split: str             # the data set's split name
 
     @property
     def n(self) -> int:
@@ -284,7 +287,7 @@ class Linearization:
         """The same linearization restricted to the examples ``idx``."""
         return Linearization(self.spec, self.Ws, [a[idx] for a in self.acts],
                              [d[idx] for d in self.primes], self.probs[idx],
-                             self.cotangent[idx])
+                             self.cotangent[idx], self.labels[idx], self.split)
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """Per-example logit directions J_i v, shape (n, C)."""
@@ -326,7 +329,8 @@ def linearize(spec: MlpSpec, theta: np.ndarray,
     acts, primes, Z = _forward(spec, Ws, bs, data.x)
     P = _softmax(Z)
     return Linearization(spec, Ws, acts, primes, P,
-                         P - one_hot(data.y, spec.class_count))
+                         P - one_hot(data.y, spec.class_count), data.y,
+                         data.split)
 
 
 def hvp(lin: Linearization, v: np.ndarray, outer: bool = True) -> np.ndarray:
@@ -402,27 +406,17 @@ def _check_data(spec: MlpSpec, data: LabeledDataset) -> None:
 _WHICH = ("hess", "g", "h")
 
 
-def hessian_operator(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
-                     which: str = "hess", *,
-                     lin: Linearization | None = None) -> SymmetricOperator:
-    """Curvature of the mean loss on ``data`` as a matrix-free operator.
+def hessian_operator(lin: Linearization, which: str = "hess") -> SymmetricOperator:
+    """Curvature of the mean loss on ``lin``'s batch as a matrix-free
+    operator.
 
     ``which`` selects the full Hessian ("hess"), the outer-product term
-    ("g"), or the remainder ("h"). The forward state is computed once, here,
-    unless ``lin``, the linearization of ``data`` at ``theta`` that the
-    caller already holds, is passed; every matvec reuses it. A ``lin``
-    built for another network or other inputs is rejected; ``theta`` is
-    then not read again and must be the one ``lin`` was built at. The
-    label records both the kind and the data split, so derived operators
-    read e.g. "hess[train]-g[train]".
+    ("g"), or the remainder ("h"). Every matvec reuses the forward state in
+    ``lin``. The label records both the kind and the data split, so derived
+    operators read e.g. "hess[train]-g[train]".
     """
     if which not in _WHICH:
         raise UsageError(f"which must be one of {_WHICH}, got {which!r}")
-    if lin is None:
-        lin = linearize(spec, theta, data)
-    elif lin.spec != spec or not np.array_equal(lin.acts[0], data.x):
-        raise UsageError("lin is not the linearization of this network on "
-                         "these inputs")
     if which == "g":
         def matvec(v):
             return gnvp(lin, v)
@@ -432,8 +426,8 @@ def hessian_operator(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
         def matvec(v):
             return hvp(lin, v, outer=outer)
 
-    split = data.split or "data"
-    return SymmetricOperator(spec.param_count, matvec, label=f"{which}[{split}]")
+    return SymmetricOperator(lin.spec.param_count, matvec,
+                             label=f"{which}[{lin.split or 'data'}]")
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ class TrainConfig:
     listed epoch boundary the learning rate is multiplied by
     ``anneal_factor``. ``checkpoint_epochs`` defaults to the geometric set
     {0, 1, 2, 4, 8, ...}; the final epoch is always added. Both are
-    resolved on construction.
+    resolved on construction; entries outside 0..``epochs`` are refused.
     """
 
     epochs: int
@@ -262,9 +262,14 @@ class TrainConfig:
         checkpoints = self.checkpoint_epochs
         if checkpoints is None:
             checkpoints = [0, *(1 << k for k in range(epochs.bit_length()))]
-        object.__setattr__(self, "anneal_at", tuple(int(e) for e in anneal))
-        object.__setattr__(self, "checkpoint_epochs", tuple(
-            sorted({int(e) for e in checkpoints} | {epochs})))
+        anneal = tuple(int(e) for e in anneal)
+        checkpoints = tuple(sorted({int(e) for e in checkpoints} | {epochs}))
+        outside = sorted(set(anneal + checkpoints) - set(range(epochs + 1)))
+        if outside:
+            raise UsageError("anneal_at and checkpoint_epochs take epochs "
+                             f"0..{epochs}, got {outside}")
+        object.__setattr__(self, "anneal_at", anneal)
+        object.__setattr__(self, "checkpoint_epochs", checkpoints)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

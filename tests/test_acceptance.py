@@ -97,7 +97,8 @@ def bulk_run():
     cfg = TrainConfig(epochs=4, lr=0.1, momentum=0.9, weight_decay=0.0,
                       batch_size=32, seed=7, anneal_at=())
     theta = train_sgd(mspec, train, test, cfg).final.theta
-    h_op = hessian_operator(mspec, theta, train, which="h")
+    lin = linearize(mspec, theta, train)
+    h_op = hessian_operator(lin, which="h")
     est = approx_spectrum(h_op, steps=64, n_vec=4, seed=3)
     edge = max(float(est.normalization.denormalize(r.theta).max())
                for r in est.ritz)
@@ -106,7 +107,7 @@ def bulk_run():
     basis = np.eye(p)
     dense = {}
     for name in ("hess", "g", "h"):
-        op = hessian_operator(mspec, theta, train, which=name)
+        op = hessian_operator(lin, which=name)
         cols = np.column_stack([op.apply(basis[:, j]) for j in range(p)])
         dense[name] = np.linalg.eigvalsh(0.5 * (cols + cols.T))
     return SimpleNamespace(
@@ -188,8 +189,9 @@ def test_criterion_4_curvature_split_against_finite_differences(
 
 def test_criterion_5_hierarchical_identity(trained_tiny_net):
     mspec, theta, train, _ = trained_tiny_net
-    g_op = hessian_operator(mspec, theta, train, which="g")
-    parts = build_decomposition(mspec, theta, train)
+    lin = linearize(mspec, theta, train)
+    g_op = hessian_operator(lin, which="g")
+    parts = build_decomposition(lin)
     resid = identity_residual(g_op, parts, probes=20, seed=0)
 
     # the true-class vector is the example's loss gradient (sign flipped)
@@ -242,8 +244,8 @@ def test_criterion_7_estimator_hygiene(spiked_run, pareto_run, bulk_run):
             checks.append((abs(r.weights.sum() - 1.0) <= 1e-8,
                            f"weights sum {r.weights.sum():.2e}"))
     for op in (spiked_run.op, bulk_run.h_op,
-               hessian_operator(bulk_run.spec, bulk_run.theta,
-                                bulk_run.train, which="g")):
+               hessian_operator(linearize(bulk_run.spec, bulk_run.theta,
+                                          bulk_run.train), which="g")):
         d = symmetry_defect(op, pairs=10, seed=0)
         checks.append((d <= 1e-8, f"{op.label} symmetry defect {d:.2e}"))
     again = approx_spectrum(bulk_run.h_op, steps=64, n_vec=4, seed=3)

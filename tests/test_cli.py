@@ -571,6 +571,18 @@ class TestTrain:
         assert "gmm split" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["anneal_at", "checkpoint_epochs"])
+    @pytest.mark.parametrize("epoch", [-1, 5])
+    def test_schedule_epoch_outside_the_run_is_usage(self, train_run, tmp_path,
+                                                     capsys, key, epoch):
+        doc = json.loads(train_run["config"].read_text())
+        doc["train"][key] = [epoch]
+        cfg = write_json(tmp_path / "train.json", doc)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"got [{epoch}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gmm_is_drawn_once(self, train_run, tmp_path, monkeypatch):
         calls = []
 
@@ -706,6 +718,17 @@ class TestCheckpointAnalysis:
                                  "--steps", "16"))
         assert rc == 3
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "decompose"])
+    def test_data_mismatch_makes_no_out_dir(self, train_run, tmp_path, capsys,
+                                            command):
+        wrong = write_json(tmp_path / "data6.json", {**GMM_DATA, "dim": 6})
+        out = tmp_path / "out"
+        assert main([command, "--checkpoint", str(train_run["final"]),
+                     "--data", str(wrong), "--steps", "16",
+                     "--out-dir", str(out)]) == 3
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_decompose_rerun_is_byte_identical(self, train_run, tmp_path):
         for name in ("a", "b"):

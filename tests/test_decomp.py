@@ -13,11 +13,13 @@ G and B2 products, and against SLQ on the same difference.
 """
 
 import copy
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from specdens import cli
 from specdens import net as net_module
 from specdens.data import LabeledDataset, one_hot
 from specdens.errors import InputFormatError, UsageError
@@ -27,7 +29,14 @@ from specdens.lanczos import (
     density_from_eigenvalues,
     tv_distance,
 )
-from specdens.net import MlpSpec, hessian_operator, init_params
+from specdens.net import (
+    Checkpoint,
+    MlpSpec,
+    hessian_operator,
+    init_params,
+    linearize,
+    save_checkpoint,
+)
 from specdens.operators import NormalizationMap, difference_operator
 from specdens.decomp import (
     build_decomposition,
@@ -126,14 +135,15 @@ class TestPerExampleVectors:
                 g = pev.vectors[i, c]
                 G_dense += pev.probs[i, c] * np.outer(g, g)
         G_dense /= train.n
-        G = op_to_dense(hessian_operator(spec, theta, train, which="g"))
+        G = op_to_dense(hessian_operator(linearize(spec, theta, train),
+                                         which="g"))
         assert np.linalg.norm(G - G_dense) <= 1e-12 * np.linalg.norm(G)
 
 
 class TestClusterStatistics:
     def test_matches_brute_force_loops(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
-        stats = build_decomposition(spec, theta, train).stats
+        stats = build_decomposition(linearize(spec, theta, train)).stats
         C = pev.class_count
         for c in range(C):
             rows = np.where(pev.labels == c)[0]
@@ -162,8 +172,8 @@ class TestClusterStatistics:
         rng = np.random.default_rng(2)
         data = LabeledDataset(x=rng.standard_normal((24, 4)),
                               y=rng.integers(0, 3, 24), class_count=3)
-        stats = build_decomposition(spec, np.zeros(spec.param_count),
-                                    data).stats
+        stats = build_decomposition(
+            linearize(spec, np.zeros(spec.param_count), data)).stats
         counts = np.bincount(data.y, minlength=3)
         np.testing.assert_allclose(stats.class_prob,
                                    np.outer(counts, np.ones(3)) / 3.0,
@@ -174,8 +184,8 @@ class TestClusterStatistics:
         doubled = LabeledDataset(x=np.concatenate([train.x, train.x]),
                                  y=np.concatenate([train.y, train.y]),
                                  class_count=train.class_count)
-        s1 = build_decomposition(spec, theta, train).stats
-        s2 = build_decomposition(spec, theta, doubled).stats
+        s1 = build_decomposition(linearize(spec, theta, train)).stats
+        s2 = build_decomposition(linearize(spec, theta, doubled)).stats
         np.testing.assert_allclose(s2.class_prob, 2.0 * s1.class_prob,
                                    rtol=1e-13)
         np.testing.assert_allclose(s2.class_mean, s1.class_mean, atol=1e-13)
@@ -185,13 +195,14 @@ class TestClusterStatistics:
 class TestGaussNewtonParts:
     def test_identity_holds_to_roundoff(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        parts = build_decomposition(spec, theta, train)
-        g_op = hessian_operator(spec, theta, train, which="g")
+        lin = linearize(spec, theta, train)
+        parts = build_decomposition(lin)
+        g_op = hessian_operator(lin, which="g")
         assert identity_residual(g_op, parts, probes=20, seed=0) <= 1e-10
 
     def test_all_four_parts_are_psd(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        parts = build_decomposition(spec, theta, train)
+        parts = build_decomposition(linearize(spec, theta, train))
         rng = np.random.default_rng(3)
         for name in ("a1", "a2", "b1", "b2"):
             op = getattr(parts, name)
@@ -201,7 +212,7 @@ class TestGaussNewtonParts:
 
     def test_rank_bounds_from_factors(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        parts = build_decomposition(spec, theta, train)
+        parts = build_decomposition(linearize(spec, theta, train))
         C = spec.class_count
         assert parts.a1_factor.shape == (C, spec.param_count)
         assert parts.a2_factor.shape == (C, spec.param_count)
@@ -219,7 +230,7 @@ class TestGaussNewtonParts:
         theta = init_params(spec, seed=4)
         x = np.tile(np.array([[0.3, -1.2, 0.7]]), (2, 1))
         data = LabeledDataset(x=x, y=np.array([0, 1]), class_count=2)
-        parts = build_decomposition(spec, theta, data)
+        parts = build_decomposition(linearize(spec, theta, data))
         eigs = factor_eigenvalues(parts.a1_factor)
         assert eigs[1] <= 1e-12 * eigs[0]
 
@@ -228,7 +239,7 @@ class TestGaussNewtonParts:
         theta = init_params(spec, seed=5)
         x = np.random.default_rng(6).standard_normal((3, 3))
         data = LabeledDataset(x=x, y=np.array([0, 1, 2]), class_count=3)
-        parts = build_decomposition(spec, theta, data)
+        parts = build_decomposition(linearize(spec, theta, data))
         v = np.random.default_rng(7).standard_normal(spec.param_count)
         out = parts.b2.apply(v)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -243,21 +254,22 @@ class TestGaussNewtonParts:
             spec = MlpSpec(layer_dims=(4, 7, C))
             data = LabeledDataset(x=rng.standard_normal((C, 4)),
                                   y=np.arange(C), class_count=C)
-            parts = build_decomposition(spec, init_params(spec, seed=seed), data)
+            parts = build_decomposition(
+                linearize(spec, init_params(spec, seed=seed), data))
             assert np.array_equal(parts.b2c_traces(), np.zeros(C)), seed
 
     def test_b2_is_the_sum_of_its_class_restrictions(self, trained_tiny_net):
         # clusters never mix true classes, so B2 on the full data is the
         # count-weighted sum of B2 on each class's examples alone
         spec, theta, train, _ = trained_tiny_net
-        parts = build_decomposition(spec, theta, train)
+        parts = build_decomposition(linearize(spec, theta, train))
         v = np.random.default_rng(8).standard_normal(spec.param_count)
         total = np.zeros(spec.param_count)
         for c in range(spec.class_count):
             rows = train.y == c
             subset = LabeledDataset(x=train.x[rows], y=train.y[rows],
                                     class_count=train.class_count)
-            restricted = build_decomposition(spec, theta, subset)
+            restricted = build_decomposition(linearize(spec, theta, subset))
             total += (subset.n / train.n) * restricted.b2.apply(v)
         full = parts.b2.apply(v)
         np.testing.assert_allclose(total, full,
@@ -265,7 +277,7 @@ class TestGaussNewtonParts:
 
     def test_b2c_traces_match_dense_operators(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
-        parts = build_decomposition(spec, theta, train)
+        parts = build_decomposition(linearize(spec, theta, train))
         traces = parts.b2c_traces()
         F, row_labels = stored_b2_factor(pev, stored_cluster_statistics(pev))
         for c in range(spec.class_count):
@@ -285,14 +297,14 @@ class TestGaussNewtonParts:
         empty = LabeledDataset(x=np.empty((0, 3)), y=np.empty(0, dtype=int),
                                class_count=3)
         with pytest.raises(UsageError, match="at least one"):
-            build_decomposition(spec, init_params(spec), empty)
+            build_decomposition(linearize(spec, init_params(spec), empty))
 
 
 class TestMatrixFreeRoute:
     def test_statistics_agree_with_stored_factors(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
         ref = stored_cluster_statistics(pev)
-        stats = build_decomposition(spec, theta, train).stats
+        stats = build_decomposition(linearize(spec, theta, train)).stats
         np.testing.assert_allclose(stats.class_prob, ref.class_prob,
                                    rtol=1e-13)
         np.testing.assert_allclose(stats.class_mean, ref.class_mean,
@@ -306,7 +318,7 @@ class TestMatrixFreeRoute:
 
     def test_matvecs_and_traces_agree_with_stored_factors(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
-        parts = build_decomposition(spec, theta, train)
+        parts = build_decomposition(linearize(spec, theta, train))
         assert parts.b2_factor is None
         F, row_labels = stored_b2_factor(pev, stored_cluster_statistics(pev))
         stored = factor_operator(F)
@@ -331,8 +343,9 @@ class TestMatrixFreeRoute:
                               y=np.arange(1000) % 10, class_count=10)
         tracemalloc.start()
         try:
-            parts = build_decomposition(spec, theta, data)
-            g_op = hessian_operator(spec, theta, data, which="g")
+            lin = linearize(spec, theta, data)
+            parts = build_decomposition(lin)
+            g_op = hessian_operator(lin, which="g")
             resid = identity_residual(g_op, parts, probes=3, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -345,7 +358,7 @@ class TestMatrixFreeRoute:
 def report(trained_tiny_net):
     spec, theta, train, _ = trained_tiny_net
     return component_attribution(
-        spec, theta, train,
+        linearize(spec, theta, train),
         steps=64, n_vec=2, grid_points=256, seed=1,
     )
 
@@ -390,8 +403,9 @@ class TestAttributionReport:
         # built without A1, A2 or B1
         spec, theta, train, _ = trained_tiny_net
         exact = log_density_from_dict(report["densities"]["g_minus_b2"])
-        G = op_to_dense(hessian_operator(spec, theta, train, which="g"))
-        B2 = op_to_dense(build_decomposition(spec, theta, train).b2)
+        lin = linearize(spec, theta, train)
+        G = op_to_dense(hessian_operator(lin, which="g"))
+        B2 = op_to_dense(build_decomposition(lin).b2)
         eigs = np.linalg.eigvalsh(0.5 * ((G - B2) + (G - B2).T))
         oracle = density_from_eigenvalues(eigs, exact)
         # measured 4e-12
@@ -403,8 +417,9 @@ class TestAttributionReport:
         # report's estimator, bracketed by the exact range so the grids match
         spec, theta, train, _ = trained_tiny_net
         exact = log_density_from_dict(report["densities"]["g_minus_b2"])
-        parts = build_decomposition(spec, theta, train)
-        g_op = hessian_operator(spec, theta, train, which="g")
+        lin = linearize(spec, theta, train)
+        parts = build_decomposition(lin)
+        g_op = hessian_operator(lin, which="g")
         est = report["estimator"]
         slq = approx_log_spectrum(
             difference_operator(g_op, parts.b2), steps=est["steps"],
@@ -415,9 +430,16 @@ class TestAttributionReport:
         # measured 0.034 at seed 1 (0.020-0.038 over seeds 0-5)
         assert tv_distance(exact, slq) <= 0.06
 
-    def test_one_forward_pass(self, trained_tiny_net, monkeypatch):
-        # G and the four parts share one linearization
-        spec, theta, train, _ = trained_tiny_net
+    @staticmethod
+    def cli_forward_passes(trained_tiny_net, tmp_path, monkeypatch, command):
+        spec, theta, _, _ = trained_tiny_net
+        ck = tmp_path / "ck.npz"
+        save_checkpoint(ck, Checkpoint(spec=spec, theta=theta, epoch=8,
+                                       seed=7, lr=0.1))
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "kind": "gmm", "classes": 3, "n_per_class": 20, "dim": 4,
+            "separation": 3.0, "std": 1.0, "seed": 5}))
         calls = []
         forward = net_module._forward
 
@@ -426,13 +448,43 @@ class TestAttributionReport:
             return forward(*args)
 
         monkeypatch.setattr(net_module, "_forward", counted)
-        component_attribution(spec, theta, train, steps=16, grid_points=64)
-        assert len(calls) == 1
+        assert cli.main([command, "--checkpoint", str(ck), "--data", str(data),
+                         "--steps", "16", "--grid-points", "64",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        return len(calls)
+
+    def test_one_forward_pass(self, trained_tiny_net, tmp_path, monkeypatch):
+        # the CLI linearizes once; G and the four parts share that state
+        assert self.cli_forward_passes(trained_tiny_net, tmp_path,
+                                       monkeypatch, "decompose") == 1
+
+    def test_one_forward_pass_for_spectrum(self, trained_tiny_net, tmp_path,
+                                           monkeypatch):
+        assert self.cli_forward_passes(trained_tiny_net, tmp_path,
+                                       monkeypatch, "spectrum") == 1
+
+    def test_row_subset_reports_as_the_subset(self, trained_tiny_net):
+        # a subsample taken with Linearization.rows, as a sample-size sweep
+        # takes it, reports exactly what a fresh linearization of it does
+        spec, theta, train, _ = trained_tiny_net
+        keep = np.zeros(train.n, dtype=bool)
+        for c in range(train.class_count):
+            keep[np.flatnonzero(train.y == c)[:12]] = True
+        subset = LabeledDataset(x=train.x[keep], y=train.y[keep],
+                                class_count=train.class_count,
+                                split=train.split)
+        settings = dict(steps=32, n_vec=2, grid_points=128, seed=2)
+        rows = component_attribution(linearize(spec, theta, train).rows(keep),
+                                     **settings)
+        direct = component_attribution(linearize(spec, theta, subset),
+                                       **settings)
+        assert rows["n_examples"] == 36
+        assert rows == direct
 
     def test_fresh_initialization_also_reports(self, trained_tiny_net):
         spec, _, train, _ = trained_tiny_net
         report = component_attribution(
-            spec, init_params(spec, seed=0), train,
+            linearize(spec, init_params(spec, seed=0), train),
             steps=32, grid_points=128,
         )
         validate_report(report)

@@ -36,7 +36,7 @@ from specdens.lanczos import (
     tv_distance,
 )
 from specdens.linalg import dense_eig
-from specdens.net import hessian_operator
+from specdens.net import hessian_operator, linearize
 from specdens.operators import (
     NormalizationMap,
     SymmetricOperator,
@@ -178,7 +178,7 @@ class TestLockstep:
     def test_network_operator_gets_one_vector_at_a_time(self, monkeypatch,
                                                         trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        op = hessian_operator(spec, theta, train, which="hess")
+        op = hessian_operator(linearize(spec, theta, train), which="hess")
         assert not op.has_matmat
         shapes = []
         real_hvp = net.hvp

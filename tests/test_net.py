@@ -260,7 +260,7 @@ class TestHvp:
 
     def test_dense_hessian_matches_fd_and_is_symmetric(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        H = op_to_dense(hessian_operator(spec, theta, train))
+        H = op_to_dense(hessian_operator(linearize(spec, theta, train)))
         scale = np.linalg.norm(H)
         assert np.linalg.norm(H - H.T) <= 1e-6 * scale
         H_fd = fd_hessian(lambda t: gradient(spec, t, train), theta)
@@ -290,9 +290,10 @@ class TestCurvatureSplit:
 
     def test_operator_difference_equals_remainder(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
-        h_full = hessian_operator(spec, theta, train, which="hess")
-        g_op = hessian_operator(spec, theta, train, which="g")
-        h_op = hessian_operator(spec, theta, train, which="h")
+        lin = linearize(spec, theta, train)
+        h_full = hessian_operator(lin, which="hess")
+        g_op = hessian_operator(lin, which="g")
+        h_op = hessian_operator(lin, which="h")
         v = np.random.default_rng(10).standard_normal(spec.param_count)
         full = h_full.apply(v)
         np.testing.assert_allclose(difference_operator(h_full, g_op).apply(v),
@@ -302,7 +303,8 @@ class TestCurvatureSplit:
     def test_gn_matches_exact_jacobian_assembly(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         G_oracle = jacobian_assembly_gn(spec, theta, train)
-        G = op_to_dense(hessian_operator(spec, theta, train, which="g"))
+        G = op_to_dense(hessian_operator(linearize(spec, theta, train),
+                                         which="g"))
         assert np.linalg.norm(G - G_oracle) <= 1e-12 * np.linalg.norm(G_oracle)
 
     def test_remainder_matches_dense_hessian_minus_assembled_gn(
@@ -310,9 +312,10 @@ class TestCurvatureSplit:
         # the fused zero-seed pass against Hess - G with G from the
         # Jacobian-assembly oracle, not from gnvp
         spec, theta, train, _ = trained_tiny_net
-        ref = (op_to_dense(hessian_operator(spec, theta, train))
+        lin = linearize(spec, theta, train)
+        ref = (op_to_dense(hessian_operator(lin))
                - jacobian_assembly_gn(spec, theta, train))
-        H = op_to_dense(hessian_operator(spec, theta, train, which="h"))
+        H = op_to_dense(hessian_operator(lin, which="h"))
         assert np.linalg.norm(H - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_remainder_matches_fd_hessian_minus_assembled_gn(
@@ -320,7 +323,8 @@ class TestCurvatureSplit:
         spec, theta, train, _ = trained_tiny_net
         ref = (fd_hessian(lambda t: gradient(spec, t, train), theta)
                - jacobian_assembly_gn(spec, theta, train))
-        H = op_to_dense(hessian_operator(spec, theta, train, which="h"))
+        H = op_to_dense(hessian_operator(linearize(spec, theta, train),
+                                         which="h"))
         assert np.linalg.norm(H - ref) <= 1e-4 * np.linalg.norm(ref)
 
     def test_gn_matches_fd_jacobian_assembly(self):
@@ -336,7 +340,8 @@ class TestCurvatureSplit:
         ])
         P = predict_probs(spec, theta, data.x)
         G_oracle = explicit_gauss_newton(J, P)
-        G = op_to_dense(hessian_operator(spec, theta, data, which="g"))
+        G = op_to_dense(hessian_operator(linearize(spec, theta, data),
+                                         which="g"))
         assert np.linalg.norm(G - G_oracle) <= 1e-5 * max(1.0, np.linalg.norm(G_oracle))
 
     def test_relu_passthrough_output_block_closed_form(self):
@@ -354,7 +359,8 @@ class TestCurvatureSplit:
         x = np.abs(rng.standard_normal((9, 3))) + 0.1
         data = LabeledDataset(x=x, y=rng.integers(0, 2, 9), class_count=2)
 
-        G = op_to_dense(hessian_operator(spec, theta, data, which="g"))
+        G = op_to_dense(hessian_operator(linearize(spec, theta, data),
+                                         which="g"))
         P = predict_probs(spec, theta, x)
         w2 = slice(12, 18)   # layer-2 weights in the flat layout
         b2 = slice(18, 20)
@@ -382,44 +388,40 @@ class TestCurvatureSplit:
 class TestHessianOperator:
     def test_labels_carry_kind_and_split(self, trained_tiny_net):
         spec, theta, train, test = trained_tiny_net
-        assert hessian_operator(spec, theta, train).label == "hess[train]"
-        assert hessian_operator(spec, theta, test, which="g").label == "g[test]"
-        assert hessian_operator(spec, theta, train, which="h").label == "h[train]"
+        on_train = linearize(spec, theta, train)
+        on_test = linearize(spec, theta, test)
+        assert hessian_operator(on_train).label == "hess[train]"
+        assert hessian_operator(on_test, which="g").label == "g[test]"
+        assert hessian_operator(on_train, which="h").label == "h[train]"
 
     @pytest.mark.parametrize("which", ["hess", "g", "h"])
     def test_shared_linearization_keeps_label_and_products(
             self, trained_tiny_net, monkeypatch, which):
         spec, theta, train, test = trained_tiny_net
-        fresh = hessian_operator(spec, theta, test, which=which)
+        # a linearization held by the caller: no second forward pass, and
+        # the same label and product bits as one built just for the operator
+        fresh = hessian_operator(linearize(spec, theta, test), which=which)
         lin = linearize(spec, theta, test)
         calls = []
         monkeypatch.setattr(net_module, "_forward",
                             lambda *args: calls.append(1))
-        shared = hessian_operator(spec, theta, test, which=which, lin=lin)
+        shared = hessian_operator(lin, which=which)
         monkeypatch.undo()
         assert calls == []
         assert shared.label == fresh.label == f"{which}[test]"
         v = np.random.default_rng(16).standard_normal(spec.param_count)
         assert np.array_equal(shared.apply(v), fresh.apply(v))
 
-    def test_linearization_of_other_inputs_rejected(self, trained_tiny_net):
-        spec, theta, train, test = trained_tiny_net
-        lin = linearize(spec, theta, train)
-        with pytest.raises(UsageError):
-            hessian_operator(spec, theta, test, which="g", lin=lin)
-        other = MlpSpec(layer_dims=spec.layer_dims, activation="relu")
-        with pytest.raises(UsageError):
-            hessian_operator(other, theta, train, which="g", lin=lin)
-
     def test_unknown_kind_rejected(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         with pytest.raises(UsageError):
-            hessian_operator(spec, theta, train, which="fisher")
+            hessian_operator(linearize(spec, theta, train), which="fisher")
 
     def test_all_three_operators_pass_the_symmetry_probe(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
+        lin = linearize(spec, theta, train)
         for which in ("hess", "g", "h"):
-            op = hessian_operator(spec, theta, train, which=which)
+            op = hessian_operator(lin, which=which)
             assert symmetry_defect(op, pairs=5, seed=1) <= 1e-10
 
     @pytest.mark.parametrize("which", ["hess", "g", "h"])
@@ -434,7 +436,7 @@ class TestHessianOperator:
             return forward(*args)
 
         monkeypatch.setattr(net_module, "_forward", counted)
-        op = hessian_operator(spec, theta, train, which=which)
+        op = hessian_operator(linearize(spec, theta, train), which=which)
         assert len(calls) == 1
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -446,12 +448,12 @@ class TestHessianOperator:
         empty = LabeledDataset(x=np.empty((0, 3)), y=np.empty(0, dtype=int),
                                class_count=3)
         with pytest.raises(UsageError, match="at least one"):
-            hessian_operator(spec, init_params(spec), empty)
+            hessian_operator(linearize(spec, init_params(spec), empty))
 
     def test_theta_is_copied_not_aliased(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         theta_live = theta.copy()
-        op = hessian_operator(spec, theta_live, train)
+        op = hessian_operator(linearize(spec, theta_live, train))
         v = np.random.default_rng(15).standard_normal(spec.param_count)
         before = op.apply(v)
         theta_live[:] = 0.0
@@ -521,6 +523,16 @@ class TestLinearization:
         assert np.array_equal(restricted.vjp(D), direct.vjp(D))
         assert np.array_equal(restricted.vjp_sq_norms(D), direct.vjp_sq_norms(D))
         assert np.array_equal(restricted.cotangent, direct.cotangent)
+
+    def test_labels_and_split_ride_along(self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        lin = linearize(spec, theta, train)
+        assert np.array_equal(lin.labels, train.y)
+        assert lin.split == train.split == "train"
+        keep = np.flatnonzero(train.y != 0)[::2]
+        sub = lin.rows(keep)
+        assert np.array_equal(sub.labels, train.y[keep])
+        assert sub.split == "train"
 
     def test_theta_is_copied(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net

@@ -238,6 +238,14 @@ class TestTrainConfig:
         cfg = TrainConfig(epochs=10, lr=0.1, checkpoint_epochs=(3,))
         assert cfg.checkpoint_epochs == (3, 10)
 
+    @pytest.mark.parametrize("key", ["anneal_at", "checkpoint_epochs"])
+    def test_schedule_epochs_lie_within_the_run(self, key):
+        for outside in ((7, -1), (4,), (-1,)):
+            with pytest.raises(UsageError, match="0..3"):
+                TrainConfig(epochs=3, lr=0.1, **{key: outside})
+        inside = TrainConfig(epochs=3, lr=0.1, **{key: (0, 3)})
+        assert getattr(inside, key) == (0, 3)
+
     def test_from_dict_strict_and_roundtrip(self):
         cfg = TrainConfig(epochs=6, lr=0.2, anneal_at=(2,))
         again = TrainConfig.from_dict(
