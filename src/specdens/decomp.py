@@ -85,13 +85,13 @@ def cluster_statistics(lin: Linearization) -> ClusterStats:
         if counts[c] == 0:
             continue
         sub = lin.rows(lin.labels == c)
-        P = sub.probs
-        class_prob[c] = P.sum(axis=0)
+        P = sub.P                                    # (C, n_c)
+        class_prob[c] = P.sum(axis=1)
         for c2 in range(C):
-            D = eye[c2] - P                          # rows e_c' - p_i
-            w = P[:, c2]
+            D = eye[:, c2, None] - P                 # columns e_c' - p_i
+            w = P[c2]
             if class_prob[c, c2] > 0.0:
-                class_mean[c, c2] = sub.vjp(w[:, None] * D) / class_prob[c, c2]
+                class_mean[c, c2] = sub.vjp(w * D) / class_prob[c, c2]
             sq_norm_sums[c] += w @ sub.vjp_sq_norms(D)
     off = ~np.eye(C, dtype=bool)
     off_prob = np.where(off, class_prob, 0.0).sum(axis=1)
@@ -129,15 +129,16 @@ def factor_eigenvalues(F: np.ndarray) -> np.ndarray:
 def _b2_matvec(lin: Linearization, members: np.ndarray, stats: ClusterStats,
                v: np.ndarray) -> np.ndarray:
     """B2 v = sum_ic' c_ic' (v_ic' - mu_{y_i c'}) with
-    c_ic' = (p_ic'/N) <v_ic' - mu_{y_i c'}, v>; ``members`` is one_hot(y)."""
-    C = members.shape[1]
-    P = lin.probs
-    u = lin.jvp(v)                                   # (n, C): J_i v
+    c_ic' = (p_ic'/N) <v_ic' - mu_{y_i c'}, v>; ``members`` is one_hot(y)^T,
+    and every (C, n) array holds one column per example."""
+    C = members.shape[0]
+    P = lin.P
+    u = lin.jvp(v)                                   # (C, n): J_i v
     mean_dots = stats.class_mean @ v                 # (C, C): <mu_cc', v>
     coef = (P / stats.n_total) * (
-        u - np.sum(P * u, axis=1, keepdims=True) - members @ mean_dots)
-    pulled = lin.vjp(coef - P * coef.sum(axis=1, keepdims=True))
-    cluster_coef = members.T @ coef                  # (C, C): sum_{i in c} c_ic'
+        u - np.sum(P * u, axis=0) - mean_dots.T @ members)
+    pulled = lin.vjp(coef - P * coef.sum(axis=0))
+    cluster_coef = members @ coef.T                  # (C, C): sum_{i in c} c_ic'
     return pulled - cluster_coef.ravel() @ stats.class_mean.reshape(C * C, -1)
 
 
@@ -206,7 +207,7 @@ def build_decomposition(lin: Linearization) -> GaussNewtonParts:
             )
     b1_factor = np.array(b1_rows) if b1_rows else np.empty((0, p))
 
-    members = one_hot(lin.labels, C)
+    members = one_hot(lin.labels, C).T
     b2 = SymmetricOperator(p, lambda v: _b2_matvec(lin, members, stats, v),
                            label="b2")
     return GaussNewtonParts(

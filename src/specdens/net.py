@@ -1,5 +1,5 @@
 """A small fully-connected softmax classifier in plain numpy, built for
-curvature analysis rather than speed.
+curvature analysis.
 
 Everything downstream needs exact, deterministic derivatives of the mean
 cross-entropy loss in a flat parameter vector:
@@ -20,6 +20,12 @@ cross-entropy loss in a flat parameter vector:
 hvp(v) = gnvp(v) + hvp(v, outer=False) holds to round-off (about 1e-15
 relative); the three are separate passes, not differences of one another.
 
+The forward state is feature-major: one column per example, so layer
+inputs and slopes are (width, n) and probabilities and cotangents (C, n).
+Every product is then a few wide GEMMs with a small output. A layer's
+pull-back D A^T is the (fan_out, fan_in) block of the flat vector and is
+written there in place; bias sums are GEMVs against a ones vector.
+
 The flat layout is part of the checkpoint contract: for each layer in
 order, the weight matrix (row-major, shape (fan_out, fan_in)) followed by
 its bias. Hidden activations are tanh by default — twice differentiable,
@@ -36,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import LabeledDataset, one_hot
+from .data import LabeledDataset
 from .errors import DimensionMismatchError, InputFormatError, UsageError
 from .operators import SymmetricOperator
 from .storage import atomic_write_bytes
@@ -78,7 +84,7 @@ class MlpSpec:
         """Number of weight layers."""
         return len(self.layer_dims) - 1
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(
             dout * din + dout
@@ -104,11 +110,8 @@ def unflatten(spec: MlpSpec, theta: np.ndarray) -> tuple[list[np.ndarray], list[
 
 
 def flatten(Ws: list[np.ndarray], bs: list[np.ndarray]) -> np.ndarray:
-    parts = []
-    for W, b in zip(Ws, bs):
-        parts.append(np.asarray(W, dtype=np.float64).ravel())
-        parts.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(parts)
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel()
+                           for W, b in zip(Ws, bs) for a in (W, b)])
 
 
 def init_params(spec: MlpSpec, seed: int = 0) -> np.ndarray:
@@ -122,85 +125,58 @@ def init_params(spec: MlpSpec, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward cores (outputs are sums over the batch; callers divide
-# by the example count)
+# forward / backward cores: every array holds one column per example, and
+# outputs are sums over the batch (callers divide by the example count)
 # ---------------------------------------------------------------------------
-
-def _phi_second(spec: MlpSpec, A: np.ndarray, prime: np.ndarray) -> np.ndarray:
-    """phi'' of a hidden layer from its output A and its slope phi'."""
-    if spec.activation == "tanh":
-        return -2.0 * A * prime
-    return np.zeros_like(A)
-
 
 def _forward(spec: MlpSpec, Ws, bs, X):
     """Returns layer inputs [A_0..A_{L-1}], the slopes phi'(S_l) of the
-    hidden layers, and the logits."""
-    acts = [X]
-    primes = []
-    A = X
-    L = spec.depth
-    for l in range(L):
-        S = A @ Ws[l].T + bs[l]
-        if l < L - 1:
-            if spec.activation == "tanh":
-                A = np.tanh(S)
-                primes.append(1.0 - A * A)
-            else:
-                A = np.maximum(S, 0.0)
-                primes.append((S > 0.0).astype(np.float64))
-            acts.append(A)
+    hidden layers, and the logits, each (width, n) for the rows of X."""
+    A = np.ascontiguousarray(X.T)
+    acts, primes = [A], []
+    for l in range(spec.depth):
+        S = Ws[l] @ A
+        S += bs[l][:, None]
+        if l == spec.depth - 1:
+            return acts, primes, S
+        if spec.activation == "tanh":
+            A = np.tanh(S)
+            primes.append(1.0 - A * A)
         else:
-            logits = S
-    return acts, primes, logits
+            A = np.maximum(S, 0.0)
+            primes.append((S > 0.0).astype(np.float64))
+        acts.append(A)
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
-    Z = Z - np.max(Z, axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
-
-
-def _loss_sum(Z: np.ndarray, y: np.ndarray) -> float:
-    zmax = np.max(Z, axis=1)
-    lse = zmax + np.log(np.sum(np.exp(Z - zmax[:, None]), axis=1))
-    return float(np.sum(lse - Z[np.arange(Z.shape[0]), y]))
+    E = np.exp(Z - np.max(Z, axis=0))
+    E /= E.sum(axis=0)
+    return E
 
 
 def _deltas(spec: MlpSpec, Ws, primes, D):
     """Pre-activation cotangents of every layer, top first, as (l, D_l),
-    backpropagated from logit cotangents D (n, C)."""
+    backpropagated from logit cotangents D (C, n)."""
     for l in range(spec.depth - 1, -1, -1):
         yield l, D
         if l > 0:
-            D = (D @ Ws[l]) * primes[l - 1]
-
-
-def _backward_sums(spec: MlpSpec, Ws, acts, primes, D):
-    """Plain VJP from logit cotangents D (n, C); returns summed grads."""
-    L = spec.depth
-    gWs = [None] * L
-    gbs = [None] * L
-    for l, Dl in _deltas(spec, Ws, primes, D):
-        gWs[l] = Dl.T @ acts[l]
-        gbs[l] = Dl.sum(axis=0)
-    return gWs, gbs
+            D = Ws[l].T @ D
+            D *= primes[l - 1]
 
 
 def _r_forward(spec: MlpSpec, Ws, Vs, vbs, acts, primes, logits: bool = True):
     """Directional (JVP) pass along (Vs, vbs); returns RA list, RS list, RZ.
 
-    The input does not move with the parameters, so ``RAs[0]`` is None and
-    layer 0 has no ``RA @ W^T`` term. With ``logits=False`` the pass stops
-    below the output layer and RZ is None.
+    ``RAs[0]`` is None: the input does not move with the parameters. With
+    ``logits=False`` the pass stops below the output layer and RZ is None.
     """
     L = spec.depth
     RAs, RSs, RZ = [None], [], None
     for l in range(L if logits else L - 1):
-        RS = acts[l] @ Vs[l].T
+        RS = Vs[l] @ acts[l]
         if l > 0:
-            RS += RAs[l] @ Ws[l].T
-        RS += vbs[l]
+            RS += Ws[l] @ RAs[l]
+        RS += vbs[l][:, None]
         if l < L - 1:
             RAs.append(primes[l] * RS)
             RSs.append(RS)
@@ -210,8 +186,11 @@ def _r_forward(spec: MlpSpec, Ws, Vs, vbs, acts, primes, logits: bool = True):
 
 
 def _fisher_mul(P: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Per-example (diag(p) - p p^T) u for row-aligned P, U."""
-    return P * U - P * np.sum(P * U, axis=1, keepdims=True)
+    """Per-example (diag(p) - p p^T) u = p * (u - p.u) for column-aligned
+    P, U, written over U."""
+    U -= np.einsum("ij,ij->j", P, U)
+    U *= P
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +204,16 @@ def loss_and_error(spec: MlpSpec, theta: np.ndarray,
     _check_data(spec, data)
     Ws, bs = unflatten(spec, theta)
     _, _, Z = _forward(spec, Ws, bs, data.x)
-    return (_loss_sum(Z, data.y) / data.n,
-            int(np.sum(np.argmax(Z, axis=1) != data.y)) / data.n)
+    zmax = np.max(Z, axis=0)
+    lse = zmax + np.log(np.sum(np.exp(Z - zmax), axis=0))
+    return (float(np.sum(lse - Z[data.y, np.arange(data.n)])) / data.n,
+            int(np.sum(np.argmax(Z, axis=0) != data.y)) / data.n)
 
 
 def gradient(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy loss, flat layout."""
     lin = linearize(spec, theta, data)
-    return lin.vjp(lin.cotangent) / lin.n
+    return lin.vjp(lin.dZ) / lin.n
 
 
 @dataclass(frozen=True)
@@ -242,30 +223,34 @@ class Linearization:
     Everything that depends only on the parameters and the batch is
     computed once: the layer inputs, the hidden slopes phi', the softmax
     probabilities and the loss cotangent P - Y, and on first use the
-    backward state the Hessian products need. Every product below and
-    every curvature product reuses it, and none forms a per-example
-    Jacobian or a per-example parameter vector. All arrays hold one row
-    per example. The batch's true labels and split name ride along, so a
-    curvature routine needs nothing else.
+    backward state the Hessian products need. Every product reuses it,
+    and none forms a per-example Jacobian or parameter vector. Arrays hold
+    one column per example, as do the logit directions and cotangents the
+    products take and return. The batch's true labels and split name ride
+    along, so a curvature routine needs nothing else.
     """
 
     spec: MlpSpec
     Ws: list
-    acts: list             # layer inputs A_0 .. A_{L-1}
-    primes: list           # phi'(S_l) of the hidden layers
-    probs: np.ndarray      # (n, C)
-    cotangent: np.ndarray  # (n, C): P - Y, the logit cotangent of the loss
+    acts: list             # layer inputs A_0 .. A_{L-1}, (width, n)
+    primes: list           # phi'(S_l) of the hidden layers, (width, n)
+    P: np.ndarray          # (C, n): softmax probabilities
+    dZ: np.ndarray         # (C, n): P - Y, the logit cotangent of the loss
     labels: np.ndarray     # (n,): the true classes
     split: str             # the data set's split name
 
     @property
     def n(self) -> int:
-        return self.probs.shape[0]
+        return self.P.shape[1]
+
+    @cached_property
+    def _ones(self) -> np.ndarray:  # batch sums are GEMVs against it
+        return np.ones(self.n)
 
     @cached_property
     def backward(self) -> tuple[list, list]:
         """The loss cotangent at the pre-activation of every layer l >= 1,
-        and its second-order term (deltas[l] @ W_l) * phi''(S_{l-1}); None
+        and its second-order term (W_l^T deltas[l]) * phi''(S_{l-1}); None
         at layer 0, whose input does not move with the parameters.
 
         Only the Hessian products need it, so G and the decomposition,
@@ -273,46 +258,55 @@ class Linearization:
         """
         spec, Ws, primes = self.spec, self.Ws, self.primes
         L = spec.depth
-        deltas = [None] * L
-        curvatures = [None] * L
-        deltas[-1] = self.cotangent
+        deltas, curvatures = [None] * L, [None] * L
+        deltas[-1] = self.dZ
         for l in range(L - 1, 0, -1):
-            U = deltas[l] @ Ws[l]
-            curvatures[l] = U * _phi_second(spec, self.acts[l], primes[l - 1])
+            U = Ws[l].T @ deltas[l]
+            # phi'' is -2 tanh phi' for tanh and zero for relu
+            curvatures[l] = U * (-2.0 * self.acts[l] * primes[l - 1]
+                                 if spec.activation == "tanh" else 0.0)
             if l > 1:
                 deltas[l - 1] = U * primes[l - 1]
         return deltas, curvatures
 
     def rows(self, idx) -> "Linearization":
-        """The same linearization restricted to the examples ``idx``."""
-        return Linearization(self.spec, self.Ws, [a[idx] for a in self.acts],
-                             [d[idx] for d in self.primes], self.probs[idx],
-                             self.cotangent[idx], self.labels[idx], self.split)
+        """The same linearization restricted to the examples ``idx``, bit
+        for bit: ``take`` keeps the columns C-contiguous, as fresh ones are."""
+        idx = np.arange(self.n)[idx]
+        return Linearization(
+            self.spec, self.Ws, [a.take(idx, axis=1) for a in self.acts],
+            [d.take(idx, axis=1) for d in self.primes], self.P.take(idx, axis=1),
+            self.dZ.take(idx, axis=1), self.labels[idx], self.split)
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
-        """Per-example logit directions J_i v, shape (n, C)."""
+        """Per-example logit directions J_i v, shape (C, n)."""
         Vs, vbs = unflatten(self.spec, v)
         return _r_forward(self.spec, self.Ws, Vs, vbs, self.acts,
                           self.primes)[2]
 
     def vjp(self, D: np.ndarray) -> np.ndarray:
-        """Summed pull-back sum_i J_i^T D_i of logit cotangents D (n, C)."""
-        return flatten(*_backward_sums(self.spec, self.Ws, self.acts,
-                                       self.primes, D))
+        """Summed pull-back sum_i J_i^T D_i of logit cotangents D (C, n);
+        each weight block D_l A_l^T is written straight into the output."""
+        out = np.empty(self.spec.param_count)
+        gWs, gbs = unflatten(self.spec, out)
+        for l, Dl in _deltas(self.spec, self.Ws, self.primes, D):
+            np.matmul(Dl, self.acts[l].T, out=gWs[l])
+            np.matmul(Dl, self._ones, out=gbs[l])
+        return out
 
     def vjp_sq_norms(self, D: np.ndarray) -> np.ndarray:
-        """Per-example ||J_i^T D_i||^2, shape (n,).
+        """Per-example ||J_i^T D_i||^2, shape (n,), for D (C, n).
 
         A layer's weight block of one example's pull-back is the outer
         product of its pre-activation cotangent and its input, so its
         squared norm is ||delta||^2 ||a||^2 (Goodfellow, arXiv 1510.01799);
         the bias block adds ||delta||^2.
         """
-        out = np.zeros(D.shape[0])
+        out = np.zeros(D.shape[1])
         for l, Dl in _deltas(self.spec, self.Ws, self.primes, D):
             a = self.acts[l]
-            out += (np.einsum("ij,ij->i", Dl, Dl)
-                    * (np.einsum("ij,ij->i", a, a) + 1.0))
+            out += (np.einsum("ji,ji->i", Dl, Dl)
+                    * (np.einsum("ji,ji->i", a, a) + 1.0))
         return out
 
 
@@ -328,9 +322,9 @@ def linearize(spec: MlpSpec, theta: np.ndarray,
     Ws, bs = unflatten(spec, np.array(theta, dtype=np.float64, copy=True))
     acts, primes, Z = _forward(spec, Ws, bs, data.x)
     P = _softmax(Z)
-    return Linearization(spec, Ws, acts, primes, P,
-                         P - one_hot(data.y, spec.class_count), data.y,
-                         data.split)
+    dZ = P.copy()
+    dZ[data.y, np.arange(data.n)] -= 1.0
+    return Linearization(spec, Ws, acts, primes, P, dZ, data.y, data.split)
 
 
 def hvp(lin: Linearization, v: np.ndarray, outer: bool = True) -> np.ndarray:
@@ -348,27 +342,29 @@ def hvp(lin: Linearization, v: np.ndarray, outer: bool = True) -> np.ndarray:
     Vs, vbs = unflatten(spec, v)
     RAs, RSs, RZ = _r_forward(spec, Ws, Vs, vbs, acts, lin.primes,
                               logits=outer)
-    L = spec.depth
     deltas, curvatures = lin.backward
-    RD = _fisher_mul(lin.probs, RZ) if outer else None  # None: zero seed
-    gWs = [None] * L
-    gbs = [None] * L
-    for l in range(L - 1, -1, -1):
+    RD = _fisher_mul(lin.P, RZ) if outer else None  # None: zero seed
+    out = np.empty(spec.param_count)
+    gWs, gbs = unflatten(spec, out)
+    for l in range(spec.depth - 1, -1, -1):
         D = deltas[l]
         if RD is None:
-            gWs[l] = D.T @ RAs[l]
-            gbs[l] = np.zeros(Ws[l].shape[0])
+            np.matmul(D, RAs[l].T, out=gWs[l])
+            gbs[l][:] = 0.0
         else:
-            gWs[l] = RD.T @ acts[l]
+            np.matmul(RD, acts[l].T, out=gWs[l])
             if l > 0:
-                gWs[l] += D.T @ RAs[l]
-            gbs[l] = RD.sum(axis=0)
+                gWs[l] += D @ RAs[l].T
+            np.matmul(RD, lin._ones, out=gbs[l])
         if l > 0:
-            RU = D @ Vs[l]
+            RU = Vs[l].T @ D
             if RD is not None:
-                RU = RD @ Ws[l] + RU
-            RD = RU * lin.primes[l - 1] + curvatures[l] * RSs[l - 1]
-    return flatten(gWs, gbs) / lin.n
+                RU += Ws[l].T @ RD
+            RU *= lin.primes[l - 1]
+            RU += curvatures[l] * RSs[l - 1]
+            RD = RU
+    out /= lin.n
+    return out
 
 
 def gnvp(lin: Linearization, v: np.ndarray) -> np.ndarray:
@@ -379,7 +375,9 @@ def gnvp(lin: Linearization, v: np.ndarray) -> np.ndarray:
     plain VJP. The Jacobian J is never formed. Positive semidefinite by
     construction.
     """
-    return lin.vjp(_fisher_mul(lin.probs, lin.jvp(v))) / lin.n
+    g = lin.vjp(_fisher_mul(lin.P, lin.jvp(v)))
+    g /= lin.n
+    return g
 
 
 def hvp_h(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,

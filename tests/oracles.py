@@ -33,7 +33,7 @@ from specdens.linalg import (
     eig_tridiagonal,
 )
 from specdens.data import LabeledDataset
-from specdens.net import MlpSpec, _forward, _softmax, loss_and_error, unflatten
+from specdens.net import MlpSpec, loss_and_error, unflatten
 from specdens.operators import SymmetricOperator
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -530,17 +530,34 @@ def first_per_class_loop(y, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# network evaluation: the library's forward pass, for the tests to call
+# network evaluation: a row-major forward pass of the tests' own, one row
+# per example, independent of the library's feature-major one
 # ---------------------------------------------------------------------------
 
-def predict_logits(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+def row_major_forward(spec: MlpSpec, theta: np.ndarray, X: np.ndarray):
+    """Layer inputs [A_0..A_{L-1}], hidden slopes phi'(S_l) and logits,
+    each (n, width)."""
     Ws, bs = unflatten(spec, theta)
-    _, _, Z = _forward(spec, Ws, bs, np.asarray(X, dtype=np.float64))
-    return Z
+    A = np.asarray(X, dtype=np.float64)
+    acts, primes = [A], []
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        S = A @ W.T + b
+        if spec.activation == "tanh":
+            A = np.tanh(S)
+            primes.append(1.0 - A ** 2)
+        else:
+            A = np.where(S > 0.0, S, 0.0)
+            primes.append(np.where(S > 0.0, 1.0, 0.0))
+        acts.append(A)
+    return acts, primes, A @ Ws[-1].T + bs[-1]
+
+
+def predict_logits(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return row_major_forward(spec, theta, X)[2]
 
 
 def predict_probs(spec: MlpSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return _softmax(predict_logits(spec, theta, X))
+    return softmax(predict_logits(spec, theta, X))
 
 
 def loss(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset) -> float:
@@ -630,12 +647,12 @@ def per_example_logit_vjp(spec, theta: np.ndarray, X: np.ndarray,
     """Per-example parameter vectors J_i^T c_i, stacked as (n, p)."""
     X = np.asarray(X, dtype=np.float64)
     cot = np.asarray(cotangents, dtype=np.float64)
-    Ws, bs = unflatten(spec, theta)
+    Ws, _ = unflatten(spec, theta)
     if X.ndim != 2 or cot.shape != (X.shape[0], spec.class_count):
         raise UsageError("inputs and cotangents must align per example")
     if X.shape[0] == 0:
         raise UsageError("need at least one example")
-    acts, primes, _ = _forward(spec, Ws, bs, X)
+    acts, primes, _ = row_major_forward(spec, theta, X)
     n = X.shape[0]
     L = spec.depth
     D = cot

@@ -484,45 +484,56 @@ class TestPerExampleVjp:
             np.testing.assert_allclose(rows, J_fd[:, c, :], atol=1e-6)
 
 
+def check_products_against_jacobian_rows(spec, theta, x, lin, seed):
+    """``lin``'s JVP, summed VJP and per-example VJP norms against the
+    oracle's stored per-example Jacobian rows; the products take and return
+    one column per example. Returns the direction used for the JVP."""
+    C = spec.class_count
+    J = np.stack([
+        per_example_logit_vjp(spec, theta, x, np.tile(np.eye(C)[c], (len(x), 1)))
+        for c in range(C)
+    ], axis=1)                                   # (n, C, p)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(spec.param_count)
+    D = rng.standard_normal((len(x), C))
+    np.testing.assert_allclose(lin.jvp(v), (J @ v).T, atol=1e-12)
+    np.testing.assert_allclose(lin.vjp(D.T), np.einsum("ic,icp->p", D, J),
+                               atol=1e-12)
+    rows = np.einsum("ic,icp->ip", D, J)
+    np.testing.assert_allclose(lin.vjp_sq_norms(D.T),
+                               np.einsum("ip,ip->i", rows, rows), rtol=1e-13)
+    return v
+
+
 class TestLinearization:
     """JVPs, summed VJPs and per-example VJP norms through one stored
     forward state, checked against stored per-example Jacobian rows."""
 
-    def jacobian_rows(self, spec, theta, x):
-        C = spec.class_count
-        return np.stack([
-            per_example_logit_vjp(spec, theta, x, np.tile(np.eye(C)[c], (len(x), 1)))
-            for c in range(C)
-        ], axis=1)                                   # (n, C, p)
-
     def test_products_match_stored_jacobians(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         lin = linearize(spec, theta, train)
-        J = self.jacobian_rows(spec, theta, train.x)
-        rng = np.random.default_rng(18)
-        v = rng.standard_normal(spec.param_count)
-        D = rng.standard_normal((train.n, spec.class_count))
-        np.testing.assert_allclose(lin.probs, predict_probs(spec, theta, train.x),
+        # the state holds one column per example
+        np.testing.assert_allclose(lin.P, predict_probs(spec, theta, train.x).T,
                                    atol=1e-15)
-        assert np.array_equal(lin.cotangent, lin.probs - one_hot(train.y, train.class_count))
-        np.testing.assert_allclose(lin.jvp(v), J @ v, atol=1e-12)
-        np.testing.assert_allclose(lin.vjp(D), np.einsum("ic,icp->p", D, J),
-                                   atol=1e-12)
-        rows = np.einsum("ic,icp->ip", D, J)
-        np.testing.assert_allclose(lin.vjp_sq_norms(D),
-                                   np.einsum("ip,ip->i", rows, rows), rtol=1e-13)
+        assert np.array_equal(lin.dZ, lin.P - one_hot(train.y, train.class_count).T)
+        check_products_against_jacobian_rows(spec, theta, train.x, lin, seed=18)
 
     def test_row_restriction(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
         keep = train.y == 1
         sub = LabeledDataset(x=train.x[keep], y=train.y[keep],
                              class_count=train.class_count)
-        D = np.random.default_rng(19).standard_normal((sub.n, spec.class_count))
+        rng = np.random.default_rng(19)
+        D = rng.standard_normal((spec.class_count, sub.n))
+        v = rng.standard_normal(spec.param_count)
         restricted = linearize(spec, theta, train).rows(keep)
         direct = linearize(spec, theta, sub)
         assert np.array_equal(restricted.vjp(D), direct.vjp(D))
         assert np.array_equal(restricted.vjp_sq_norms(D), direct.vjp_sq_norms(D))
-        assert np.array_equal(restricted.cotangent, direct.cotangent)
+        assert np.array_equal(restricted.dZ, direct.dZ)
+        assert np.array_equal(gnvp(restricted, v), gnvp(direct, v))
+        assert np.array_equal(hvp(restricted, v, outer=False),
+                              hvp(direct, v, outer=False))
 
     def test_labels_and_split_ride_along(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
@@ -542,6 +553,49 @@ class TestLinearization:
         before = lin.jvp(v)
         theta_live[:] = 0.0
         assert np.array_equal(lin.jvp(v), before)
+
+
+class TestTwoHiddenLayers:
+    """Every product on a 4-6-5-3 net, where the backward sweeps cross a
+    hidden-to-hidden layer: finite differences of the gradient and the
+    per-example Jacobian rows of the row-major oracle."""
+
+    @pytest.fixture(params=["tanh", "relu"])
+    def net(self, request):
+        spec = MlpSpec(layer_dims=(4, 6, 5, 3), activation=request.param)
+        theta = 0.8 * np.random.default_rng(31).standard_normal(spec.param_count)
+        data = random_dataset(spec, 12, seed=32)
+        return spec, theta, data, linearize(spec, theta, data)
+
+    def test_jvp_vjp_and_norms_match_jacobian_rows(self, net):
+        spec, theta, data, lin = net
+        v = check_products_against_jacobian_rows(spec, theta, data.x, lin,
+                                                 seed=33)
+        eps = 1e-6
+        fd = (predict_logits(spec, theta + eps * v, data.x)
+              - predict_logits(spec, theta - eps * v, data.x)) / (2 * eps)
+        np.testing.assert_allclose(lin.jvp(v), fd.T, atol=1e-7)
+
+    def test_hessian_matches_fd_of_gradient(self, net):
+        spec, theta, data, lin = net
+        grad_fn = lambda t: gradient(spec, t, data)
+        H_fd = fd_hessian(grad_fn, theta)
+        H = op_to_dense(hessian_operator(lin))
+        assert np.linalg.norm(H - H_fd) <= 1e-7 * np.linalg.norm(H_fd)
+        v = np.random.default_rng(34).standard_normal(spec.param_count)
+        approx = fd_hvp(grad_fn, theta, v)
+        assert np.linalg.norm(hvp(lin, v) - approx) <= 1e-7 * np.linalg.norm(approx)
+
+    def test_gn_and_remainder_match_jacobian_assembly(self, net):
+        spec, theta, data, lin = net
+        G_oracle = jacobian_assembly_gn(spec, theta, data)
+        G = op_to_dense(hessian_operator(lin, which="g"))
+        assert np.linalg.norm(G - G_oracle) <= 1e-12 * np.linalg.norm(G_oracle)
+        # the zero-seed pass against Hess - G, with Hess from finite
+        # differences of the gradient and G from the Jacobian rows
+        ref = fd_hessian(lambda t: gradient(spec, t, data), theta) - G_oracle
+        H = op_to_dense(hessian_operator(lin, which="h"))
+        assert np.linalg.norm(H - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 class TestCheckpoints:
