@@ -70,7 +70,6 @@ from .decomp import (
     ClusterStats,
     GaussNewtonParts,
     build_decomposition,
-    cluster_statistics,
     component_attribution,
     identity_residual,
     validate_report,

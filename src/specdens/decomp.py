@@ -14,12 +14,14 @@ plus fluctuation decomposes G exactly into four PSD pieces:
 G = A1 + A2 + B1 + B2 holds to round-off, and the identity is checked
 with random probes whenever a report is produced.
 
-No per-example vector is ever formed. The cluster masses are sums of
-softmax probabilities and the C^2 cluster means come from class-restricted
-summed VJPs, so A1, A2 and B1 are factor-form operators whose eigenvalues
-come from small Gram matrices. B2 stays matrix-free: one B2 matvec is one
-JVP, one VJP and a C^2 correction from the means, and its per-class traces
-come from per-example squared norms. Memory is O(n * width + C^2 * p).
+No per-example vector is ever formed, and no table of cluster means
+outlives its class: one pass over the true classes takes class c's C
+means from C class-restricted summed VJPs, keeps their squared norms, and
+writes its A1, A2 and B1 rows of one stacked factor as K_c @ means. A1,
+A2 and B1 are factor-form operators on row blocks of that factor, and
+their eigenvalues come from its small Gram matrix. One B2 matvec is one
+JVP and one VJP, and its per-class traces come from per-example squared
+norms. Memory is O(n * width + C^2 * p), the C^2 + C factor rows.
 """
 
 from __future__ import annotations
@@ -56,59 +58,16 @@ class ClusterStats:
 
     Row c aggregates the examples whose true label is c: ``class_prob[c, c']``
     is the total softmax weight W_cc' those examples put on class c',
-    ``class_mean[c, c']`` the weighted mean mu_cc' of their class-c' vectors,
-    and ``sq_norm_sums[c]`` the weighted sum of those vectors' squared
-    norms. ``off_prob`` / ``off_mean`` aggregate the off-diagonal (c' != c)
-    part.
+    ``mean_sq[c, c']`` the squared norm of the weighted mean mu_cc' of their
+    class-c' vectors, and ``sq_norm_sums[c]`` the weighted sum of those
+    vectors' squared norms.
     """
 
     class_prob: np.ndarray    # (C, C)
-    class_mean: np.ndarray    # (C, C, p)
-    off_prob: np.ndarray      # (C,)
-    off_mean: np.ndarray      # (C, p)
+    mean_sq: np.ndarray       # (C, C)
     sq_norm_sums: np.ndarray  # (C,)
     counts: np.ndarray        # (C,) examples per true class
     n_total: int
-
-
-def cluster_statistics(lin: Linearization) -> ClusterStats:
-    """Masses, means and weighted squared norms of every (true class c,
-    class c') cluster, from 2 C^2 backward passes over class-c rows."""
-    C = lin.spec.class_count
-    p = lin.spec.param_count
-    class_prob = np.zeros((C, C))
-    class_mean = np.zeros((C, C, p))
-    sq_norm_sums = np.zeros(C)
-    counts = np.bincount(lin.labels, minlength=C)
-    eye = np.eye(C)
-    for c in range(C):
-        if counts[c] == 0:
-            continue
-        sub = lin.rows(lin.labels == c)
-        P = sub.P                                    # (C, n_c)
-        class_prob[c] = P.sum(axis=1)
-        for c2 in range(C):
-            D = eye[:, c2, None] - P                 # columns e_c' - p_i
-            w = P[c2]
-            if class_prob[c, c2] > 0.0:
-                class_mean[c, c2] = sub.vjp(w * D) / class_prob[c, c2]
-            sq_norm_sums[c] += w @ sub.vjp_sq_norms(D)
-    off = ~np.eye(C, dtype=bool)
-    off_prob = np.where(off, class_prob, 0.0).sum(axis=1)
-    off_mean = np.zeros((C, p))
-    for c in range(C):
-        if off_prob[c] > 0.0:
-            weights = np.where(off[c], class_prob[c], 0.0)
-            off_mean[c] = (weights[:, None] * class_mean[c]).sum(axis=0) / off_prob[c]
-    return ClusterStats(
-        class_prob=class_prob,
-        class_mean=class_mean,
-        off_prob=off_prob,
-        off_mean=off_mean,
-        sq_norm_sums=sq_norm_sums,
-        counts=counts,
-        n_total=lin.n,
-    )
 
 
 def _factor_operator(F: np.ndarray, label: str) -> SymmetricOperator:
@@ -130,37 +89,52 @@ def _b2_matvec(lin: Linearization, members: np.ndarray, stats: ClusterStats,
                v: np.ndarray) -> np.ndarray:
     """B2 v = sum_ic' c_ic' (v_ic' - mu_{y_i c'}) with
     c_ic' = (p_ic'/N) <v_ic' - mu_{y_i c'}, v>; ``members`` is one_hot(y)^T,
-    and every (C, n) array holds one column per example."""
-    C = members.shape[0]
+    and every (C, n) array holds one column per example.
+
+    <v_ic', v> = d_ic' comes from u = J v, and the mean dots from d:
+    <mu_cc', v> = sum_{i in c} p_ic' d_ic' / W_cc'. The mean terms of the
+    pull-back drop out, since a cluster's coefficients sum to zero."""
     P = lin.P
     u = lin.jvp(v)                                   # (C, n): J_i v
-    mean_dots = stats.class_mean @ v                 # (C, C): <mu_cc', v>
-    coef = (P / stats.n_total) * (
-        u - np.sum(P * u, axis=0) - mean_dots.T @ members)
-    pulled = lin.vjp(coef - P * coef.sum(axis=0))
-    cluster_coef = members @ coef.T                  # (C, C): sum_{i in c} c_ic'
-    return pulled - cluster_coef.ravel() @ stats.class_mean.reshape(C * C, -1)
+    d = u - np.sum(P * u, axis=0)                    # (C, n): <v_ic', v>
+    W = stats.class_prob
+    mean_dots = np.divide(members @ (P * d).T, W,    # (C, C): <mu_cc', v>
+                          out=np.zeros_like(W), where=W > 0.0)
+    coef = (P / stats.n_total) * (d - mean_dots.T @ members)
+    return lin.vjp(coef - P * coef.sum(axis=0))
 
 
 @dataclass(frozen=True)
 class GaussNewtonParts:
-    """The four decomposition pieces as operators, plus the factors of the
-    low-rank three.
+    """The four decomposition pieces as operators, plus the stacked factor
+    of the low-rank three.
 
-    A1, A2 and B1 are F^T F for a factor F, so PSD-ness and the rank
+    A1, A2 and B1 are F^T F for a row block F of ``factor`` (C rows each for
+    A1 and A2, then C^2 - C for B1, class-major), so PSD-ness and the rank
     bounds are structural. B2 is applied matrix-free from the network's
-    linearization and the cluster means; it has no factor.
+    linearization and the cluster masses; it has no factor.
     """
 
     a1: SymmetricOperator
     a2: SymmetricOperator
     b1: SymmetricOperator
     b2: SymmetricOperator
-    a1_factor: np.ndarray
-    a2_factor: np.ndarray
-    b1_factor: np.ndarray
+    factor: np.ndarray        # (C^2 + C, p): the A1, A2 and B1 rows
     stats: ClusterStats
     b2_factor: None = None  # always: B2 is matrix-free
+
+    @property
+    def a1_factor(self) -> np.ndarray:
+        return self.factor[: self.stats.counts.size]
+
+    @property
+    def a2_factor(self) -> np.ndarray:
+        C = self.stats.counts.size
+        return self.factor[C: 2 * C]
+
+    @property
+    def b1_factor(self) -> np.ndarray:
+        return self.factor[2 * self.stats.counts.size:]
 
     def total(self) -> SymmetricOperator:
         """A1 + A2 + B1 + B2, labelled ``a1+a2+b1+b2``."""
@@ -174,8 +148,7 @@ class GaussNewtonParts:
         = sq_norm_sums[c] - sum_c' W_cc' ||mu_cc'||^2, over n_c N.
         """
         st = self.stats
-        mean_sq = np.einsum("cdp,cdp->cd", st.class_mean, st.class_mean)
-        spread = st.sq_norm_sums - (st.class_prob * mean_sq).sum(axis=1)
+        spread = st.sq_norm_sums - (st.class_prob * st.mean_sq).sum(axis=1)
         spread = np.where(spread > _TRACE_ROUNDOFF * st.sq_norm_sums,
                           spread, 0.0)
         scale = st.counts * float(st.n_total)
@@ -185,39 +158,54 @@ class GaussNewtonParts:
 
 def build_decomposition(lin: Linearization) -> GaussNewtonParts:
     """The four parts of G on ``lin``'s batch, in O(n * width + C^2 p)
-    memory."""
-    stats = cluster_statistics(lin)
+    memory: one pass over the true classes, where class c's C cluster
+    means come from C summed VJPs over its rows and leave behind only
+    their squared norms and class c's factor rows."""
     C = lin.spec.class_count
     p = lin.spec.param_count
-    N = stats.n_total
-
-    a1_factor = np.sqrt(stats.off_prob / N)[:, None] * stats.off_mean
-    diag_prob = np.diagonal(stats.class_prob)
-    diag_mean = stats.class_mean[np.arange(C), np.arange(C)]
-    a2_factor = np.sqrt(diag_prob / N)[:, None] * diag_mean
-
-    b1_rows = []
+    N = lin.n
+    counts = np.bincount(lin.labels, minlength=C)
+    class_prob = np.zeros((C, C))
+    mean_sq = np.zeros((C, C))
+    sq_norm_sums = np.zeros(C)
+    factor = np.zeros((C * C + C, p))
+    eye = np.eye(C)
     for c in range(C):
+        if counts[c] == 0:
+            continue
+        sub = lin.rows(lin.labels == c)
+        P = sub.P                                    # (C, n_c)
+        W = class_prob[c] = P.sum(axis=1)
+        means = np.zeros((C, p))
         for c2 in range(C):
-            if c2 == c:
-                continue
-            w = stats.class_prob[c, c2]
-            b1_rows.append(
-                np.sqrt(w / N) * (stats.class_mean[c, c2] - stats.off_mean[c])
-            )
-    b1_factor = np.array(b1_rows) if b1_rows else np.empty((0, p))
-
+            D = eye[:, c2, None] - P                 # columns e_c' - p_i
+            if W[c2] > 0.0:
+                means[c2] = sub.vjp(P[c2] * D) / W[c2]
+            sq_norm_sums[c] += P[c2] @ sub.vjp_sq_norms(D)
+        mean_sq[c] = np.einsum("dp,dp->d", means, means)
+        # K_c: with w the off-diagonal mass and mix_c' = W_cc'/w off the
+        # diagonal, A1 row sqrt(w/N) mix, A2 row sqrt(W_cc/N) e_c, and the
+        # B1 row of c' != c sqrt(W_cc'/N) (e_c' - mix)
+        off = eye[c] == 0.0
+        w = W[off].sum()
+        mix = np.where(off, W, 0.0) / (w or 1.0)
+        K = np.vstack([np.sqrt(w / N) * mix, np.sqrt(W[c] / N) * eye[c],
+                       np.sqrt(W[off, None] / N) * (eye[off] - mix)])
+        b1 = 2 * C + c * (C - 1)                     # class c's first B1 row
+        np.matmul(K[0], means, out=factor[c])
+        np.matmul(K[1], means, out=factor[C + c])
+        np.matmul(K[2:], means, out=factor[b1: b1 + C - 1])
+    stats = ClusterStats(class_prob=class_prob, mean_sq=mean_sq,
+                         sq_norm_sums=sq_norm_sums, counts=counts, n_total=N)
     members = one_hot(lin.labels, C).T
     b2 = SymmetricOperator(p, lambda v: _b2_matvec(lin, members, stats, v),
                            label="b2")
     return GaussNewtonParts(
-        a1=_factor_operator(a1_factor, "a1"),
-        a2=_factor_operator(a2_factor, "a2"),
-        b1=_factor_operator(b1_factor, "b1"),
+        a1=_factor_operator(factor[:C], "a1"),
+        a2=_factor_operator(factor[C: 2 * C], "a2"),
+        b1=_factor_operator(factor[2 * C:], "b1"),
         b2=b2,
-        a1_factor=a1_factor,
-        a2_factor=a2_factor,
-        b1_factor=b1_factor,
+        factor=factor,
         stats=stats,
     )
 
@@ -279,8 +267,7 @@ def component_attribution(lin: Linearization, *,
     # the b1 rows are weighted deviations from their own mean, so they lose
     # one rank per class; keep only the entries that can be nonzero
     C = lin.spec.class_count
-    a1a2b1 = factor_eigenvalues(np.vstack(
-        [parts.a1_factor, parts.a2_factor, parts.b1_factor]))[: min(C * C, p)]
+    a1a2b1 = factor_eigenvalues(parts.factor)[: min(C * C, p)]
     densities["g_minus_b2"] = {**exact_log_spectrum(
         a1a2b1, p, steps=min(steps, p), grid_points=grid_points, kappa=kappa,
         epsilon=epsilon,

@@ -491,9 +491,15 @@ def load_checkpoint(path) -> Checkpoint:
     except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
             zipfile.BadZipFile) as err:
         raise InputFormatError(f"unreadable checkpoint {path}: {err}") from err
-    if ck.theta.shape != (spec.param_count,):
-        raise InputFormatError(
-            f"checkpoint theta has {ck.theta.shape}, spec wants "
-            f"({spec.param_count},)"
-        )
+    for name in ("theta", "velocity"):
+        arr = getattr(ck, name)
+        if arr is None:
+            continue
+        if arr.shape != (spec.param_count,):
+            raise InputFormatError(
+                f"checkpoint {name} has {arr.shape}, spec wants "
+                f"({spec.param_count},)")
+        if not np.isfinite(arr).all():
+            raise InputFormatError(
+                f"checkpoint {path}: {name} has non-finite entries")
     return ck

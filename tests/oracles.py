@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from specdens.decomp import ClusterStats
 from specdens.errors import ConvergenceError, UsageError
 from specdens.lanczos import (
     _BREAKDOWN_TOL,
@@ -32,7 +31,7 @@ from specdens.linalg import (
     _require_symmetric,
     eig_tridiagonal,
 )
-from specdens.data import LabeledDataset
+from specdens.data import LabeledDataset, one_hot
 from specdens.net import MlpSpec, loss_and_error, unflatten
 from specdens.operators import SymmetricOperator
 
@@ -693,7 +692,22 @@ def per_example_vectors(spec, theta: np.ndarray, data) -> PerExampleVectors:
                              class_count=C)
 
 
-def stored_cluster_statistics(pev: PerExampleVectors) -> ClusterStats:
+@dataclass(frozen=True)
+class StoredClusterStats:
+    """Cluster statistics with every mean held as a p-vector: the (C, C, p)
+    table mu_cc' and the (C, p) off-diagonal mixture means, which the
+    library never keeps."""
+
+    class_prob: np.ndarray    # (C, C)
+    class_mean: np.ndarray    # (C, C, p)
+    off_prob: np.ndarray      # (C,)
+    off_mean: np.ndarray      # (C, p)
+    sq_norm_sums: np.ndarray  # (C,)
+    counts: np.ndarray        # (C,)
+    n_total: int
+
+
+def stored_cluster_statistics(pev: PerExampleVectors) -> StoredClusterStats:
     """Cluster masses, means and weighted squared norms from stored vectors."""
     C = pev.class_count
     p = pev.vectors.shape[2]
@@ -720,14 +734,48 @@ def stored_cluster_statistics(pev: PerExampleVectors) -> ClusterStats:
         if off_prob[c] > 0.0:
             weights = np.where(off[c], class_prob[c], 0.0)
             off_mean[c] = (weights[:, None] * class_mean[c]).sum(axis=0) / off_prob[c]
-    return ClusterStats(class_prob=class_prob, class_mean=class_mean,
-                        off_prob=off_prob, off_mean=off_mean,
-                        sq_norm_sums=sq_norm_sums, counts=counts,
-                        n_total=pev.vectors.shape[0])
+    return StoredClusterStats(class_prob=class_prob, class_mean=class_mean,
+                              off_prob=off_prob, off_mean=off_mean,
+                              sq_norm_sums=sq_norm_sums, counts=counts,
+                              n_total=pev.vectors.shape[0])
+
+
+def stored_split_factors(stats: StoredClusterStats) -> np.ndarray:
+    """The A1, A2 and B1 factors from the stored means, stacked in the
+    library's row order: A1 rows sqrt(w_c/N) off_mean[c], A2 rows
+    sqrt(W_cc/N) mu_cc, then one B1 row sqrt(W_cc'/N) (mu_cc' - off_mean[c])
+    per c' != c, class-major."""
+    C = stats.class_prob.shape[0]
+    N = stats.n_total
+    a1 = np.sqrt(stats.off_prob / N)[:, None] * stats.off_mean
+    diag = np.arange(C)
+    a2 = (np.sqrt(stats.class_prob[diag, diag] / N)[:, None]
+          * stats.class_mean[diag, diag])
+    b1 = [np.sqrt(stats.class_prob[c, c2] / N)
+          * (stats.class_mean[c, c2] - stats.off_mean[c])
+          for c in range(C) for c2 in range(C) if c2 != c]
+    return np.vstack([a1, a2, *b1])
+
+
+def table_b2_matvec(lin, stats: StoredClusterStats,
+                    v: np.ndarray) -> np.ndarray:
+    """B2 v from one JVP, one VJP and the stored (C, C, p) mean table: the
+    mean dots as products with the table, and the mean term of the
+    pull-back subtracted explicitly."""
+    C = stats.class_prob.shape[0]
+    members = one_hot(lin.labels, C).T
+    P = lin.P
+    u = lin.jvp(v)
+    mean_dots = stats.class_mean @ v                 # (C, C): <mu_cc', v>
+    coef = (P / stats.n_total) * (
+        u - np.sum(P * u, axis=0) - mean_dots.T @ members)
+    pulled = lin.vjp(coef - P * coef.sum(axis=0))
+    cluster_coef = members @ coef.T                  # (C, C): sum_{i in c} c_ic'
+    return pulled - cluster_coef.ravel() @ stats.class_mean.reshape(C * C, -1)
 
 
 def stored_b2_factor(pev: PerExampleVectors,
-                     stats: ClusterStats) -> tuple[np.ndarray, np.ndarray]:
+                     stats: StoredClusterStats) -> tuple[np.ndarray, np.ndarray]:
     """B2 = F^T F with one row sqrt(p_ic'/N) (v_ic' - mu_{y_i c'}) per
     example and class; returns F (n*C, p) and each row's true label."""
     n, C, p = pev.vectors.shape

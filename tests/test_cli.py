@@ -5,6 +5,7 @@ and stderr are observable without spawning interpreters. The checks on
 what a command imports and on BLAS thread counts need a fresh one.
 """
 
+import dataclasses
 import gzip
 import json
 import math
@@ -730,6 +731,35 @@ class TestCheckpointAnalysis:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,fault", [
+        ("theta", "nan"), ("velocity", "nan"), ("velocity", "shape")])
+    @pytest.mark.parametrize("command", ["spectrum", "decompose", "train"])
+    def test_bad_checkpoint_arrays_are_input_errors(self, train_run, tmp_path,
+                                                    capsys, command, field,
+                                                    fault):
+        # caught at load, before a product, the decomposition or --out-dir
+        ck = load_checkpoint(train_run["final"])
+        values = getattr(ck, field).copy()
+        if fault == "nan":
+            values[3] = np.nan
+            message = f"{field} has non-finite entries"
+        else:
+            values = values[:5]
+            message = f"{field} has (5,)"
+        bad = tmp_path / "bad.npz"
+        save_checkpoint(bad, dataclasses.replace(ck, **{field: values}))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--config", str(train_run["config"]),
+                    "--resume", str(bad), "--out-dir", str(out)]
+        else:
+            argv = [command, "--checkpoint", str(bad),
+                    "--data", str(train_run["data"]), "--steps", "16",
+                    "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decompose_rerun_is_byte_identical(self, train_run, tmp_path):
         for name in ("a", "b"):
             assert main(decompose_args(
@@ -823,6 +853,24 @@ class TestCheckpointAnalysis:
         assert "unknown idx data config key(s): split" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_decompose_with_a_class_that_has_no_examples(self, train_run,
+                                                          tmp_path):
+        # labels 0 and 2 only: class 1 has no examples, no cluster means and
+        # no factor rows of its own, yet the report holds and validates
+        images, labels = idx_pair(range(24), [0, 2, 0, 2, 2, 0])
+        (tmp_path / "images").write_bytes(images)
+        (tmp_path / "labels").write_bytes(labels)
+        data = write_json(tmp_path / "data.json", {
+            "kind": "idx", "images": str(tmp_path / "images"),
+            "labels": str(tmp_path / "labels")})
+        assert main(decompose_args(train_run["final"], data, tmp_path / "d",
+                                   "--steps", "16", "--grid-points", "64")) == 0
+        report = json.loads((tmp_path / "d" / "attribution.json").read_text())
+        validate_report(report)
+        assert report["class_count"] == 3 and report["n_examples"] == 6
+        assert report["identity"]["relative_residual"] <= 1e-10
+        assert report["b2c_traces"][1] == 0.0
 
     def test_bad_split_value(self, train_run, tmp_path, capsys):
         wrong = tmp_path / "weird.json"

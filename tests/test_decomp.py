@@ -5,9 +5,10 @@ class-restricted VJPs and B2 from one JVP and one VJP per matvec. The
 stored-factor reference in oracles.py holds every per-example class vector
 instead; its vectors satisfy two exact identities (the true-class vector is
 minus the example's loss gradient; the prob-weighted class sum vanishes)
-and rebuild G. The matrix-free statistics are checked against brute-force
-loops over those vectors, the matrix-free B2 against the stored factor,
-and the four parts must reassemble G to round-off. The report's exact
+and rebuild G. The matrix-free statistics and factor rows are checked
+against brute-force loops over those vectors and against the stored-mean
+route, the matrix-free B2 against the stored factor and the mean-table
+route, and the four parts must reassemble G to round-off. The report's exact
 G - B2 density is checked against the dense spectrum of G - B2 built from
 G and B2 products, and against SLQ on the same difference.
 """
@@ -53,6 +54,8 @@ from oracles import (
     per_example_vectors,
     stored_b2_factor,
     stored_cluster_statistics,
+    stored_split_factors,
+    table_b2_matvec,
 )
 
 
@@ -143,29 +146,41 @@ class TestPerExampleVectors:
 class TestClusterStatistics:
     def test_matches_brute_force_loops(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
-        stats = build_decomposition(linearize(spec, theta, train)).stats
+        parts = build_decomposition(linearize(spec, theta, train))
+        stats = parts.stats
         C = pev.class_count
+        N = train.n
+        b1_rows = iter(parts.b1_factor)
         for c in range(C):
             rows = np.where(pev.labels == c)[0]
             assert stats.counts[c] == len(rows)
             sq = 0.0
+            means = []
             for c2 in range(C):
                 w = sum(pev.probs[i, c2] for i in rows)
                 assert stats.class_prob[c, c2] == pytest.approx(w, rel=1e-13)
                 mean = sum(pev.probs[i, c2] * pev.vectors[i, c2]
                            for i in rows) / w
-                np.testing.assert_allclose(stats.class_mean[c, c2], mean,
-                                           atol=1e-13 * np.abs(mean).max())
+                means.append(mean)
+                assert stats.mean_sq[c, c2] == pytest.approx(mean @ mean,
+                                                             rel=1e-13)
                 sq += sum(pev.probs[i, c2] * pev.vectors[i, c2] @ pev.vectors[i, c2]
                           for i in rows)
             assert stats.sq_norm_sums[c] == pytest.approx(sq, rel=1e-13)
             off = [c2 for c2 in range(C) if c2 != c]
             w_off = sum(stats.class_prob[c, c2] for c2 in off)
-            assert stats.off_prob[c] == pytest.approx(w_off, rel=1e-13)
-            mean_off = sum(stats.class_prob[c, c2] * stats.class_mean[c, c2]
+            mean_off = sum(stats.class_prob[c, c2] * means[c2]
                            for c2 in off) / w_off
-            np.testing.assert_allclose(stats.off_mean[c], mean_off,
-                                       atol=1e-13 * np.abs(mean_off).max())
+            expected = [np.sqrt(w_off / N) * mean_off,
+                        np.sqrt(stats.class_prob[c, c] / N) * means[c]]
+            got = [parts.a1_factor[c], parts.a2_factor[c]]
+            for c2 in off:
+                expected.append(np.sqrt(stats.class_prob[c, c2] / N)
+                                * (means[c2] - mean_off))
+                got.append(next(b1_rows))
+            for row, ref in zip(got, expected):
+                np.testing.assert_allclose(row, ref,
+                                           atol=1e-13 * np.abs(ref).max())
 
     def test_zero_parameters_class_prob_closed_form(self):
         spec = MlpSpec(layer_dims=(4, 8, 3))
@@ -184,11 +199,14 @@ class TestClusterStatistics:
         doubled = LabeledDataset(x=np.concatenate([train.x, train.x]),
                                  y=np.concatenate([train.y, train.y]),
                                  class_count=train.class_count)
-        s1 = build_decomposition(linearize(spec, theta, train)).stats
-        s2 = build_decomposition(linearize(spec, theta, doubled)).stats
+        p1 = build_decomposition(linearize(spec, theta, train))
+        p2 = build_decomposition(linearize(spec, theta, doubled))
+        s1, s2 = p1.stats, p2.stats
         np.testing.assert_allclose(s2.class_prob, 2.0 * s1.class_prob,
                                    rtol=1e-13)
-        np.testing.assert_allclose(s2.class_mean, s1.class_mean, atol=1e-13)
+        np.testing.assert_allclose(s2.mean_sq, s1.mean_sq, rtol=1e-13)
+        # every factor row is sqrt(W / N) times a mean: W and N both double
+        np.testing.assert_allclose(p2.factor, p1.factor, atol=1e-13)
         assert np.array_equal(s2.counts, 2 * s1.counts)
 
 
@@ -258,6 +276,27 @@ class TestGaussNewtonParts:
                 linearize(spec, init_params(spec, seed=seed), data))
             assert np.array_equal(parts.b2c_traces(), np.zeros(C)), seed
 
+    def test_a_class_with_no_examples(self, trained_tiny_net):
+        # class 1 drops out: its masses, trace and factor rows are exact
+        # zeros, and the other classes' parts still reassemble G
+        spec, theta, train, _ = trained_tiny_net
+        keep = train.y != 1
+        data = LabeledDataset(x=train.x[keep], y=train.y[keep],
+                              class_count=train.class_count)
+        lin = linearize(spec, theta, data)
+        parts = build_decomposition(lin)
+        C = spec.class_count
+        rows = [1, C + 1, *range(2 * C + (C - 1), 2 * C + 2 * (C - 1))]
+        assert parts.stats.counts[1] == 0
+        assert not parts.stats.class_prob[1].any()
+        assert not parts.factor[rows].any()
+        others = np.delete(np.arange(C * C + C), rows)
+        assert np.all(np.abs(parts.factor[others]).max(axis=1) > 0.0)
+        traces = parts.b2c_traces()
+        assert traces[1] == 0.0 and np.all(traces[[0, 2]] > 0.0)
+        g_op = hessian_operator(lin, which="g")
+        assert identity_residual(g_op, parts, probes=20, seed=0) <= 1e-10
+
     def test_b2_is_the_sum_of_its_class_restrictions(self, trained_tiny_net):
         # clusters never mix true classes, so B2 on the full data is the
         # count-weighted sum of B2 on each class's examples alone
@@ -304,17 +343,35 @@ class TestMatrixFreeRoute:
     def test_statistics_agree_with_stored_factors(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
         ref = stored_cluster_statistics(pev)
-        stats = build_decomposition(linearize(spec, theta, train)).stats
+        parts = build_decomposition(linearize(spec, theta, train))
+        stats = parts.stats
         np.testing.assert_allclose(stats.class_prob, ref.class_prob,
                                    rtol=1e-13)
-        np.testing.assert_allclose(stats.class_mean, ref.class_mean,
-                                   atol=1e-13 * np.abs(ref.class_mean).max())
-        np.testing.assert_allclose(stats.off_mean, ref.off_mean,
-                                   atol=1e-13 * np.abs(ref.off_mean).max())
+        np.testing.assert_allclose(
+            stats.mean_sq, np.einsum("cdp,cdp->cd", ref.class_mean,
+                                     ref.class_mean), rtol=1e-13)
         np.testing.assert_allclose(stats.sq_norm_sums, ref.sq_norm_sums,
                                    rtol=1e-13)
         assert np.array_equal(stats.counts, ref.counts)
         assert stats.n_total == ref.n_total
+        F = stored_split_factors(ref)
+        assert parts.factor.shape == F.shape
+        np.testing.assert_allclose(parts.factor, F,
+                                   atol=1e-13 * np.abs(F).max())
+
+    def test_b2_agrees_with_the_mean_table_route(self, trained_tiny_net):
+        # the mean dots read off the JVP, against products with the stored
+        # (C, C, p) table plus the explicit mean term of the pull-back
+        spec, theta, train, pev = fixture_pev(trained_tiny_net)
+        lin = linearize(spec, theta, train)
+        parts = build_decomposition(lin)
+        ref = stored_cluster_statistics(pev)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v = rng.standard_normal(spec.param_count)
+            a = table_b2_matvec(lin, ref, v)
+            b = parts.b2.apply(v)
+            np.testing.assert_allclose(b, a, atol=1e-13 * np.abs(a).max())
 
     def test_matvecs_and_traces_agree_with_stored_factors(self, trained_tiny_net):
         spec, theta, train, pev = fixture_pev(trained_tiny_net)
@@ -352,6 +409,26 @@ class TestMatrixFreeRoute:
             tracemalloc.stop()
         assert resid <= 1e-10
         assert peak < 256e6, f"tracemalloc peak {peak / 1e6:.0f} MB"
+
+    def test_build_holds_no_cluster_mean_table(self):
+        # at p = 50,890 and n = 1000 the stacked factor is (C^2 + C) p
+        # floats, 44.8 MB. Measured peak 53.7 MB; building from a (C, C, p)
+        # mean table, an off-mean table and a stacked copy of the B1 rows
+        # peaked at 130.4 MB
+        spec = MlpSpec(layer_dims=(784, 64, 10))
+        rng = np.random.default_rng(10)
+        data = LabeledDataset(x=rng.standard_normal((1000, 784)),
+                              y=np.arange(1000) % 10, class_count=10)
+        lin = linearize(spec, init_params(spec, seed=1), data)
+        tracemalloc.start()
+        try:
+            parts = build_decomposition(lin)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parts.factor.nbytes == 110 * spec.param_count * 8
+        assert peak <= parts.factor.nbytes + 20e6, \
+            f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 @pytest.fixture(scope="module")
