@@ -60,8 +60,9 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
     exceeds ``RESIDUAL_TOL`` times the largest magnitude, and
     :class:`NumericalError` when the operator returns a non-finite vector.
     """
-    # imported here, not at module level: the import costs about 10 MB of
-    # resident memory, which runs that never deflate should not pay
+    # imported here, not at module level: after numpy the import adds
+    # 32 MB of peak resident memory, which runs that never deflate should
+    # not pay
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     p = op.dim

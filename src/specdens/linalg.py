@@ -78,6 +78,7 @@ class EigenPairs:
 
 
 _CYTHON_LAPACK = "scipy.linalg.cython_lapack"
+_CYTHON_LAPACK_LOCK = threading.Lock()
 
 
 @functools.cache
@@ -97,15 +98,21 @@ def _lapack():
     of initialising it twice. That import does not bind it as an
     attribute of ``scipy.linalg``; ``from scipy.linalg import
     cython_lapack`` still finds it.
+
+    The load holds a module lock: ``functools.cache`` does not serialize
+    a first call, and threads that load the extension at once see it half
+    initialised (no ``__pyx_capi__``) or have it refuse a second
+    initialisation.
     """
-    module = sys.modules.get(_CYTHON_LAPACK)
-    if module is None:
-        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            _CYTHON_LAPACK, [os.path.join(scipy_dirs[0], "linalg")])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_CYTHON_LAPACK] = module
+    with _CYTHON_LAPACK_LOCK:
+        module = sys.modules.get(_CYTHON_LAPACK)
+        if module is None:
+            scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+            spec = importlib.machinery.PathFinder.find_spec(
+                _CYTHON_LAPACK, [os.path.join(scipy_dirs[0], "linalg")])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_CYTHON_LAPACK] = module
     capi = module.__pyx_capi__
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))

@@ -146,16 +146,25 @@ def dense_operator(A: np.ndarray, label: str = "dense") -> SymmetricOperator:
 
     A single vector is one GEMV. A block is multiplied ``_PANEL_ROWS`` rows
     of A at a time: each panel product gives the same bits at any BLAS
-    thread count, which one GEMM over the whole of A does not.
+    thread count, which one GEMM over the whole of A does not. The whole
+    panels are one stacked ``matmul`` over a (panels, rows, p) view of A
+    and the short last panel is one more product. Both write into a
+    C-order block, as each panel product would on its own: a Fortran-order
+    target changes the bits. The block is returned in Fortran order.
     """
     A = np.asarray(A, dtype=np.float64)
     _require_symmetric(A)
+    whole = A.shape[0] - A.shape[0] % _PANEL_ROWS
+    # splitting the row axis is always a view, whatever A's layout
+    panels = A[:whole].reshape(whole // _PANEL_ROWS, _PANEL_ROWS, A.shape[1])
+    tail = A[whole:]
 
     def matmat(V):
-        out = np.empty(V.shape, order="F")
-        for i in range(0, A.shape[0], _PANEL_ROWS):
-            out[i:i + _PANEL_ROWS] = A[i:i + _PANEL_ROWS] @ V
-        return out
+        out = np.empty(V.shape)
+        stacked = out[:whole].reshape(len(panels), _PANEL_ROWS, V.shape[1])
+        np.matmul(panels, V, out=stacked)
+        np.matmul(tail, V, out=out[whole:])
+        return np.asfortranarray(out)
 
     return SymmetricOperator(A.shape[0], lambda v: A @ v, label=label,
                              matmat=matmat)

@@ -69,17 +69,29 @@ def default_ensemble(kind: str, seed: int = 0) -> EnsembleSpec:
 
 def sample(spec: EnsembleSpec) -> np.ndarray:
     """Draw one symmetric p x p matrix from the ensemble. Deterministic in
-    the seed."""
+    the seed.
+
+    The p x p output is allocated before the sample it is built from and
+    filled with ``out=``, so the sample is the newer heap block: freed on
+    return, it joins the top of the heap, where the caller's next matrix
+    (``dense_eig``'s working copy) reuses its pages. Allocated the other
+    way round, the freed sample is a hole below the output that a
+    slightly larger block cannot use, and the heap grows by a third
+    matrix.
+    """
     rng = np.random.default_rng(spec.seed)
+    Y = np.empty((spec.p, spec.p))
     if spec.kind == "goe":
         Z = rng.standard_normal((spec.p, spec.p))
         # entry variance 1/p off the diagonal => bulk support [-2, 2]
-        Y = Z + Z.T
+        np.add(Z, Z.T, out=Y)
+        del Z
         Y /= math.sqrt(2.0 * spec.p)
         return Y
     if spec.kind == "spiked_wishart":
         Z = rng.standard_normal((spec.p, spec.n))
-        Y = Z @ Z.T
+        np.matmul(Z, Z.T, out=Y)
+        del Z
         Y /= spec.n
         for j, s in enumerate(spec.spikes):
             Y[j, j] += s
@@ -89,7 +101,8 @@ def sample(spec: EnsembleSpec) -> np.ndarray:
     Z = rng.random((spec.p, spec.n))
     np.subtract(1.0, Z, out=Z)
     Z **= -1.0 / spec.alpha
-    Y = Z @ Z.T
+    np.matmul(Z, Z.T, out=Y)
+    del Z
     Y /= spec.n
     return Y
 

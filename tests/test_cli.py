@@ -261,6 +261,36 @@ class TestSynth:
         top = np.sort(rows[:, 1])[-2:]
         assert (top > 4.5).all()  # gamma=1 bulk ends near 4
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the high-water mark in /proc")
+    @pytest.mark.parametrize("kind", ["goe", "spiked_wishart",
+                                      "pareto_wishart"])
+    def test_peak_memory_is_about_two_matrices(self, tmp_path, kind):
+        # the sample and the oracle's working copy share pages only when
+        # the p x p output is allocated before the sample it is built from;
+        # the other way round synth peaks at 3.2-3.5 matrices. VmHWM, not
+        # ru_maxrss: a child's ru_maxrss starts at its parent's RSS at the
+        # fork, which would hide the growth under the test runner's own
+        p = 1500
+        script = (
+            "import sys\n"
+            "from specdens.cli import main\n"
+            "def high_water():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        line = next(row for row in status\n"
+            "                    if row.startswith('VmHWM:'))\n"
+            "    return int(line.split()[1]) * 1024\n"
+            "p, kind, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]\n"
+            "args = ['synth', '--kind', kind, '--p', str(p), '--out-dir', out]\n"
+            "if kind != 'goe':\n"
+            "    args += ['--n', str(p)]\n"
+            "before = high_water()\n"
+            "assert main(args) == 0\n"
+            "print(high_water() - before)\n"
+        )
+        grown = int(run_python(script, p, kind, tmp_path))
+        assert grown <= 2.75 * 8 * p * p
+
 
 class TestSpectrum:
     def test_density_outputs_agree(self, goe_dir, tmp_path):
@@ -349,6 +379,32 @@ class TestSpectrum:
         for name in ("log", "deflate"):
             assert (tmp_path / "a" / name / "density.json").read_bytes() == \
                 (tmp_path / "b" / name / "density.json").read_bytes()
+
+    def test_lapack_loads_once_under_concurrent_first_use(self):
+        # four threads reach the first tridiagonal solve together; without
+        # a lock around the load most of them see the extension half
+        # initialised, so a few fresh interpreters catch it almost surely
+        script = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from specdens.linalg import TridiagonalMatrix, eig_tridiagonal\n"
+            "T = TridiagonalMatrix(np.arange(1.0, 9.0), np.full(7, 0.5))\n"
+            "barrier, errors = threading.Barrier(4), []\n"
+            "def solve():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        eig_tridiagonal(T)\n"
+            "    except Exception as err:\n"
+            "        errors.append(repr(err))\n"
+            "threads = [threading.Thread(target=solve) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join()\n"
+            "print(errors)\n"
+        )
+        for _ in range(3):
+            assert run_python(script) == "[]\n"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs os.sched_setaffinity")

@@ -11,6 +11,7 @@ from specdens.errors import (
 )
 from specdens.linalg import dense_eig
 from specdens.operators import (
+    _PANEL_ROWS,
     NormalizationMap,
     SymmetricOperator,
     affine_operator,
@@ -99,6 +100,22 @@ class TestDenseOperator:
         v = rng.standard_normal(70)
         np.testing.assert_array_equal(op.apply(v[:, None])[:, 0], A @ v)
         np.testing.assert_array_equal(op.apply(v), A @ v)
+
+    @pytest.mark.parametrize("p,layout", [(70, "C"), (70, "F"), (96, "C"),
+                                          (31, "C")])
+    def test_block_product_is_the_panel_loop_bit_for_bit(self, rng, p,
+                                                         layout):
+        # one stacked matmul must make the same GEMM calls as a loop over
+        # the panels; 96 rows leave no short panel and 31 no whole one
+        A = rng.standard_normal((p, p))
+        A = np.asarray((A + A.T) / 2, order=layout)
+        V = rng.standard_normal((p, 3))
+        loop = np.empty(V.shape, order="F")
+        for i in range(0, p, _PANEL_ROWS):
+            loop[i:i + _PANEL_ROWS] = A[i:i + _PANEL_ROWS] @ V
+        block = dense_operator(A).apply(V)
+        assert block.flags.f_contiguous
+        assert block.tobytes("F") == loop.tobytes("F")
 
 
 class TestNormalizationMap:

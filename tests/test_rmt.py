@@ -104,6 +104,29 @@ class TestEnsembleSpecs:
         C = sample(EnsembleSpec(kind="goe", p=80, seed=5))
         assert not np.array_equal(A, C)
 
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec(kind="goe", p=150, seed=6),
+        EnsembleSpec(kind="spiked_wishart", p=150, n=97, spikes=(5.0, 3.0),
+                     seed=6),
+        EnsembleSpec(kind="pareto_wishart", p=150, n=97, alpha=1.5, seed=6),
+    ], ids=lambda spec: spec.kind)
+    def test_sample_is_the_textbook_construction_bit_for_bit(self, spec):
+        # sample() fills a preallocated output in place; the bytes must be
+        # those of the plain expressions
+        rng = np.random.default_rng(spec.seed)
+        if spec.kind == "goe":
+            Z = rng.standard_normal((spec.p, spec.p))
+            expected = (Z + Z.T) / math.sqrt(2.0 * spec.p)
+        elif spec.kind == "spiked_wishart":
+            Z = rng.standard_normal((spec.p, spec.n))
+            expected = Z @ Z.T / spec.n
+            spiked = np.arange(len(spec.spikes))
+            expected[spiked, spiked] += spec.spikes
+        else:
+            Z = (1.0 - rng.random((spec.p, spec.n))) ** (-1.0 / spec.alpha)
+            expected = Z @ Z.T / spec.n
+        assert sample(spec).tobytes() == expected.tobytes()
+
 
 class TestSampledSpectra:
     def test_goe_matches_semicircle(self):
