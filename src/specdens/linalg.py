@@ -94,8 +94,8 @@ def _lapack():
     use, so commands that solve no tridiagonal problem pay nothing.
 
     The extension is registered in ``sys.modules`` under its own name, so
-    a later ``import scipy.linalg`` (ARPACK deflation) reuses it instead
-    of initialising it twice. That import does not bind it as an
+    a later ``import scipy.linalg`` by the caller reuses it instead of
+    initialising it twice. That import does not bind it as an
     attribute of ``scipy.linalg``; ``from scipy.linalg import
     cython_lapack`` still finds it.
 

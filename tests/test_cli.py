@@ -30,11 +30,13 @@ from specdens.errors import InputFormatError, UsageError
 from specdens.net import (
     Checkpoint,
     MlpSpec,
+    hessian_operator,
     init_params,
+    linearize,
     load_checkpoint,
     save_checkpoint,
 )
-from specdens.pipeline import gaussian_mixture
+from specdens.pipeline import GmmSpec, gaussian_mixture
 from specdens.rmt import EnsembleSpec, sample
 from specdens.storage import (
     MATRIX_MAGIC,
@@ -43,6 +45,8 @@ from specdens.storage import (
     read_matrix,
     write_matrix,
 )
+
+from oracles import op_to_dense
 
 
 def read_csv(path):
@@ -338,25 +342,24 @@ class TestSpectrum:
         for name in ("top_spectrum.json", "density.csv", "density.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_deflation_solver_is_imported_only_when_deflating(self, goe_dir,
-                                                              tmp_path):
+    def test_deflation_imports_neither_scipy_sparse_nor_scipy_linalg(
+            self, goe_dir, tmp_path):
+        # thick-restart Lanczos needs numpy and the operator only
         script = (
             "import sys\n"
             "from specdens.cli import main\n"
-            "args = ['spectrum', '--matrix', sys.argv[1], '--steps', '16',\n"
-            "        '--grid-points', '32', '--out-dir', sys.argv[2]]\n"
-            "assert main(args) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
-            "assert main(args + ['--deflate', '1']) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "assert main(['spectrum', '--matrix', sys.argv[1], '--steps', '16',\n"
+            "             '--grid-points', '32', '--deflate', '1',\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         )
         out = run_python(script, goe_dir / "matrix.spdm", tmp_path)
-        assert out.split() == ["False", "True"]
+        assert out.split() == ["False", "False"]
 
     def test_lapack_load_is_shared_with_a_later_scipy_linalg(self, goe_dir,
                                                              tmp_path):
-        # the Ritz solver loads scipy's cython_lapack extension alone;
-        # deflation then imports scipy.linalg, which must reuse it
+        # the Ritz solver loads scipy's cython_lapack extension alone, with
+        # or without deflation; a later scipy.linalg import must reuse it
         script = (
             "import sys\n"
             "from specdens.cli import main\n"
@@ -373,9 +376,9 @@ class TestSpectrum:
         )
         matrix = goe_dir / "matrix.spdm"
         out = run_python(script, matrix, tmp_path / "a", "log,deflate")
-        assert out.splitlines() == ["log False", "deflate True", "[1.0, 2.0]"]
+        assert out.splitlines() == ["log False", "deflate False", "[1.0, 2.0]"]
         out = run_python(script, matrix, tmp_path / "b", "deflate,log")
-        assert out.splitlines() == ["deflate True", "log True", "[1.0, 2.0]"]
+        assert out.splitlines() == ["deflate False", "log False", "[1.0, 2.0]"]
         for name in ("log", "deflate"):
             assert (tmp_path / "a" / name / "density.json").read_bytes() == \
                 (tmp_path / "b" / name / "density.json").read_bytes()
@@ -727,6 +730,29 @@ class TestCheckpointAnalysis:
         report = json.loads((tmp_path / "density.json").read_text())
         assert report["operator"] == "hess[train]"
         assert report["mass"] == pytest.approx(1.0, abs=0.01)
+
+    def test_deflated_spectrum_from_checkpoint(self, train_run, tmp_path):
+        argv = ["spectrum", "--checkpoint", str(train_run["final"]),
+                "--data", str(train_run["data"]), "--which", "hess",
+                "--deflate", "2", "--steps", "32", "--n-vec", "1",
+                "--grid-points", "128", "--seed", "3"]
+        for run in ("a", "b"):
+            assert main([*argv, "--out-dir", str(tmp_path / run)]) == 0
+        ck = load_checkpoint(train_run["final"])
+        gmm = {k: v for k, v in GMM_DATA.items() if k != "kind"}
+        train, _ = gaussian_mixture(GmmSpec.from_dict(gmm))
+        dense = op_to_dense(hessian_operator(linearize(ck.spec, ck.theta,
+                                                       train)))
+        values = np.linalg.eigvalsh(dense)
+        expected = values[np.argsort(-np.abs(values), kind="stable")][:2]
+        top = json.loads((tmp_path / "a" / "top_spectrum.json").read_text())
+        np.testing.assert_allclose(top["values"], expected, rtol=1e-8)
+        names = sorted(f.name for f in (tmp_path / "a").iterdir()
+                       if not f.name.endswith(".manifest.json"))
+        assert "top_spectrum.json" in names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
     def test_decompose_report_validates(self, train_run, tmp_path):
         rc = main(["decompose", "--checkpoint", str(train_run["final"]),

@@ -1,12 +1,15 @@
 """Top-eigenpair extraction and two-sided deflation against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import specdens.deflation
 from specdens.errors import ConvergenceError, UsageError
 from specdens.lanczos import approx_spectrum
 from specdens.linalg import dense_eig
-from specdens.operators import deflated_operator, dense_operator
+from specdens.operators import SymmetricOperator, deflated_operator, dense_operator
 from specdens.deflation import RESIDUAL_TOL, low_rank_deflation, top_eigenpairs
 
 from oracles import op_to_dense
@@ -75,7 +78,8 @@ class TestSubspaceIteration:
             top_eigenpairs(op, 5)
 
     def test_deterministic_in_seed(self):
-        # the degenerate identity makes ARPACK draw restart vectors
+        # the degenerate identity breaks every step down, so the run draws
+        # fresh vectors from the seeded generator
         for A, k in ((spiked_diagonal(40, [6.0, 3.0]), 2), (np.eye(20), 2)):
             op = dense_operator(A)
             a = top_eigenpairs(op, k, seed=9)
@@ -94,8 +98,118 @@ class TestSubspaceIteration:
         assert d["matvecs"] == top.matvecs >= 1
 
     def test_zero_operator_fails_to_converge(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="vanishes"):
             top_eigenpairs(dense_operator(np.zeros((10, 10))), 2)
+
+
+def by_magnitude(A, count):
+    values = dense_eig(A)
+    return values[np.argsort(-np.abs(values), kind="stable")][:count]
+
+
+def ncv_of(p, count):
+    return min(p, max(2 * count + 1, 20))
+
+
+@pytest.fixture
+def fresh_vectors(monkeypatch):
+    """Counts the fresh vectors a run draws after a breakdown."""
+    drawn = []
+    real = specdens.deflation._fresh_vector
+
+    def counting(rng, V, j):
+        drawn.append(j)
+        real(rng, V, j)
+
+    monkeypatch.setattr(specdens.deflation, "_fresh_vector", counting)
+    return drawn
+
+
+class TestThickRestart:
+    """The restart, breakdown and memory paths of :func:`top_eigenpairs`,
+    each against dense ``eigh``."""
+
+    def test_restarts_until_the_residuals_converge(self, rng):
+        # the edges of a random symmetric matrix sit close to the next
+        # eigenvalues, so one basis of ncv vectors is not enough
+        p, count = 300, 3
+        A = rng.standard_normal((p, p))
+        A = (A + A.T) / 2
+        top = top_eigenpairs(dense_operator(A), count, seed=1)
+        assert top.matvecs - count > ncv_of(p, count)
+        np.testing.assert_allclose(top.values, by_magnitude(A, count),
+                                   rtol=1e-10)
+        assert np.all(top.residuals <= RESIDUAL_TOL * np.abs(top.values[0]))
+
+    def test_count_above_the_rank(self, rng, fresh_vectors):
+        # the Krylov space of a rank-3 matrix closes after 4 steps; the
+        # other wanted pairs come from fresh vectors in the null space
+        p, rank, count = 60, 3, 5
+        X = rng.standard_normal((p, rank))
+        A = X @ X.T
+        top = top_eigenpairs(dense_operator(A), count, seed=2)
+        assert fresh_vectors
+        scale = np.abs(top.values[0])
+        np.testing.assert_allclose(top.values, by_magnitude(A, count),
+                                   rtol=1e-10, atol=1e-10 * scale)
+        np.testing.assert_allclose(top.values[rank:], 0.0, atol=1e-10 * scale)
+        Q = top.basis
+        assert np.linalg.norm(Q.T @ Q - np.eye(count)) <= 1e-12
+        assert np.all(top.residuals <= RESIDUAL_TOL * scale)
+
+    def test_identity_draws_fresh_vectors(self, fresh_vectors):
+        p, count = 40, 3
+        top = top_eigenpairs(dense_operator(np.eye(p)), count, seed=3)
+        # every product breaks down; the last one needs no successor
+        assert fresh_vectors == list(range(1, ncv_of(p, count)))
+        np.testing.assert_allclose(top.values, 1.0, atol=1e-14)
+        np.testing.assert_allclose(top.residuals, 0.0, atol=1e-12)
+        assert np.linalg.norm(top.basis.T @ top.basis - np.eye(count)) <= 1e-12
+
+    def test_all_but_one_pair_of_a_small_matrix(self, rng):
+        p = 7
+        A = rng.standard_normal((p, p))
+        A = (A + A.T) / 2
+        top = top_eigenpairs(dense_operator(A), p - 1, seed=4)
+        np.testing.assert_allclose(top.values, by_magnitude(A, p - 1),
+                                   rtol=1e-10)
+        assert np.linalg.norm(top.basis.T @ top.basis - np.eye(p - 1)) <= 1e-12
+
+    def test_negative_dominant_indefinite(self, rng):
+        p = 150
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        d = np.concatenate([[-9.0, -7.0, 4.0], rng.uniform(-1.0, 1.0, p - 3)])
+        A = (Q * d) @ Q.T
+        A = (A + A.T) / 2
+        top = top_eigenpairs(dense_operator(A), 3, seed=5)
+        np.testing.assert_allclose(top.values, by_magnitude(A, 3), rtol=1e-10)
+        np.testing.assert_allclose(top.values, [-9.0, -7.0, 4.0], rtol=1e-10)
+
+    def test_zero_operator_fails_with_a_partial_basis(self, fresh_vectors):
+        # ncv = 20 < p: every product breaks down and H stays zero
+        with pytest.raises(ConvergenceError, match="vanishes"):
+            top_eigenpairs(dense_operator(np.zeros((50, 50))), 2)
+        assert fresh_vectors == list(range(1, 20))
+
+    def test_memory_is_the_basis_and_one_product(self):
+        # a diagonal operator costs one output vector per product, so the
+        # peak is the ncv + 1 basis vectors, that output and the product's
+        # finite check (p bytes), whatever p is; the gap of 0.2 takes two
+        # restarts, which rotate the basis in place
+        p, count = 100_000, 1
+        d = np.linspace(0.0, 1.0, p)
+        d[0] = 1.2
+        op = SymmetricOperator(p, lambda v: d * v, label="diag")
+        top_eigenpairs(op, count, seed=0)   # first use imports numpy.random
+        tracemalloc.start()
+        try:
+            top = top_eigenpairs(op, count, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top.values[0] == pytest.approx(1.2, rel=1e-12)
+        assert top.matvecs - count > ncv_of(p, count)
+        assert peak <= (ncv_of(p, count) + 2) * 8 * p + p + 2**16
 
 
 class TestLowRankDeflation:
