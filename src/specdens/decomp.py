@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import one_hot
-from .errors import InputFormatError
+from .errors import InputFormatError, NumericalError
 from .lanczos import (
     DEFAULT_GRID,
     DEFAULT_KAPPA,
@@ -212,14 +212,24 @@ def build_decomposition(lin: Linearization) -> GaussNewtonParts:
 
 def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,
                       probes: int = 20, seed: int = 0) -> float:
-    """max over probes of ||G v - (A1+A2+B1+B2) v|| / ||G v||."""
+    """max over probes of ||G v - (A1+A2+B1+B2) v|| / ||G v||.
+
+    A non-finite product raises :class:`NumericalError` naming its
+    operator and the probe: a NaN ratio would drop out of the max and
+    read as agreement.
+    """
     rng = np.random.default_rng(seed)
     total = parts.total()
     worst = 0.0
-    for _ in range(probes):
+    for probe in range(1, probes + 1):
         v = rng.standard_normal(g_op.dim)
-        gv = g_op.apply(v)
-        resid = float(np.linalg.norm(gv - total.apply(v)))
+        gv, tv = g_op.apply(v), total.apply(v)
+        for op, out in ((g_op, gv), (total, tv)):
+            if not np.isfinite(out).all():
+                raise NumericalError(
+                    f"operator {op.label or '<anon>'} returned a non-finite "
+                    f"vector at identity probe {probe}")
+        resid = float(np.linalg.norm(gv - tv))
         worst = max(worst, resid / max(float(np.linalg.norm(gv)), 1e-300))
     return worst
 

@@ -145,18 +145,26 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
     Q = V[:, :count].copy(order="F")
     del V                       # freed before the residual products
 
-    W = np.column_stack([matvec(Q[:, j]) for j in range(count)])
-    theta = np.einsum("ij,ij->j", Q, W)
-    residuals = np.linalg.norm(W - Q * theta, axis=0)
+    # one Ritz vector at a time: its product, Rayleigh quotient and
+    # residual, as numpy sums like the recurrence's (axis=0 keeps norm
+    # off BLAS, whose reductions split between threads)
+    theta, residuals = np.empty(count), np.empty(count)
+    for j in range(count):
+        q = Q[:, j]
+        w = matvec(q)
+        theta[j] = np.add.reduce(q * w)
+        residuals[j] = np.linalg.norm(w - theta[j] * q, axis=0)
     tol = RESIDUAL_TOL * float(np.max(np.abs(theta)))
     if not np.all(residuals <= tol):
         raise ConvergenceError(
             f"top-{count} eigenpairs of {name} did not converge: worst "
             f"residual {float(np.max(residuals)):.3e} > {tol:.3e}")
     order = np.argsort(-np.abs(theta), kind="stable")
+    if (order != np.arange(count)).any():
+        Q = Q[:, order]
     return TopSpectrum(
         values=theta[order],
-        basis=Q[:, order],
+        basis=Q,
         residuals=residuals[order],
         matvecs=matvecs,
     )

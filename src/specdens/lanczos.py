@@ -156,7 +156,7 @@ class SpectralDensity:
 
 def _start_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / np.sqrt(np.add.reduce(v * v))
 
 
 def _three_term(op: SymmetricOperator, V1: np.ndarray,
@@ -164,9 +164,10 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     """One bare recurrence per column of the Fortran-order block ``V1``.
 
     The recurrences share one block product per step and nothing else;
-    this is not block Lanczos. Each column's alpha and beta come from its
-    own dot product and norm and the updates are elementwise, so every
-    column gets the bits it would get alone in a one-column block. Three
+    this is not block Lanczos. Alpha and beta are numpy's pairwise sums
+    down each column, not BLAS reductions, which split between threads,
+    and the updates are elementwise: every column gets the bits it would
+    get alone in a one-column block, at any BLAS thread count. Three
     working blocks, no reorthogonalization: memory stays O(p k) whatever
     ``steps`` is. A non-finite product, alpha or beta raises
     :class:`NumericalError` at the step that produced it.
@@ -182,9 +183,9 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     """
     name = op.label or "<anon>"
     k = V1.shape[1]
-    alphas, betas = [[] for _ in range(k)], [[] for _ in range(k)]
-    scale, residual = [0.0] * k, [0.0] * k
-    live = list(range(k))               # block column -> run
+    alpha, beta = np.zeros((k, steps)), np.zeros((k, steps - 1))
+    ran, residual = np.full(k, steps), np.zeros(k)
+    live, scale = np.arange(k), np.zeros(k)     # per live column
     V_prev = b = None
     V = V1
     for m in range(1, steps + 1):
@@ -195,35 +196,33 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
                 f"step {m}")
         if m > 1:
             W = W - V_prev * b
-        cols = range(len(live))
         with np.errstate(over="ignore", invalid="ignore"):
-            a = [float(W[:, j] @ V[:, j]) for j in cols]
+            a = np.add.reduce(W * V, axis=0)
             W = W - V * a
-            b = [float(np.linalg.norm(W[:, j])) for j in cols]
-        if not all(map(math.isfinite, a + b)):
+            b = np.sqrt(np.add.reduce(W * W, axis=0))
+        # V's columns are unit vectors, so a non-finite alpha spoils beta too
+        if not np.isfinite(b).all():
             raise NumericalError(
                 f"operator {name} gave a non-finite Lanczos coefficient at "
                 f"step {m}")
-        for r, x, y in zip(live, a, b):
-            alphas[r].append(x)
-            scale[r] = max(scale[r], abs(x) + y)
-            residual[r] = y if y > _BREAKDOWN_TOL * scale[r] else 0.0
+        alpha[live, m - 1] = a
+        scale = np.maximum(scale, np.abs(a) + b)
+        kept = b > _BREAKDOWN_TOL * scale
         if m == steps:
+            residual[live] = np.where(kept, b, 0.0)
             break
-        keep = [residual[r] > 0.0 for r in live]
-        if not all(keep):
-            live = [r for r, kept in zip(live, keep) if kept]
-            if not live:
+        if not kept.all():
+            ran[live[~kept]] = m
+            live, b, scale = live[kept], b[kept], scale[kept]
+            if not live.size:
                 break
-            b = [x for x, kept in zip(b, keep) if kept]
-            W, V = (np.asfortranarray(X[:, keep]) for X in (W, V))
-        for r, y in zip(live, b):
-            betas[r].append(y)
+            W, V = np.asfortranarray(W[:, kept]), np.asfortranarray(V[:, kept])
+        beta[live, m - 1] = b
         V_prev = V
         V = W / b
-    return [(TridiagonalMatrix(alpha=np.array(a), beta=np.array(bs)), res,
-             len(a) < steps)
-            for a, bs, res in zip(alphas, betas, residual)]
+    return [(TridiagonalMatrix(alpha=alpha[r, :n], beta=beta[r, :n - 1]),
+             res, n < steps)
+            for r, (n, res) in enumerate(zip(ran.tolist(), residual.tolist()))]
 
 
 def _lockstep(op: SymmetricOperator, steps: int,

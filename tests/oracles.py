@@ -359,11 +359,11 @@ def explicit_residual_bounds(op: SymmetricOperator, steps: int,
         w = op.apply(v)
         if j:
             w = w - beta[-1] * v_prev
-        alpha.append(float(w @ v))
+        alpha.append(float(np.add.reduce(w * v)))
         if j == m - 1:
             break
         w = w - alpha[-1] * v
-        b = float(np.linalg.norm(w))
+        b = float(np.sqrt(np.add.reduce(w * w)))
         scale = max(scale, abs(alpha[-1]) + b)
         if b <= _BREAKDOWN_TOL * scale:
             break

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specdens
+from specdens import decomp
 from specdens.cli import main
 from specdens.decomp import validate_report
 from specdens.errors import InputFormatError, UsageError
@@ -36,6 +37,7 @@ from specdens.net import (
     load_checkpoint,
     save_checkpoint,
 )
+from specdens.operators import SymmetricOperator
 from specdens.pipeline import GmmSpec, gaussian_mixture
 from specdens.rmt import EnsembleSpec, sample
 from specdens.storage import (
@@ -935,6 +937,29 @@ class TestCheckpointAnalysis:
         assert "unknown idx data config key(s): split" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_decompose_non_finite_part_is_numerical_failure(
+            self, train_run, tmp_path, capsys, monkeypatch):
+        # a NaN B2 product would read as a zero identity residual if NaN
+        # dropped out of the max; G - B1 and the other densities never
+        # apply B2, so nothing else would stop the report
+        build = decomp.build_decomposition
+
+        def nan_b2(lin):
+            parts = build(lin)
+            nan = SymmetricOperator(parts.b2.dim,
+                                    lambda v: np.full(v.shape, np.nan),
+                                    label="b2")
+            return dataclasses.replace(parts, b2=nan)
+
+        monkeypatch.setattr(decomp, "build_decomposition", nan_b2)
+        out = tmp_path / "d"
+        assert main(decompose_args(train_run["final"], train_run["data"],
+                                   out, "--steps", "16")) == 4
+        assert ("numerical failure: operator a1+a2+b1+b2 returned a "
+                "non-finite vector at identity probe 1") in \
+            capsys.readouterr().err
+        assert not (out / "attribution.json").exists()
 
     def test_decompose_with_a_class_that_has_no_examples(self, train_run,
                                                           tmp_path):

@@ -23,7 +23,7 @@ import pytest
 from specdens import cli
 from specdens import net as net_module
 from specdens.data import LabeledDataset, one_hot
-from specdens.errors import InputFormatError, UsageError
+from specdens.errors import InputFormatError, NumericalError, UsageError
 from specdens.lanczos import (
     SpectralDensity,
     approx_log_spectrum,
@@ -38,7 +38,11 @@ from specdens.net import (
     linearize,
     save_checkpoint,
 )
-from specdens.operators import NormalizationMap, difference_operator
+from specdens.operators import (
+    NormalizationMap,
+    SymmetricOperator,
+    difference_operator,
+)
 from specdens.decomp import (
     build_decomposition,
     component_attribution,
@@ -217,6 +221,16 @@ class TestGaussNewtonParts:
         parts = build_decomposition(lin)
         g_op = hessian_operator(lin, which="g")
         assert identity_residual(g_op, parts, probes=20, seed=0) <= 1e-10
+
+    def test_non_finite_g_is_numerical_failure(self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        parts = build_decomposition(linearize(spec, theta, train))
+        g_op = SymmetricOperator(parts.b2.dim,
+                                 lambda v: np.full(v.shape, np.nan), label="g")
+        with pytest.raises(NumericalError,
+                           match="operator g returned a non-finite vector "
+                                 "at identity probe 1$"):
+            identity_residual(g_op, parts, probes=3, seed=0)
 
     def test_all_four_parts_are_psd(self, trained_tiny_net):
         spec, theta, train, _ = trained_tiny_net
