@@ -470,6 +470,36 @@ class TestSpectrum:
             assert (tmp_path / "block1" / name).read_bytes() == \
                 (tmp_path / "block2" / name).read_bytes()
 
+    def test_coefficient_bytes_do_not_depend_on_blas_threads(self):
+        # p = 200,000 is far past where OpenBLAS splits a dot product or a
+        # norm between threads; a diagonal operator's products are
+        # elementwise, so only the recurrence's reductions could differ
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from specdens import lanczos\n"
+            "from specdens.operators import SymmetricOperator\n"
+            "p = 200_000\n"
+            "d = np.random.default_rng(3).uniform(-1.0, 1.0, p)\n"
+            "op = SymmetricOperator(p, lambda v: d * v, label='diag',\n"
+            "                       matmat=lambda V: d[:, None] * V)\n"
+            "for k in (1, 3):\n"
+            "    V1 = np.asfortranarray(np.column_stack(\n"
+            "        [lanczos._start_vector(p, np.random.default_rng([5, j]))\n"
+            "         for j in range(k)]))\n"
+            "    for T, res, _ in lanczos._three_term(op, V1, 40):\n"
+            "        run = T.alpha.tobytes() + T.beta.tobytes()\n"
+            "        run += np.float64(res).tobytes()\n"
+            "        print(k, hashlib.sha256(run).hexdigest())\n"
+        )
+        outputs = [run_python(script, OPENBLAS_NUM_THREADS=threads)
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        runs = [line.split() for line in outputs[0].splitlines()]
+        assert [k for k, _ in runs] == ["1", "3", "3", "3"]
+        assert runs[0][1] == runs[1][1]     # the lone run is column 0
+        assert len({digest for _, digest in runs[1:]}) == 3
+
     @pytest.mark.parametrize("deflate", [[], ["--deflate", "2"]],
                              ids=["plain", "deflated"])
     def test_non_finite_operator_is_numerical_failure(self, tmp_path, capsys,

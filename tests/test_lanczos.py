@@ -9,10 +9,6 @@ the bare recurrence is chaotic past the loss of orthogonality.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,40 +187,6 @@ class TestLockstep:
             assert np.array_equal(T.alpha, alone.alpha)
             assert np.array_equal(T.beta, alone.beta)
             assert (residual, broke) == (alone_residual, alone_broke)
-
-    def test_coefficient_bytes_do_not_depend_on_blas_threads(self):
-        # p = 200,000 is far past where OpenBLAS splits a dot product or a
-        # norm between threads; a diagonal operator's products are
-        # elementwise, so only the recurrence's reductions could differ
-        script = (
-            "import hashlib\n"
-            "import numpy as np\n"
-            "from specdens import lanczos\n"
-            "from specdens.operators import SymmetricOperator\n"
-            "p = 200_000\n"
-            "d = np.random.default_rng(3).uniform(-1.0, 1.0, p)\n"
-            "op = SymmetricOperator(p, lambda v: d * v, label='diag',\n"
-            "                       matmat=lambda V: d[:, None] * V)\n"
-            "for k in (1, 3):\n"
-            "    V1 = np.asfortranarray(np.column_stack(\n"
-            "        [lanczos._start_vector(p, np.random.default_rng([5, j]))\n"
-            "         for j in range(k)]))\n"
-            "    for T, res, _ in lanczos._three_term(op, V1, 40):\n"
-            "        run = T.alpha.tobytes() + T.beta.tobytes()\n"
-            "        run += np.float64(res).tobytes()\n"
-            "        print(k, hashlib.sha256(run).hexdigest())\n"
-        )
-        src = Path(lanczos.__file__).resolve().parent.parent
-        outputs = [subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src),
-                 "OPENBLAS_NUM_THREADS": threads},
-            check=True, timeout=300).stdout for threads in ("1", "2")]
-        assert outputs[0] == outputs[1]
-        runs = [line.split() for line in outputs[0].splitlines()]
-        assert [k for k, _ in runs] == ["1", "3", "3", "3"]
-        assert runs[0][1] == runs[1][1]     # the lone run is column 0
-        assert len({digest for _, digest in runs[1:]}) == 3
 
     def test_network_operator_gets_one_vector_at_a_time(self, monkeypatch,
                                                         trained_tiny_net):
