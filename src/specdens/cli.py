@@ -102,7 +102,11 @@ def _load_json(path, what: str) -> dict:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as err:
+        raise UsageError(f"--out-dir {out} cannot be created: "
+                         f"{err.strerror}") from err
     return out
 
 

@@ -463,17 +463,36 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
     atomic_write_bytes(path, buf.getvalue())
 
 
+def _checkpoint_field(z, name: str, ndim: int = 0) -> np.ndarray:
+    """Archive member ``name``, refused unless it has ``ndim`` axes."""
+    value = z[name]
+    if value.ndim != ndim:
+        want = "a scalar" if ndim == 0 else "a vector"
+        raise InputFormatError(
+            f"checkpoint {name} has shape {value.shape}, want {want}")
+    return value
+
+
+def _checkpoint_count(z, name: str) -> int:
+    """Scalar archive member ``name`` as an int, refused if negative."""
+    value = int(_checkpoint_field(z, name))
+    if value < 0:
+        raise InputFormatError(f"checkpoint {name} is {value}, want >= 0")
+    return value
+
+
 def load_checkpoint(path) -> Checkpoint:
     try:
         with np.load(path, allow_pickle=False) as z:
-            version = int(z["format_version"])
+            version = int(_checkpoint_field(z, "format_version"))
             if version != _CHECKPOINT_VERSION:
                 raise InputFormatError(
                     f"checkpoint format version {version} unsupported "
                     f"(expected {_CHECKPOINT_VERSION})"
                 )
             spec = MlpSpec(
-                layer_dims=tuple(int(d) for d in z["layer_dims"]),
+                layer_dims=tuple(
+                    int(d) for d in _checkpoint_field(z, "layer_dims", 1)),
                 activation=str(z["activation"]),
             )
             theta = np.asarray(z["theta"], dtype=np.float64)
@@ -482,9 +501,9 @@ def load_checkpoint(path) -> Checkpoint:
             ck = Checkpoint(
                 spec=spec,
                 theta=theta,
-                epoch=int(z["epoch"]),
-                seed=int(z["seed"]),
-                lr=float(z["lr"]),
+                epoch=_checkpoint_count(z, "epoch"),
+                seed=_checkpoint_count(z, "seed"),
+                lr=float(_checkpoint_field(z, "lr")),
                 velocity=velocity,
                 meta=json.loads(str(z["meta_json"])),
             )

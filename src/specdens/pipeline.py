@@ -264,7 +264,8 @@ class TrainConfig:
             checkpoints = [0, *(1 << k for k in range(epochs.bit_length()))]
         anneal = tuple(int(e) for e in anneal)
         checkpoints = tuple(sorted({int(e) for e in checkpoints} | {epochs}))
-        outside = sorted(set(anneal + checkpoints) - set(range(epochs + 1)))
+        outside = sorted({e for e in anneal + checkpoints
+                          if not 0 <= e <= epochs})
         if outside:
             raise UsageError("anneal_at and checkpoint_epochs take epochs "
                              f"0..{epochs}, got {outside}")

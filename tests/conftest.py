@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-import specdens as sd
 from specdens import pipeline as P
+from specdens.net import MlpSpec
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def trained_tiny_net():
     gmm = P.GmmSpec(classes=3, n_per_class=20, dim=4, separation=3.0,
                     std=1.0, seed=5)
     train, test = P.gaussian_mixture(gmm)
-    spec = sd.MlpSpec(layer_dims=(4, 8, 3), activation="tanh")
+    spec = MlpSpec(layer_dims=(4, 8, 3), activation="tanh")
     cfg = P.TrainConfig(epochs=8, lr=0.1, momentum=0.9, weight_decay=1e-4,
                         batch_size=16, seed=7)
     result = P.train_sgd(spec, train, test, cfg)

@@ -75,6 +75,29 @@ def run_python(script, *args, **env):
     return done.stdout
 
 
+class TestImports:
+    MODULES = ("cli", "data", "decomp", "deflation", "errors", "lanczos",
+               "linalg", "net", "operators", "pipeline", "rmt", "storage")
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_each_module_imports_alone(self, module):
+        run_python(f"import specdens.{module}")
+
+    def test_package_import_loads_no_module(self):
+        script = (
+            "import sys\n"
+            "import specdens\n"
+            "print(sorted(m for m in sys.modules if m.startswith('specdens')),\n"
+            "      specdens.__version__)\n"
+        )
+        assert run_python(script).split() == ["['specdens']", "0.1.0"]
+
+    def test_module_list_is_complete(self):
+        src = Path(specdens.__file__).resolve().parent
+        assert sorted(p.stem for p in src.glob("*.py")
+                      if p.stem != "__init__") == list(self.MODULES)
+
+
 class TestMatrixFile:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -199,6 +222,17 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_out_dir_on_a_file_is_usage(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        for out in (afile, afile / "sub"):
+            rc = main(["synth", "--kind", "goe", "--p", "8",
+                       "--out-dir", str(out)])
+            assert rc == 2
+            assert f"--out-dir {out} cannot be created" in \
+                capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
 
     def test_corrupt_matrix_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spdm"
@@ -846,22 +880,34 @@ class TestCheckpointAnalysis:
         assert not out.exists()
 
     @pytest.mark.parametrize("field,fault", [
-        ("theta", "nan"), ("velocity", "nan"), ("velocity", "shape")])
+        ("theta", "nan"), ("velocity", "nan"), ("velocity", "shape"),
+        ("lr", "stacked"), ("layer_dims", "stacked"), ("seed", "negative"),
+        ("epoch", "negative")])
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "train"])
     def test_bad_checkpoint_arrays_are_input_errors(self, train_run, tmp_path,
                                                     capsys, command, field,
                                                     fault):
-        # caught at load, before a product, the decomposition or --out-dir
-        ck = load_checkpoint(train_run["final"])
-        values = getattr(ck, field).copy()
+        # caught at load, before a product, the decomposition or --out-dir;
+        # written by hand, since save_checkpoint cannot store a 2-D
+        # layer_dims
+        with np.load(train_run["final"]) as z:
+            payload = dict(z)
+        values = payload[field]
         if fault == "nan":
             values[3] = np.nan
             message = f"{field} has non-finite entries"
-        else:
+        elif fault == "shape":
             values = values[:5]
             message = f"{field} has (5,)"
+        elif fault == "stacked":
+            values = np.stack([values, values])
+            message = f"{field} has shape {values.shape}, want a"
+        else:
+            values = np.int64(-1)
+            message = f"{field} is -1, want >= 0"
+        payload[field] = values
         bad = tmp_path / "bad.npz"
-        save_checkpoint(bad, dataclasses.replace(ck, **{field: values}))
+        np.savez(bad, **payload)
         out = tmp_path / "out"
         if command == "train":
             argv = ["train", "--config", str(train_run["config"]),

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ class TestTrainConfig:
                 TrainConfig(epochs=3, lr=0.1, **{key: outside})
         inside = TrainConfig(epochs=3, lr=0.1, **{key: (0, 3)})
         assert getattr(inside, key) == (0, 3)
+
+    def test_long_run_checks_its_schedule_in_small_memory(self):
+        # each listed epoch is range-checked, not looked up in a set of
+        # every epoch of the run
+        tracemalloc.start()
+        try:
+            cfg = TrainConfig(epochs=10 ** 6, lr=0.1)
+            with pytest.raises(UsageError, match=r"got \[-1, 1000001\]"):
+                TrainConfig(epochs=10 ** 6, lr=0.1,
+                            anneal_at=(1000001, 5, -1, 1000001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.checkpoint_epochs[-2:] == (1 << 19, 10 ** 6)
+        assert peak < 1 << 20
 
     def test_from_dict_strict_and_roundtrip(self):
         cfg = TrainConfig(epochs=6, lr=0.2, anneal_at=(2,))
