@@ -185,7 +185,6 @@ def cmd_synth(args) -> int:
             "kind": ens.kind, "p": ens.p, "n": ens.n,
             "spikes": list(ens.spikes), "alpha": ens.alpha, "seed": ens.seed,
         },
-        version=__version__,
     )
 
     Y = sample(ens)
@@ -241,7 +240,7 @@ def cmd_spectrum(args) -> int:
     if steps is None:
         steps = DEFAULT_LOG_STEPS if args.log else DEFAULT_STEPS
     check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
-                    args.epsilon if args.log else None)
+                    args.epsilon)
     if args.deflate is not None and args.deflate < 1:
         raise UsageError("--deflate takes a positive count")
     op, in_params, inputs = _spectrum_operator(args)
@@ -256,7 +255,7 @@ def cmd_spectrum(args) -> int:
     }
     out = _out_dir(args)
     manifest = build_manifest("spectrum", {**in_params, **est_params},
-                              inputs=inputs, version=__version__)
+                              inputs=inputs)
 
     top = None
     if args.deflate is not None:
@@ -321,7 +320,7 @@ def cmd_decompose(args) -> int:
     }
     out = _out_dir(args)
     manifest = build_manifest("decompose", {**params, "estimator": estimator},
-                              inputs=inputs, version=__version__)
+                              inputs=inputs)
 
     report = component_attribution(lin, **estimator)
     report["manifest"] = manifest["id"]
@@ -364,7 +363,7 @@ def cmd_train(args) -> int:
         "train",
         {"data": cfg["data"], "model": cfg["model"], "train": config.to_dict(),
          "resume_epoch": resume.epoch if resume is not None else None},
-        inputs=inputs, version=__version__)
+        inputs=inputs)
 
     result = train_sgd(spec, train_data, test_data, config, resume_from=resume)
 

@@ -46,6 +46,8 @@ from .operators import SymmetricOperator, difference_operator, sum_operator
 
 REPORT_SCHEMA = "attribution-report/v2"
 DENSITY_METHODS = ("slq", "exact")
+# random probes of the G = A1 + A2 + B1 + B2 identity check in each report
+IDENTITY_PROBES = 20
 
 # a per-class B2 trace is a difference of two sums of squares; when it is
 # this close to zero relative to them, its sign and size are round-off
@@ -211,8 +213,9 @@ def build_decomposition(lin: Linearization) -> GaussNewtonParts:
 
 
 def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,
-                      probes: int = 20, seed: int = 0) -> float:
-    """max over probes of ||G v - (A1+A2+B1+B2) v|| / ||G v||.
+                      seed: int = 0) -> float:
+    """max over ``IDENTITY_PROBES`` random probes v of
+    ||G v - (A1+A2+B1+B2) v|| / ||G v||.
 
     A non-finite product raises :class:`NumericalError` naming its
     operator and the probe: a NaN ratio would drop out of the max and
@@ -221,13 +224,13 @@ def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,
     rng = np.random.default_rng(seed)
     total = parts.total()
     worst = 0.0
-    for probe in range(1, probes + 1):
+    for probe in range(1, IDENTITY_PROBES + 1):
         v = rng.standard_normal(g_op.dim)
         gv, tv = g_op.apply(v), total.apply(v)
         for op, out in ((g_op, gv), (total, tv)):
             if not np.isfinite(out).all():
                 raise NumericalError(
-                    f"operator {op.label or '<anon>'} returned a non-finite "
+                    f"operator {op.label} returned a non-finite "
                     f"vector at identity probe {probe}")
         resid = float(np.linalg.norm(gv - tv))
         worst = max(worst, resid / max(float(np.linalg.norm(gv)), 1e-300))
@@ -260,7 +263,7 @@ def component_attribution(lin: Linearization, *,
     g_op = hessian_operator(lin, which="g")
     # B2 comes from JVPs, VJPs and the cluster means, never from
     # G - (A1+A2+B1), so this compares G with four independent parts
-    residual = identity_residual(g_op, parts, probes=20, seed=seed)
+    residual = identity_residual(g_op, parts, seed=seed)
 
     def log_density(op):
         return {**approx_log_spectrum(
@@ -291,7 +294,7 @@ def component_attribution(lin: Linearization, *,
             "steps": steps, "grid_points": grid_points, "n_vec": n_vec,
             "kappa": kappa, "epsilon": epsilon, "seed": seed,
         },
-        "identity": {"relative_residual": residual, "probes": 20},
+        "identity": {"relative_residual": residual, "probes": IDENTITY_PROBES},
         "b2c_traces": parts.b2c_traces().tolist(),
         "a1_eigenvalues": factor_eigenvalues(parts.a1_factor).tolist(),
         "a1a2b1_eigenvalues": a1a2b1.tolist(),

@@ -85,7 +85,6 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
     p = op.dim
     if not 1 <= count < p:
         raise UsageError(f"count must be in [1, {p - 1}], got {count}")
-    name = op.label or "<anon>"
     matvecs = 0
 
     def matvec(v):
@@ -93,7 +92,7 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
         matvecs += 1
         w = op.apply(v)
         if not np.isfinite(w).all():
-            raise NumericalError(f"operator {name} returned a non-finite "
+            raise NumericalError(f"operator {op.label} returned a non-finite "
                                  f"vector at deflation matvec {matvecs}")
         return w
 
@@ -123,7 +122,7 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
         tol = RESIDUAL_TOL * abs(theta[0])
         if tol == 0.0:
             raise ConvergenceError(
-                f"top-{count} eigenpairs of {name} did not converge: the "
+                f"top-{count} eigenpairs of {op.label} did not converge: the "
                 f"operator vanishes on a {ncv}-vector Krylov basis")
         if np.all(beta * np.abs(Y[-1, :count]) <= tol):
             break
@@ -139,7 +138,7 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
         start = keep
     else:
         raise ConvergenceError(
-            f"top-{count} eigenpairs of {name} did not converge in "
+            f"top-{count} eigenpairs of {op.label} did not converge in "
             f"{10 * p} restarts")
     _rotate(V, Y[:, :count])
     Q = V[:, :count].copy(order="F")
@@ -157,7 +156,7 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
     tol = RESIDUAL_TOL * float(np.max(np.abs(theta)))
     if not np.all(residuals <= tol):
         raise ConvergenceError(
-            f"top-{count} eigenpairs of {name} did not converge: worst "
+            f"top-{count} eigenpairs of {op.label} did not converge: worst "
             f"residual {float(np.max(residuals)):.3e} > {tol:.3e}")
     order = np.argsort(-np.abs(theta), kind="stable")
     if (order != np.arange(count)).any():

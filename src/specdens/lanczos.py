@@ -181,7 +181,6 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     tridiagonal of the steps run, the beta of the last step (0 when it
     failed the test), and whether the run stopped before ``steps``.
     """
-    name = op.label or "<anon>"
     k = V1.shape[1]
     alpha, beta = np.zeros((k, steps)), np.zeros((k, steps - 1))
     ran, residual = np.full(k, steps), np.zeros(k)
@@ -192,8 +191,8 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
         W = np.asfortranarray(op.apply(V))
         if not np.isfinite(W).all():
             raise NumericalError(
-                f"operator {name} returned a non-finite vector at Lanczos "
-                f"step {m}")
+                f"operator {op.label} returned a non-finite vector at "
+                f"Lanczos step {m}")
         if m > 1:
             W = W - V_prev * b
         with np.errstate(over="ignore", invalid="ignore"):
@@ -203,8 +202,8 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
         # V's columns are unit vectors, so a non-finite alpha spoils beta too
         if not np.isfinite(b).all():
             raise NumericalError(
-                f"operator {name} gave a non-finite Lanczos coefficient at "
-                f"step {m}")
+                f"operator {op.label} gave a non-finite Lanczos "
+                f"coefficient at step {m}")
         alpha[live, m - 1] = a
         scale = np.maximum(scale, np.abs(a) + b)
         kept = b > _BREAKDOWN_TOL * scale
@@ -267,9 +266,9 @@ def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
     ``||A z - theta z|| = beta_m |y_m|``, the norm of the residual the
     last step left times the last entry of the tridiagonal eigenvector (0
     after a breakdown, where the Ritz values are exact). The interval is
-    then widened by the relative margin ``DEFAULT_RANGE_TAU``. Degenerate
-    spectra (single point) cannot be bracketed and raise; callers may
-    construct a NormalizationMap by hand for those.
+    then widened by the relative margin ``DEFAULT_RANGE_TAU``. A
+    single-point spectrum cannot be bracketed and raises
+    :class:`DegenerateSpectrumError`.
     """
     T, ritz = fast_lanczos(op, min(DEFAULT_RANGE_STEPS, op.dim), seed)
     pairs = eig_tridiagonal(T)
@@ -396,11 +395,11 @@ def check_estimator(steps: int, grid_points: int, n_vec: int, kappa: float,
 
 
 def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
-              kappa: float, seed: int, normalization: NormalizationMap | None,
+              kappa: float, seed: int,
               epsilon: float | None = None) -> SpectralDensity:
     """The body of both estimators: ``n_vec`` Lanczos runs on the operator
-    mapped to [-1, 1], smoothed on the linear axis, or on the log axis when
-    ``epsilon`` is given.
+    mapped to [-1, 1] by :func:`estimate_range`, smoothed on the linear
+    axis, or on the log axis when ``epsilon`` is given.
 
     The runs share one block product per step when the normalized
     operator has a native one (a dense matrix, possibly deflated). Others
@@ -408,9 +407,7 @@ def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
     and keeps O(p) working memory.
     """
     sigma = check_estimator(steps, grid_points, n_vec, kappa, epsilon)
-    lin_map = normalization
-    if lin_map is None:
-        lin_map = estimate_range(op, seed=[seed, 0])
+    lin_map = estimate_range(op, seed=[seed, 0])
     aop = affine_operator(op, lin_map)
     seeds = [[seed, 1 + l] for l in range(n_vec)]
     width = n_vec if aop.has_matmat else 1
@@ -450,17 +447,16 @@ def _smooth_over_range(nodes, lin_map: NormalizationMap, grid_points: int,
 
 def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
                     grid_points: int = DEFAULT_GRID, n_vec: int = 1,
-                    kappa: float = DEFAULT_KAPPA, seed: int = 0,
-                    normalization: NormalizationMap | None = None) -> SpectralDensity:
+                    kappa: float = DEFAULT_KAPPA,
+                    seed: int = 0) -> SpectralDensity:
     """Smoothed spectral density of a symmetric operator, matrix-free.
 
-    Normalizes the spectrum to [-1, 1] (estimating the range unless a map
-    is supplied), runs ``n_vec`` independent Lanczos passes of ``steps``
-    iterations, places a Gaussian bump of width ``sigma_for(steps, kappa)``
-    at each Ritz value with its weight, averages the passes, and maps the
-    grid back to eigenvalue coordinates. Identical seeds give bit-identical
-    densities. ``steps`` above the operator dimension is clamped with a
-    warning.
+    Normalizes the spectrum to [-1, 1] with :func:`estimate_range`, runs
+    ``n_vec`` independent Lanczos passes of ``steps`` iterations, places a
+    Gaussian bump of width ``sigma_for(steps, kappa)`` at each Ritz value
+    with its weight, averages the passes, and maps the grid back to
+    eigenvalue coordinates. Identical seeds give bit-identical densities.
+    ``steps`` above the operator dimension is clamped with a warning.
     """
     if steps > op.dim:
         warnings.warn(
@@ -468,7 +464,7 @@ def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
             stacklevel=2,
         )
         steps = op.dim
-    return _estimate(op, steps, grid_points, n_vec, kappa, seed, normalization)
+    return _estimate(op, steps, grid_points, n_vec, kappa, seed)
 
 
 def _log_bounds(raw_min: float, raw_max: float, epsilon: float) -> tuple[float, float]:
@@ -493,8 +489,8 @@ def _require_log_shift(epsilon: float) -> None:
 def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
                         grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                         kappa: float = DEFAULT_KAPPA,
-                        epsilon: float = DEFAULT_LOG_EPSILON, seed: int = 0,
-                        normalization: NormalizationMap | None = None) -> SpectralDensity:
+                        epsilon: float = DEFAULT_LOG_EPSILON,
+                        seed: int = 0) -> SpectralDensity:
     """Spectral density over u = log(lambda + epsilon).
 
     Same machinery as :func:`approx_spectrum`, but Ritz values are placed
@@ -508,8 +504,7 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
     # unlike the linear estimator, steps are NOT clamped at the dimension:
     # on the log axis the bulk occupies a sliver of the linear range, and
     # only the nodes contributed by iterations past dim resolve it
-    return _estimate(op, steps, grid_points, n_vec, kappa, seed,
-                     normalization, epsilon)
+    return _estimate(op, steps, grid_points, n_vec, kappa, seed, epsilon)
 
 
 def exact_log_spectrum(eigenvalues: np.ndarray, dim: int, steps: int,

@@ -270,7 +270,8 @@ def eig_tridiagonal(T: TridiagonalMatrix) -> EigenPairs:
     return ritz_pairs([T])[0]
 
 
-def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:
+def _require_symmetric(A: np.ndarray) -> None:
+    """Refuse ``A`` unless square, finite and symmetric to 1e-12 relative."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {A.shape}")
     if not A.size:
@@ -289,7 +290,7 @@ def _require_symmetric(A: np.ndarray, tol: float = 1e-12) -> None:
         D = panel[:min(b, p - i), :p - i]
         np.subtract(A[i:i + b, i:], A[i:, i:i + b].T, out=D)
         defect = max(defect, float(np.abs(D, out=D).max()))
-    if defect > tol * max(scale, 1e-300):
+    if defect > 1e-12 * max(scale, 1e-300):
         raise AsymmetricInputError(
             f"matrix asymmetric: max|A - A^T| = {defect:.3e} vs scale {scale:.3e}"
         )

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -474,8 +475,13 @@ def _checkpoint_field(z, name: str, ndim: int = 0) -> np.ndarray:
 
 
 def _checkpoint_count(z, name: str) -> int:
-    """Scalar archive member ``name`` as an int, refused if negative."""
-    value = int(_checkpoint_field(z, name))
+    """Scalar archive member ``name`` as an int, refused unless it is stored
+    as an integer and is nonnegative: ``int()`` would truncate 2.7 to 2."""
+    value = _checkpoint_field(z, name)
+    if value.dtype.kind not in "iu":
+        raise InputFormatError(f"checkpoint {name} is {value.item()!r} "
+                               f"({value.dtype}), want an integer")
+    value = int(value)
     if value < 0:
         raise InputFormatError(f"checkpoint {name} is {value}, want >= 0")
     return value
@@ -484,7 +490,7 @@ def _checkpoint_count(z, name: str) -> int:
 def load_checkpoint(path) -> Checkpoint:
     try:
         with np.load(path, allow_pickle=False) as z:
-            version = int(_checkpoint_field(z, "format_version"))
+            version = _checkpoint_count(z, "format_version")
             if version != _CHECKPOINT_VERSION:
                 raise InputFormatError(
                     f"checkpoint format version {version} unsupported "
@@ -498,12 +504,16 @@ def load_checkpoint(path) -> Checkpoint:
             theta = np.asarray(z["theta"], dtype=np.float64)
             velocity = (np.asarray(z["velocity"], dtype=np.float64)
                         if "velocity" in z.files else None)
+            lr = float(_checkpoint_field(z, "lr"))
+            if not math.isfinite(lr):
+                raise InputFormatError(
+                    f"checkpoint lr is {lr}, want a finite number")
             ck = Checkpoint(
                 spec=spec,
                 theta=theta,
                 epoch=_checkpoint_count(z, "epoch"),
                 seed=_checkpoint_count(z, "seed"),
-                lr=float(_checkpoint_field(z, "lr")),
+                lr=lr,
                 velocity=velocity,
                 meta=json.loads(str(z["meta_json"])),
             )

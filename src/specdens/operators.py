@@ -46,8 +46,7 @@ class NormalizationMap:
         """Widen [raw_min, raw_max] by a relative margin tau and build the map.
 
         A collapsed range (raw_max <= raw_min) cannot be normalized and
-        raises :class:`DegenerateSpectrumError`; callers wanting to analyze
-        a known-degenerate operator must supply explicit bounds instead.
+        raises :class:`DegenerateSpectrumError`.
         """
         delta = tau * (raw_max - raw_min)
         lo = raw_min - delta
@@ -93,7 +92,7 @@ class SymmetricOperator:
     """
 
     def __init__(self, dim: int, matvec: Callable[[np.ndarray], np.ndarray],
-                 label: str = "",
+                 label: str,
                  matmat: Callable[[np.ndarray], np.ndarray] | None = None):
         if dim < 1:
             raise UsageError("operator dimension must be >= 1")
@@ -112,7 +111,7 @@ class SymmetricOperator:
         if not (v.ndim in (1, 2) and v.shape[0] == self.dim
                 and (v.ndim == 1 or v.shape[1] >= 1)):
             raise UsageError(
-                f"operator {self.label or '<anon>'} expects shape "
+                f"operator {self.label} expects shape "
                 f"({self.dim},) or ({self.dim}, k), got {v.shape}"
             )
         if v.ndim == 1:
@@ -121,7 +120,7 @@ class SymmetricOperator:
             return self._checked(self._matvec, v[:, 0])[:, None]
         if self._matmat is None:
             raise UsageError(
-                f"operator {self.label or '<anon>'} has no block product for "
+                f"operator {self.label} has no block product for "
                 f"a block of {v.shape[1]} columns")
         return self._checked(self._matmat, v)
 

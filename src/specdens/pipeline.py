@@ -310,12 +310,6 @@ class TrainResult:
     metrics: list[EpochMetrics] = field(default_factory=list)
     diverged: bool = False
 
-    @property
-    def final(self) -> Checkpoint:
-        if not self.checkpoints:
-            raise UsageError("no checkpoints recorded")
-        return self.checkpoints[-1]
-
 
 def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
               config: TrainConfig,

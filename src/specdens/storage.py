@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import InputFormatError, UsageError
 
 MATRIX_MAGIC = b"SPDM"
@@ -109,8 +110,7 @@ def read_matrix(path) -> np.ndarray:
 # manifests
 # ---------------------------------------------------------------------------
 
-def build_manifest(command: str, params: dict, inputs=(),
-                   version: str = "") -> dict:
+def build_manifest(command: str, params: dict, inputs=()) -> dict:
     """Identify a run by its reproducible ingredients.
 
     The id digests the command, parameters, input file digests, and the
@@ -125,7 +125,7 @@ def build_manifest(command: str, params: dict, inputs=(),
         "command": command,
         "params": params,
         "inputs": input_entries,
-        "package_version": version,
+        "package_version": __version__,
     }
     digest = sha256_bytes(
         json.dumps(core, sort_keys=True, separators=(",", ":")).encode()
@@ -133,13 +133,10 @@ def build_manifest(command: str, params: dict, inputs=(),
     return {**core, "id": digest}
 
 
-def write_manifest(path, manifest: dict, wall_time_s: float | None = None,
-                   outputs=()) -> None:
-    doc = dict(manifest)
-    if wall_time_s is not None:
-        doc["wall_time_s"] = wall_time_s
-    if outputs:
-        doc["outputs"] = [str(p) for p in outputs]
+def write_manifest(path, manifest: dict, wall_time_s: float, outputs) -> None:
+    """Write ``manifest`` with the run's wall time and its output paths."""
+    doc = {**manifest, "wall_time_s": wall_time_s,
+           "outputs": [str(p) for p in outputs]}
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

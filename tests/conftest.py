@@ -20,7 +20,7 @@ def trained_tiny_net():
     cfg = P.TrainConfig(epochs=8, lr=0.1, momentum=0.9, weight_decay=1e-4,
                         batch_size=16, seed=7)
     result = P.train_sgd(spec, train, test, cfg)
-    return spec, result.final.theta, train, test
+    return spec, result.checkpoints[-1].theta, train, test
 
 
 @pytest.fixture

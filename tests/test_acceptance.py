@@ -96,7 +96,7 @@ def bulk_run():
     mspec = MlpSpec(layer_dims=(4, 16, 3), activation="tanh")
     cfg = TrainConfig(epochs=4, lr=0.1, momentum=0.9, weight_decay=0.0,
                       batch_size=32, seed=7, anneal_at=())
-    theta = train_sgd(mspec, train, test, cfg).final.theta
+    theta = train_sgd(mspec, train, test, cfg).checkpoints[-1].theta
     lin = linearize(mspec, theta, train)
     h_op = hessian_operator(lin, which="h")
     est = approx_spectrum(h_op, steps=64, n_vec=4, seed=3)
@@ -192,7 +192,7 @@ def test_criterion_5_hierarchical_identity(trained_tiny_net):
     lin = linearize(mspec, theta, train)
     g_op = hessian_operator(lin, which="g")
     parts = build_decomposition(lin)
-    resid = identity_residual(g_op, parts, probes=20, seed=0)
+    resid = identity_residual(g_op, parts, seed=0)
 
     # the true-class vector is the example's loss gradient (sign flipped)
     pev = per_example_vectors(mspec, theta, train)

@@ -173,9 +173,9 @@ class TestMatrixFile:
 
 class TestManifestAndCsv:
     def test_id_ignores_key_order_but_not_values(self):
-        a = build_manifest("synth", {"p": 10, "seed": 1}, version="1")
-        b = build_manifest("synth", {"seed": 1, "p": 10}, version="1")
-        c = build_manifest("synth", {"p": 10, "seed": 2}, version="1")
+        a = build_manifest("synth", {"p": 10, "seed": 1})
+        b = build_manifest("synth", {"seed": 1, "p": 10})
+        c = build_manifest("synth", {"p": 10, "seed": 2})
         assert a["id"] == b["id"]
         assert a["id"] != c["id"]
 
@@ -882,20 +882,28 @@ class TestCheckpointAnalysis:
     @pytest.mark.parametrize("field,fault", [
         ("theta", "nan"), ("velocity", "nan"), ("velocity", "shape"),
         ("lr", "stacked"), ("layer_dims", "stacked"), ("seed", "negative"),
-        ("epoch", "negative")])
+        ("epoch", "negative"), ("lr", "nan"), ("epoch", "fractional"),
+        ("seed", "fractional"), ("format_version", "fractional")])
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "train"])
     def test_bad_checkpoint_arrays_are_input_errors(self, train_run, tmp_path,
                                                     capsys, command, field,
                                                     fault):
         # caught at load, before a product, the decomposition or --out-dir;
         # written by hand, since save_checkpoint cannot store a 2-D
-        # layer_dims
+        # layer_dims or a fractional count
         with np.load(train_run["final"]) as z:
             payload = dict(z)
         values = payload[field]
-        if fault == "nan":
+        if fault == "nan" and field == "lr":
+            values = np.float64(np.nan)
+            message = "lr is nan, want a finite number"
+        elif fault == "nan":
             values[3] = np.nan
             message = f"{field} has non-finite entries"
+        elif fault == "fractional":
+            # int() would truncate it to the stored count without a word
+            values = values + 0.5
+            message = f"{field} is {values.item()!r} (float64), want an integer"
         elif fault == "shape":
             values = values[:5]
             message = f"{field} has (5,)"
@@ -1110,6 +1118,10 @@ BAD_ESTIMATOR_SETTINGS = [
     ("spectrum", ["--steps", "1"]),
     ("spectrum", ["--grid-points", "-1"]),
     ("spectrum", ["--log", "--epsilon", "0"]),
+    # checked on the linear axis too, where it is recorded as null
+    ("spectrum", ["--epsilon", "nan"]),
+    ("spectrum", ["--epsilon", "inf"]),
+    ("spectrum", ["--epsilon", "-1"]),
     ("decompose", ["--kappa", "nan"]),
     ("decompose", ["--n-vec", "0"]),
     ("decompose", ["--steps", "1"]),

@@ -38,7 +38,6 @@ from specdens.lanczos import (
 from specdens.linalg import dense_eig
 from specdens.net import hessian_operator, linearize
 from specdens.operators import (
-    NormalizationMap,
     SymmetricOperator,
     affine_operator,
     dense_operator,
@@ -49,16 +48,6 @@ from specdens.rmt import EnsembleSpec, sample
 def random_symmetric(p, seed):
     A = np.random.default_rng(seed).standard_normal((p, p))
     return (A + A.T) / 2
-
-
-def mirrored_map(nm):
-    """The normalization for -A given the one for A."""
-    return NormalizationMap(
-        center=-nm.center, half_width=nm.half_width,
-        lambda_min=-nm.lambda_max, lambda_max=-nm.lambda_min,
-        delta=nm.delta, tau=nm.tau,
-        raw_lambda_min=-nm.raw_lambda_max, raw_lambda_max=-nm.raw_lambda_min,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +278,7 @@ class TestEstimateRange:
             calls.append(1)
             return A @ v
 
-        estimate_range(SymmetricOperator(p, matvec), seed=0)
+        estimate_range(SymmetricOperator(p, matvec, label="counted"), seed=0)
         assert 0 < len(calls) <= min(lanczos.DEFAULT_RANGE_STEPS, p) + 1
 
     @pytest.mark.parametrize("name", RANGE_CASES)
@@ -446,16 +435,13 @@ class TestApproxSpectrum:
             est = approx_spectrum(op, steps=50, seed=0)
         assert all(s.steps <= 10 for s in est.ritz)
 
-    def test_degenerate_operator_with_explicit_map(self):
-        # lambda*I cannot be auto-bracketed; a hand-supplied map recovers a
-        # single bump at lambda, flagged by the step-1 breakdown
+    def test_degenerate_operator_is_refused(self):
+        # lambda*I breaks down at step 1 and its range has no width
         op = dense_operator(3.0 * np.eye(12))
-        nm = NormalizationMap.from_bounds(2.0, 4.0, tau=0.05)
-        est = approx_spectrum(op, steps=8, seed=0, normalization=nm)
-        assert est.mass() == pytest.approx(1.0, abs=0.01)
-        peak = est.grid[np.argmax(est.values)]
-        assert abs(peak - 3.0) <= est.grid[1] - est.grid[0]
-        assert est.ritz[0].breakdown
+        with pytest.raises(DegenerateSpectrumError):
+            approx_spectrum(op, steps=8, seed=0)
+        with pytest.raises(DegenerateSpectrumError):
+            approx_log_spectrum(op, steps=8, seed=0)
 
     def test_bit_identical_across_reruns_and_workers(self):
         op = dense_operator(random_symmetric(50, 11))
@@ -471,12 +457,11 @@ class TestApproxSpectrum:
         assert not np.array_equal(a.values, b.values)
 
     def test_negation_mirrors_exactly(self):
+        # the range estimate of -A is the mirror of that of A, so the
+        # grids mirror too
         A = random_symmetric(60, 13)
-        nm = estimate_range(dense_operator(A), seed=2)
-        da = approx_spectrum(dense_operator(A), steps=32, n_vec=2, seed=4,
-                             normalization=nm)
-        db = approx_spectrum(dense_operator(-A), steps=32, n_vec=2, seed=4,
-                             normalization=mirrored_map(nm))
+        da = approx_spectrum(dense_operator(A), steps=32, n_vec=2, seed=4)
+        db = approx_spectrum(dense_operator(-A), steps=32, n_vec=2, seed=4)
         np.testing.assert_allclose(db.grid, -da.grid[::-1], atol=1e-12)
         np.testing.assert_allclose(db.values, da.values[::-1], atol=1e-12)
         for sa, sb in zip(da.ritz, db.ritz):
@@ -588,17 +573,22 @@ class TestExactLogSpectrum:
         assert (nm.raw_lambda_min, nm.raw_lambda_max) == (-1e-17, 3.0)
 
     def test_grid_and_width_are_those_of_an_estimate(self):
-        # an estimate bracketed by the exact range smooths onto the same grid
+        # the range estimate of this diagonal operator meets its extremes
+        # to round-off (measured 4e-17 and 1e-15), so the estimate smooths
+        # onto the exact density's grid
         exact = exact_log_spectrum(self.eig, 50, steps=40, grid_points=128,
                                    kappa=2.5, epsilon=1e-4)
         diag = np.concatenate([self.eig, np.zeros(45)])
         est = approx_log_spectrum(dense_operator(np.diag(diag)), steps=40,
                                   grid_points=128, kappa=2.5, epsilon=1e-4,
-                                  seed=0,
-                                  normalization=exact.operator_normalization)
-        assert np.array_equal(est.grid, exact.grid)
+                                  seed=0)
+        est_nm, exact_nm = est.operator_normalization, exact.operator_normalization
+        np.testing.assert_allclose(
+            [est_nm.raw_lambda_min, est_nm.raw_lambda_max],
+            [exact_nm.raw_lambda_min, exact_nm.raw_lambda_max],
+            rtol=0, atol=1e-14)
+        np.testing.assert_allclose(est.grid, exact.grid, rtol=0, atol=1e-13)
         assert est.sigma == exact.sigma
-        assert est.normalization == exact.normalization
 
     def test_validation(self):
         def exact(eig, dim, epsilon=DEFAULT_LOG_EPSILON):

@@ -36,18 +36,19 @@ class TestSymmetricOperator:
         np.testing.assert_array_equal(op.apply(np.ones(2)), [3.0, 3.0])
 
     def test_wrong_shape_rejected(self):
-        op = SymmetricOperator(3, lambda v: v)
+        op = SymmetricOperator(3, lambda v: v, label="id")
         for shape in [(4,), (4, 1), (3, 0), (3, 1, 1)]:
             with pytest.raises(UsageError):
                 op.apply(np.ones(shape))
 
     def test_block_product_of_wrong_shape_rejected(self):
-        op = SymmetricOperator(3, lambda v: v, matmat=lambda V: V[:, :1])
+        op = SymmetricOperator(3, lambda v: v, label="id",
+                               matmat=lambda V: V[:, :1])
         with pytest.raises(UsageError):
             op.apply(np.ones((3, 2)))
 
     def test_one_column_is_a_block(self):
-        op = SymmetricOperator(3, lambda v: 2.0 * v)
+        op = SymmetricOperator(3, lambda v: 2.0 * v, label="double")
         out = op.apply(np.ones((3, 1)))
         assert out.shape == (3, 1)
         np.testing.assert_array_equal(out, 2.0 * np.ones((3, 1)))
@@ -69,7 +70,7 @@ class TestSymmetricOperator:
 
     def test_zero_dim_rejected(self):
         with pytest.raises(UsageError):
-            SymmetricOperator(0, lambda v: v)
+            SymmetricOperator(0, lambda v: v, label="empty")
 
     def test_apply_is_deterministic(self, rng):
         A = rng.standard_normal((50, 50))

@@ -18,7 +18,6 @@ from specdens.pipeline import (
     METRICS_COLUMNS,
     GmmSpec,
     TrainConfig,
-    TrainResult,
     _first_per_class,
     gaussian_mixture,
     load_idx,
@@ -304,15 +303,15 @@ class TestTrainSgd:
         result = train_sgd(net_spec, train, test, cfg)
         assert [c.epoch for c in result.checkpoints] == \
             list(cfg.checkpoint_epochs)
-        assert result.final.epoch == 6
-        assert result.final.meta["config"]["epochs"] == 6
+        assert result.checkpoints[-1].epoch == 6
+        assert result.checkpoints[-1].meta["config"]["epochs"] == 6
 
     def test_rerun_is_bit_identical(self, gmm_data, net_spec):
         train, test = gmm_data
         cfg = TrainConfig(epochs=3, lr=0.1, batch_size=16, seed=4)
         a = train_sgd(net_spec, train, test, cfg)
         b = train_sgd(net_spec, train, test, cfg)
-        assert np.array_equal(a.final.theta, b.final.theta)
+        assert np.array_equal(a.checkpoints[-1].theta, b.checkpoints[-1].theta)
         assert a.metrics == b.metrics
 
     def test_resume_replays_the_exact_remaining_run(self, gmm_data, net_spec):
@@ -322,8 +321,8 @@ class TestTrainSgd:
         full = train_sgd(net_spec, train, test, cfg)
         mid = next(c for c in full.checkpoints if c.epoch == 4)
         resumed = train_sgd(net_spec, train, test, cfg, resume_from=mid)
-        assert np.array_equal(resumed.final.theta, full.final.theta)
-        assert np.array_equal(resumed.final.velocity, full.final.velocity)
+        assert np.array_equal(resumed.checkpoints[-1].theta, full.checkpoints[-1].theta)
+        assert np.array_equal(resumed.checkpoints[-1].velocity, full.checkpoints[-1].velocity)
         # only the remaining epochs are evaluated
         assert [m.epoch for m in resumed.metrics] == [5, 6]
 
@@ -335,7 +334,7 @@ class TestTrainSgd:
         cfg = TrainConfig(epochs=3, lr=0.1, batch_size=16, seed=1)
         a = train_sgd(net_spec, train, test, cfg)
         b = train_sgd(net_spec, train, other, cfg)
-        assert np.array_equal(a.final.theta, b.final.theta)
+        assert np.array_equal(a.checkpoints[-1].theta, b.checkpoints[-1].theta)
 
     def test_evaluation_forwards_each_distinct_split_once(self, gmm_data,
                                                           net_spec,
@@ -371,12 +370,8 @@ class TestTrainSgd:
         assert result.diverged
         # the poisoned epoch is dropped; epoch 0 remains the last good state
         assert [m.epoch for m in result.metrics] == [0]
-        assert result.final.epoch == 0
-        assert np.isfinite(result.final.theta).all()
-
-    def test_empty_result_has_no_final(self):
-        with pytest.raises(UsageError, match="no checkpoints"):
-            TrainResult().final
+        assert result.checkpoints[-1].epoch == 0
+        assert np.isfinite(result.checkpoints[-1].theta).all()
 
     def test_mismatched_data_rejected(self, gmm_data, net_spec):
         train, test = gmm_data
@@ -390,7 +385,7 @@ class TestTrainSgd:
         result = train_sgd(net_spec, train, test, cfg)
         other = MlpSpec(layer_dims=(4, 6, 3), activation="tanh")
         with pytest.raises(UsageError, match="spec"):
-            train_sgd(other, train, test, cfg, resume_from=result.final)
+            train_sgd(other, train, test, cfg, resume_from=result.checkpoints[-1])
         past = TrainConfig(epochs=1, lr=0.1, batch_size=16, seed=1)
         with pytest.raises(UsageError, match="beyond"):
-            train_sgd(net_spec, train, test, past, resume_from=result.final)
+            train_sgd(net_spec, train, test, past, resume_from=result.checkpoints[-1])
