@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import one_hot
-from .errors import InputFormatError, NumericalError
+from .errors import InputFormatError
 from .lanczos import (
     DEFAULT_GRID,
     DEFAULT_KAPPA,
@@ -217,21 +217,15 @@ def identity_residual(g_op: SymmetricOperator, parts: GaussNewtonParts,
     """max over ``IDENTITY_PROBES`` random probes v of
     ||G v - (A1+A2+B1+B2) v|| / ||G v||.
 
-    A non-finite product raises :class:`NumericalError` naming its
-    operator and the probe: a NaN ratio would drop out of the max and
-    read as agreement.
+    A NaN ratio would drop out of the max and read as agreement; ``apply``
+    refuses the non-finite product first, naming G or the part that made it.
     """
     rng = np.random.default_rng(seed)
     total = parts.total()
     worst = 0.0
-    for probe in range(1, IDENTITY_PROBES + 1):
+    for _ in range(IDENTITY_PROBES):
         v = rng.standard_normal(g_op.dim)
         gv, tv = g_op.apply(v), total.apply(v)
-        for op, out in ((g_op, gv), (total, tv)):
-            if not np.isfinite(out).all():
-                raise NumericalError(
-                    f"operator {op.label} returned a non-finite "
-                    f"vector at identity probe {probe}")
         resid = float(np.linalg.norm(gv - tv))
         worst = max(worst, resid / max(float(np.linalg.norm(gv)), 1e-300))
     return worst

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .linalg import TridiagonalMatrix, eig_tridiagonal, ritz_pairs
+from .linalg import EigenPairs, TridiagonalMatrix, eig_tridiagonal, ritz_pairs
 from .operators import NormalizationMap, SymmetricOperator, affine_operator
 
 _BREAKDOWN_TOL = 1e-12
@@ -72,13 +72,14 @@ class RitzSummary:
     actually ran — fewer than requested only on lucky breakdown, which is
     flagged rather than hidden. ``residual`` is the norm of the residual
     the last step left, beta_M, or 0 when it is negligible against the
-    run's own coefficients (see :func:`_three_term`); by
-    Paige's relation, Ritz pair i has residual ``residual * |y_M,i|``.
-    Reports do not carry it: :meth:`to_dict` keeps its schema.
+    run's own coefficients (see :func:`_three_term`); by Paige's relation,
+    Ritz pair i has residual ``residual * |last_components[i]|``. Reports
+    carry neither of those two: :meth:`to_dict` keeps its schema.
     """
 
     theta: np.ndarray
     weights: np.ndarray
+    last_components: np.ndarray
     seed: object
     steps: int
     breakdown: bool = False
@@ -169,8 +170,9 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     and the updates are elementwise: every column gets the bits it would
     get alone in a one-column block, at any BLAS thread count. Three
     working blocks, no reorthogonalization: memory stays O(p k) whatever
-    ``steps`` is. A non-finite product, alpha or beta raises
-    :class:`NumericalError` at the step that produced it.
+    ``steps`` is. ``op.apply`` refuses a non-finite product; a finite
+    product whose alpha or beta overflows raises :class:`NumericalError`
+    naming the step.
 
     A beta breaks its run down when it is at or below ``_BREAKDOWN_TOL``
     times the largest |alpha| + beta the run has produced, so scaling the
@@ -189,10 +191,6 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
     V = V1
     for m in range(1, steps + 1):
         W = np.asfortranarray(op.apply(V))
-        if not np.isfinite(W).all():
-            raise NumericalError(
-                f"operator {op.label} returned a non-finite vector at "
-                f"Lanczos step {m}")
         if m > 1:
             W = W - V_prev * b
         with np.errstate(over="ignore", invalid="ignore"):
@@ -224,18 +222,23 @@ def _three_term(op: SymmetricOperator, V1: np.ndarray,
             for r, (n, res) in enumerate(zip(ran.tolist(), residual.tolist()))]
 
 
+def _summary(run: tuple, pairs: EigenPairs, seed) -> RitzSummary:
+    T, residual, breakdown = run
+    return RitzSummary(theta=pairs.values, weights=pairs.first_components ** 2,
+                       last_components=pairs.last_components, seed=seed,
+                       steps=T.order, breakdown=breakdown, residual=residual)
+
+
 def _lockstep(op: SymmetricOperator, steps: int,
-              seeds: list) -> list[tuple[TridiagonalMatrix, RitzSummary]]:
+              seeds: list) -> list[RitzSummary]:
     """One Lanczos run per seed, advanced together (see :func:`_three_term`),
     and their Ritz pairs solved together."""
     V1 = np.asfortranarray(np.column_stack(
         [_start_vector(op.dim, np.random.default_rng(s)) for s in seeds]))
     runs = _three_term(op, V1, steps)
     solved = ritz_pairs([T for T, _, _ in runs])
-    return [(T, RitzSummary(theta=pairs.values,
-                            weights=pairs.first_components ** 2, seed=seed,
-                            steps=T.order, breakdown=broke, residual=res))
-            for (T, res, broke), pairs, seed in zip(runs, solved, seeds)]
+    return [_summary(run, pairs, seed)
+            for run, pairs, seed in zip(runs, solved, seeds)]
 
 
 def fast_lanczos(op: SymmetricOperator, steps: int,
@@ -248,12 +251,14 @@ def fast_lanczos(op: SymmetricOperator, steps: int,
     recurrence keeps producing vectors, and the extra quadrature nodes
     keep sampling the parts of the spectrum the early iterations skipped —
     the log-scale estimator depends on this. A breakdown (beta below
-    1e-12) terminates early with the shorter tridiagonal matrix; the
-    summary flags it.
+    1e-12) ends the run early, with the shorter tridiagonal matrix, and
+    the summary flags it. One :func:`eig_tridiagonal` solve gives it.
     """
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    return _lockstep(op, steps, [seed])[0]
+    v1 = _start_vector(op.dim, np.random.default_rng(seed))
+    [run] = _three_term(op, v1[:, None], steps)
+    return run[0], _summary(run, eig_tridiagonal(run[0]), seed)
 
 
 def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
@@ -265,16 +270,15 @@ def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
     which Paige's relation gives without the Ritz vectors:
     ``||A z - theta z|| = beta_m |y_m|``, the norm of the residual the
     last step left times the last entry of the tridiagonal eigenvector (0
-    after a breakdown, where the Ritz values are exact). The interval is
-    then widened by the relative margin ``DEFAULT_RANGE_TAU``. A
-    single-point spectrum cannot be bracketed and raises
-    :class:`DegenerateSpectrumError`.
+    after a breakdown, where the Ritz values are exact), both read off the
+    run's summary. The interval is then widened by the relative margin
+    ``DEFAULT_RANGE_TAU``. A single-point spectrum cannot be bracketed
+    and raises :class:`DegenerateSpectrumError`.
     """
-    T, ritz = fast_lanczos(op, min(DEFAULT_RANGE_STEPS, op.dim), seed)
-    pairs = eig_tridiagonal(T)
-    r_lo, r_hi = ritz.residual * np.abs(pairs.last_components[[0, -1]])
-    return NormalizationMap.from_bounds(float(pairs.values[0] - r_lo),
-                                        float(pairs.values[-1] + r_hi),
+    _, ritz = fast_lanczos(op, min(DEFAULT_RANGE_STEPS, op.dim), seed)
+    r_lo, r_hi = ritz.residual * np.abs(ritz.last_components[[0, -1]])
+    return NormalizationMap.from_bounds(float(ritz.theta[0] - r_lo),
+                                        float(ritz.theta[-1] + r_hi),
                                         DEFAULT_RANGE_TAU)
 
 
@@ -412,7 +416,7 @@ def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
     seeds = [[seed, 1 + l] for l in range(n_vec)]
     width = n_vec if aop.has_matmat else 1
     summaries = [summary for i in range(0, n_vec, width)
-                 for _, summary in _lockstep(aop, steps, seeds[i:i + width])]
+                 for summary in _lockstep(aop, steps, seeds[i:i + width])]
     nodes = [(s.theta, s.weights) for s in summaries]
     if epsilon is not None:
         nodes = [(lin_map.denormalize(t), w) for t, w in nodes]

@@ -474,31 +474,30 @@ def _checkpoint_field(z, name: str, ndim: int = 0) -> np.ndarray:
     return value
 
 
-def _checkpoint_count(z, name: str) -> int:
-    """Scalar archive member ``name`` as an int, refused unless it is stored
-    as an integer and is nonnegative: ``int()`` would truncate 2.7 to 2."""
-    value = _checkpoint_field(z, name)
+def _checkpoint_counts(z, name: str, ndim: int = 0) -> np.ndarray:
+    """Archive member ``name`` with ``ndim`` axes, refused unless stored as
+    nonnegative integers: ``int()`` would truncate 2.7 to 2 and True to 1."""
+    value = _checkpoint_field(z, name, ndim)
     if value.dtype.kind not in "iu":
-        raise InputFormatError(f"checkpoint {name} is {value.item()!r} "
-                               f"({value.dtype}), want an integer")
-    value = int(value)
-    if value < 0:
-        raise InputFormatError(f"checkpoint {name} is {value}, want >= 0")
+        raise InputFormatError(f"checkpoint {name} is {value.tolist()!r} "
+                               f"({value.dtype}), want an integer type")
+    if (value < 0).any():
+        raise InputFormatError(
+            f"checkpoint {name} is {value.tolist()}, want >= 0")
     return value
 
 
 def load_checkpoint(path) -> Checkpoint:
     try:
         with np.load(path, allow_pickle=False) as z:
-            version = _checkpoint_count(z, "format_version")
+            version = int(_checkpoint_counts(z, "format_version"))
             if version != _CHECKPOINT_VERSION:
                 raise InputFormatError(
                     f"checkpoint format version {version} unsupported "
                     f"(expected {_CHECKPOINT_VERSION})"
                 )
             spec = MlpSpec(
-                layer_dims=tuple(
-                    int(d) for d in _checkpoint_field(z, "layer_dims", 1)),
+                layer_dims=_checkpoint_counts(z, "layer_dims", 1),
                 activation=str(z["activation"]),
             )
             theta = np.asarray(z["theta"], dtype=np.float64)
@@ -511,8 +510,8 @@ def load_checkpoint(path) -> Checkpoint:
             ck = Checkpoint(
                 spec=spec,
                 theta=theta,
-                epoch=_checkpoint_count(z, "epoch"),
-                seed=_checkpoint_count(z, "seed"),
+                epoch=int(_checkpoint_counts(z, "epoch")),
+                seed=int(_checkpoint_counts(z, "seed")),
                 lr=lr,
                 velocity=velocity,
                 meta=json.loads(str(z["meta_json"])),

@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DimensionMismatchError, UsageError
+from .errors import (DegenerateSpectrumError, DimensionMismatchError,
+                     NumericalError, UsageError)
 from .linalg import _require_symmetric
 
 
@@ -87,8 +88,11 @@ class SymmetricOperator:
     optional block product ``matmat``, and an operator without one rejects
     it: callers that batch vectors check :attr:`has_matmat` first.
     `apply` is deterministic: the same vector in gives bit-identical
-    vectors out. Symmetry is the caller's promise for hand-built matvecs;
-    every combinator below preserves it, and tests probe it stochastically.
+    vectors out. A product with a NaN or infinite entry raises
+    :class:`NumericalError` naming the operator; combinators apply their
+    inner operators through `apply`, so the first to produce one is named.
+    Symmetry is the caller's promise for hand-built matvecs; every
+    combinator below preserves it, and tests probe it stochastically.
     """
 
     def __init__(self, dim: int, matvec: Callable[[np.ndarray], np.ndarray],
@@ -124,11 +128,13 @@ class SymmetricOperator:
                 f"a block of {v.shape[1]} columns")
         return self._checked(self._matmat, v)
 
-    @staticmethod
-    def _checked(product, v: np.ndarray) -> np.ndarray:
+    def _checked(self, product, v: np.ndarray) -> np.ndarray:
         out = np.asarray(product(v), dtype=np.float64)
         if out.shape != v.shape:
             raise UsageError("matvec returned wrong shape")
+        if not np.isfinite(out).all():
+            raise NumericalError(
+                f"operator {self.label} returned a non-finite vector")
         return out
 
     def __repr__(self):

@@ -329,7 +329,8 @@ def slow_lanczos(op: SymmetricOperator, steps: int,
     T = TridiagonalMatrix(alpha=np.array(alpha), beta=np.array(beta))
     pairs = eig_tridiagonal(T)
     return T, RitzSummary(theta=pairs.values,
-                          weights=pairs.first_components ** 2, seed=seed,
+                          weights=pairs.first_components ** 2,
+                          last_components=pairs.last_components, seed=seed,
                           steps=T.order, breakdown=breakdown)
 
 

@@ -1,15 +1,22 @@
 """Matrix-free operator wrappers, combinators, and the symmetry probe."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from specdens.decomp import build_decomposition, identity_residual
+from specdens.deflation import top_eigenpairs
 from specdens.errors import (
     AsymmetricInputError,
     DegenerateSpectrumError,
     DimensionMismatchError,
+    NumericalError,
     UsageError,
 )
+from specdens.lanczos import approx_spectrum
 from specdens.linalg import dense_eig
+from specdens.net import hessian_operator, linearize
 from specdens.operators import (
     _PANEL_ROWS,
     NormalizationMap,
@@ -77,6 +84,59 @@ class TestSymmetricOperator:
         op = dense_operator((A + A.T) / 2)
         v = rng.standard_normal(50)
         assert np.array_equal(op.apply(v), op.apply(v))
+
+
+class TestNonFiniteProducts:
+    """`apply` refuses a product with a NaN or infinite entry and names
+    the operator that produced it, however deeply it is wrapped."""
+
+    MESSAGE = "^operator bad returned a non-finite vector$"
+
+    @staticmethod
+    def poisoned(dim, value):
+        def product(V):
+            out = np.ones(V.shape)
+            out[0] = value
+            return out
+
+        return SymmetricOperator(dim, product, label="bad", matmat=product)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3)],
+                             ids=["vector", "one-column", "wide"])
+    def test_leaf_product(self, value, shape):
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            self.poisoned(4, value).apply(np.ones(shape))
+
+    @pytest.mark.parametrize("wrap", [
+        lambda bad, ok: affine_operator(
+            bad, NormalizationMap.from_bounds(-1.0, 1.0, 0.0)),
+        lambda bad, ok: deflated_operator(bad, np.eye(4)[:, :1]),
+        lambda bad, ok: sum_operator(ok, bad),
+        lambda bad, ok: difference_operator(ok, bad),
+    ], ids=["affine", "deflated", "sum", "difference"])
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["vector", "wide"])
+    def test_combinator_names_the_inner_operator(self, wrap, shape):
+        op = wrap(self.poisoned(4, np.nan), dense_operator(np.eye(4)))
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            op.apply(np.ones(shape))
+
+    def test_estimators_name_the_leaf(self):
+        bad = self.poisoned(30, np.nan)
+        ok = dense_operator(np.diag(np.arange(1.0, 31.0)))
+        for run in (lambda: approx_spectrum(sum_operator(ok, bad), steps=8),
+                    lambda: top_eigenpairs(difference_operator(ok, bad), 2)):
+            with pytest.raises(NumericalError, match=self.MESSAGE):
+                run()
+
+    def test_identity_residual_names_the_part(self, trained_tiny_net):
+        spec, theta, train, _ = trained_tiny_net
+        lin = linearize(spec, theta, train)
+        parts = build_decomposition(lin)
+        parts = dataclasses.replace(parts, b1=self.poisoned(spec.param_count,
+                                                            np.nan))
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            identity_residual(hessian_operator(lin, which="g"), parts)
 
 
 class TestDenseOperator:
