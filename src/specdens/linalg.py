@@ -4,10 +4,12 @@
 a density into Ritz values and the first and last components of their
 eigenvectors, in O(M) memory each, running their LAPACK calls in parallel
 on the usable CPUs, with bits that depend on neither that count nor the
-BLAS thread count. `eig_tridiagonal` is its one-matrix case. The three
-LAPACK routines are called through ctypes from the one scipy extension
-that exports them, so no command that solves a tridiagonal problem
-imports the ``scipy.linalg`` package.
+BLAS thread count. Its worker threads (:func:`_run_tasks`) also run the
+panel ranges of the dense products in :mod:`specdens.operators`.
+`eig_tridiagonal` is its one-matrix case. The three LAPACK routines are
+called through ctypes from the one scipy extension that exports them, so
+no command that solves a tridiagonal problem imports the
+``scipy.linalg`` package.
 `dense_eig` gives the eigenvalues of an explicit matrix. The
 independent checks on both (a hand-written QL iteration, Householder
 reduction and Sturm bisection) live with the tests, in
@@ -16,12 +18,14 @@ reduction and Sturm bisection) live with the tests, in
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
+import queue
 import sys
 import threading
 from dataclasses import dataclass
@@ -169,30 +173,86 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Workers:
+    """Daemon helper threads that take jobs off one queue, started on
+    first need and kept for the life of the process (or until a fork)."""
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        self.threads = []
+        self.lock = threading.Lock()
+
+    def start(self, count: int) -> None:
+        """Have at least ``count`` threads serving the queue."""
+        with self.lock:
+            while len(self.threads) < count:
+                thread = threading.Thread(target=self._serve, daemon=True,
+                                          name="specdens-worker")
+                thread.start()
+                self.threads.append(thread)
+
+    def _serve(self) -> None:
+        while True:
+            self.jobs.get()()
+
+
+_WORKERS = _Workers()
+
+
+def _reset_workers() -> None:
+    # a forked child has none of its parent's threads, and the queue and
+    # lock may have been held by one of them
+    global _WORKERS
+    _WORKERS = _Workers()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_workers)
+
+
 def _run_tasks(tasks: list) -> None:
     """Call every task once, taking them in list order, on ``min(len(tasks),
-    usable CPUs)`` threads, the calling thread among them; with one usable
-    CPU the calling thread runs them all. A task must do nothing but call
-    a ctypes LAPACK entry point, which releases the GIL for the length of
-    the call: numpy's ``errstate`` is thread-local, so a numpy op in
-    another thread would warn where the caller ignores, and a traced
-    function would open spans from the wrong thread."""
-    queue = iter(tasks)      # next() on one list iterator is atomic under the GIL
+    usable CPUs)`` threads: the calling thread and persistent daemon
+    workers, of which at most usable CPUs - 1 are ever started. With one
+    usable CPU, or one task, the calling thread runs them all.
+
+    A task is a LAPACK call through ctypes or an ``np.matmul`` into arrays
+    the caller owns; both release the GIL for their length. A worker runs
+    its tasks in a copy of the caller's context, so numpy's ``errstate``
+    holds there too. An exception in a task is raised on the calling
+    thread once every task has ended; a task taken after it still runs.
+    """
+    helpers = min(len(tasks), _usable_cpus()) - 1
+    if helpers < 1:
+        for task in tasks:
+            task()
+        return
+    pending = iter(tasks)    # next() on one list iterator is atomic under the GIL
+    ended, errors = queue.SimpleQueue(), []
 
     def drain():
-        for task in queue:
-            task()
+        try:
+            for task in pending:
+                task()
+        except BaseException as err:     # re-raised on the calling thread
+            errors.append(err)
+        finally:
+            ended.put(None)
 
-    threads = [threading.Thread(target=drain)
-               for _ in range(min(len(tasks), _usable_cpus()) - 1)]
-    for thread in threads:
-        thread.start()
+    _WORKERS.start(helpers)
+    for _ in range(helpers):
+        # a context can be entered by one thread at a time: one copy each
+        _WORKERS.jobs.put(functools.partial(contextvars.copy_context().run,
+                                            drain))
     try:
-        drain()
+        for task in pending:
+            task()
     finally:
         # the tasks write into arrays the caller owns: wait for all of them
-        for thread in threads:
-            thread.join()
+        for _ in range(helpers):
+            ended.get()
+    if errors:
+        raise errors[0]
 
 
 def ritz_pairs(Ts: list[TridiagonalMatrix]) -> list[EigenPairs]:

@@ -496,10 +496,8 @@ def load_checkpoint(path) -> Checkpoint:
                     f"checkpoint format version {version} unsupported "
                     f"(expected {_CHECKPOINT_VERSION})"
                 )
-            spec = MlpSpec(
-                layer_dims=_checkpoint_counts(z, "layer_dims", 1),
-                activation=str(z["activation"]),
-            )
+            layer_dims = _checkpoint_counts(z, "layer_dims", 1)
+            activation = str(z["activation"])
             theta = np.asarray(z["theta"], dtype=np.float64)
             velocity = (np.asarray(z["velocity"], dtype=np.float64)
                         if "velocity" in z.files else None)
@@ -507,18 +505,19 @@ def load_checkpoint(path) -> Checkpoint:
             if not math.isfinite(lr):
                 raise InputFormatError(
                     f"checkpoint lr is {lr}, want a finite number")
-            ck = Checkpoint(
-                spec=spec,
-                theta=theta,
-                epoch=int(_checkpoint_counts(z, "epoch")),
-                seed=int(_checkpoint_counts(z, "seed")),
-                lr=lr,
-                velocity=velocity,
-                meta=json.loads(str(z["meta_json"])),
-            )
+            epoch = int(_checkpoint_counts(z, "epoch"))
+            seed = int(_checkpoint_counts(z, "seed"))
+            meta = json.loads(str(z["meta_json"]))
     except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
             zipfile.BadZipFile) as err:
         raise InputFormatError(f"unreadable checkpoint {path}: {err}") from err
+    # a readable archive can still describe no network
+    try:
+        spec = MlpSpec(layer_dims=layer_dims, activation=activation)
+    except UsageError as err:
+        raise InputFormatError(f"checkpoint {path}: {err}") from err
+    ck = Checkpoint(spec=spec, theta=theta, epoch=epoch, seed=seed, lr=lr,
+                    velocity=velocity, meta=meta)
     for name in ("theta", "velocity"):
         arr = getattr(ck, name)
         if arr is None:

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateSpectrumError, DimensionMismatchError,
                      NumericalError, UsageError)
-from .linalg import _require_symmetric
+from .linalg import _require_symmetric, _run_tasks, _usable_cpus
 
 
 @dataclass(frozen=True)
@@ -144,35 +145,66 @@ class SymmetricOperator:
 # rows per panel of a dense block product: 32-row panels were measured to
 # give the same bits at 1 and 2 OpenBLAS threads, 64-row panels did not
 _PANEL_ROWS = 32
+# a smaller matrix is multiplied on the calling thread alone: on 2 cores, a
+# lone vector split over both took 159 µs against 257 on one thread at
+# p = 1024, but 176 against 149 at p = 768 (README, determinism section)
+_SPLIT_ROWS = 1024
+
+
+def _panel_product(panels, first: int, tail, V: np.ndarray,
+                   out: np.ndarray) -> None:
+    """``panels @ V`` as one stacked ``matmul`` into the C-order block
+    ``out`` from row ``first`` on, then the short last panel ``tail @ V``
+    into the rows after them, unless ``tail`` is None."""
+    last = first + len(panels) * _PANEL_ROWS
+    np.matmul(panels, V, out=out[first:last].reshape(
+        len(panels), _PANEL_ROWS, V.shape[1]))
+    if tail is not None:
+        np.matmul(tail, V, out=out[last:])
 
 
 def dense_operator(A: np.ndarray, label: str = "dense") -> SymmetricOperator:
     """Wrap a dense symmetric matrix (validated to 1e-12 relative).
 
-    A single vector is one GEMV. A block is multiplied ``_PANEL_ROWS`` rows
-    of A at a time: each panel product gives the same bits at any BLAS
-    thread count, which one GEMM over the whole of A does not. The whole
-    panels are one stacked ``matmul`` over a (panels, rows, p) view of A
-    and the short last panel is one more product. Both write into a
-    C-order block, as each panel product would on its own: a Fortran-order
-    target changes the bits. The block is returned in Fortran order.
+    Every product is taken ``_PANEL_ROWS`` rows of A at a time, a lone
+    vector as a one-column block: each panel product gives the same bits
+    at any BLAS thread count, which one GEMM or GEMV over the whole of A
+    does not (a GEMV at p = 2003 differs between one and two OpenBLAS
+    threads). The whole panels are stacked ``matmul`` calls over a
+    (panels, rows, p) view of A and the short last panel is one more. All
+    write into a C-order block, as each panel product would on its own: a
+    Fortran-order target changes the bits. A block is returned in Fortran
+    order.
+
+    From ``_SPLIT_ROWS`` rows on, the panels are cut into one contiguous
+    range per usable CPU, planned here once, and the ranges run as
+    :func:`~specdens.linalg._run_tasks` tasks, each one stacked ``matmul``
+    into its own rows. Every panel still gets the same GEMM call, so the
+    bits do not depend on the number of ranges.
     """
     A = np.asarray(A, dtype=np.float64)
     _require_symmetric(A)
-    whole = A.shape[0] - A.shape[0] % _PANEL_ROWS
+    p = A.shape[0]
+    whole = p - p % _PANEL_ROWS
     # splitting the row axis is always a view, whatever A's layout
-    panels = A[:whole].reshape(whole // _PANEL_ROWS, _PANEL_ROWS, A.shape[1])
-    tail = A[whole:]
+    panels = A[:whole].reshape(whole // _PANEL_ROWS, _PANEL_ROWS, p)
+    parts = max(1, min(len(panels), _usable_cpus())) if p >= _SPLIT_ROWS else 1
+    cuts = [len(panels) * i // parts for i in range(parts + 1)]
+    # the last range takes the short last panel (empty when p divides)
+    plan = [(panels[a:b], a * _PANEL_ROWS, A[whole:] if b == len(panels)
+             else None) for a, b in zip(cuts, cuts[1:])]
 
     def matmat(V):
         out = np.empty(V.shape)
-        stacked = out[:whole].reshape(len(panels), _PANEL_ROWS, V.shape[1])
-        np.matmul(panels, V, out=stacked)
-        np.matmul(tail, V, out=out[whole:])
+        if len(plan) == 1:
+            _panel_product(*plan[0], V, out)
+        else:
+            _run_tasks([functools.partial(_panel_product, *job, V, out)
+                        for job in plan])
         return np.asfortranarray(out)
 
-    return SymmetricOperator(A.shape[0], lambda v: A @ v, label=label,
-                             matmat=matmat)
+    return SymmetricOperator(p, lambda v: matmat(v[:, None])[:, 0],
+                             label=label, matmat=matmat)
 
 
 def _combined(dim: int, product, label: str,

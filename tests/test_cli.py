@@ -14,6 +14,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -504,6 +505,45 @@ class TestSpectrum:
             assert (tmp_path / "block1" / name).read_bytes() == \
                 (tmp_path / "block2" / name).read_bytes()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_split_product_bytes_do_not_depend_on_threads(self, tmp_path):
+        # p = 1101 is above operators._SPLIT_ROWS, so with two usable CPUs
+        # every dense product is cut over the worker threads, and pinned to
+        # one it runs inline; an odd p also leaves a short last panel, and
+        # one GEMV over the whole matrix differs between 1 and 2 OpenBLAS
+        # threads at such a p
+        path = tmp_path / "spiked.spdm"
+        write_matrix(path, sample(EnsembleSpec(
+            kind="spiked_wishart", p=1101, n=1101, spikes=(6.0, 5.0, 4.0),
+            seed=3)))
+        script = (
+            "import os, sys, threading, time\n"
+            "if sys.argv[3] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from specdens import linalg\n"
+            "from specdens.cli import main\n"
+            "assert main(['spectrum', '--matrix', sys.argv[1],\n"
+            "             '--deflate', '3', '--n-vec', '10', '--steps', '64',\n"
+            "             '--out-dir', sys.argv[2]]) == 0\n"
+            "helpers = [t for t in threading.enumerate()\n"
+            "           if t is not threading.main_thread()]\n"
+            "print(linalg._usable_cpus() - 1 - len(helpers),\n"
+            "      all(t.daemon for t in helpers), time.time())\n"
+        )
+        runs = {"1": {"OPENBLAS_NUM_THREADS": "1"},
+                "2": {"OPENBLAS_NUM_THREADS": "2"}, "pin": {}}
+        for name, env in runs.items():
+            spare, daemons, ended = run_python(
+                script, path, tmp_path / name, name, **env).split()
+            # the workers are started no more than needed, and as daemons
+            # they hold up no exit: the interpreter ends right after main
+            assert (spare, daemons) == ("0", "True")
+            assert time.time() - float(ended) < 20.0
+        for name in ("density.json", "density.csv", "top_spectrum.json"):
+            outputs = {(tmp_path / run / name).read_bytes() for run in runs}
+            assert len(outputs) == 1, name
+
     def test_coefficient_bytes_do_not_depend_on_blas_threads(self):
         # p = 200,000 is far past where OpenBLAS splits a dot product or a
         # norm between threads; a diagonal operator's products are
@@ -884,7 +924,8 @@ class TestCheckpointAnalysis:
         ("lr", "stacked"), ("layer_dims", "stacked"), ("seed", "negative"),
         ("epoch", "negative"), ("lr", "nan"), ("epoch", "fractional"),
         ("seed", "fractional"), ("format_version", "fractional"),
-        ("layer_dims", "fractional"), ("layer_dims", "bool")])
+        ("layer_dims", "fractional"), ("layer_dims", "bool"),
+        ("layer_dims", "zero"), ("activation", "unknown")])
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "train"])
     def test_bad_checkpoint_arrays_are_input_errors(self, train_run, tmp_path,
                                                     capsys, command, field,
@@ -912,6 +953,13 @@ class TestCheckpointAnalysis:
         elif fault == "stacked":
             values = np.stack([values, values])
             message = f"{field} has shape {values.shape}, want a"
+        elif fault == "zero":
+            # a readable archive whose spec is refused: the spec's message
+            values[1] = 0
+            message = "all layer widths must be >= 1"
+        elif fault == "unknown":
+            values = np.str_("relu6")
+            message = "unknown activation 'relu6'"
         else:
             values = np.int64(-1)
             message = f"{field} is -1, want >= 0"
@@ -927,7 +975,8 @@ class TestCheckpointAnalysis:
                     "--data", str(train_run["data"]), "--steps", "16",
                     "--out-dir", str(out)]
         assert main(argv) == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "unreadable" not in err
         assert not out.exists()
 
     def test_decompose_rerun_is_byte_identical(self, train_run, tmp_path):

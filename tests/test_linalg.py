@@ -8,6 +8,9 @@ the library honest against the oracles and the oracles against each other.
 
 import ctypes
 import functools
+import os
+import signal
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -375,10 +378,12 @@ class TestRitzPairs:
         assert linalg.ritz_pairs([]) == []
 
     @pytest.mark.parametrize("cpus,tasks,threads", [
-        (1, 6, 0), (2, 6, 1), (4, 3, 2), (4, 1, 0), (3, 0, 0)])
+        (1, 6, 0), (2, 6, 1), (4, 3, 2), (4, 1, 0), (3, 0, 0), (3, 5, 2)])
     def test_worker_count(self, monkeypatch, cpus, tasks, threads):
-        """min(tasks, usable CPUs) workers, the calling thread one of them;
-        every task runs once, taken in list order."""
+        """Over 50 calls, a fresh pool starts min(tasks, usable CPUs) - 1
+        helper threads, never more than usable CPUs - 1, and they are
+        daemons; every task runs once per call. With one CPU or one task,
+        the calling thread runs them all in list order."""
         started = []
 
         class Counted(threading.Thread):
@@ -388,13 +393,79 @@ class TestRitzPairs:
 
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(linalg.threading, "Thread", Counted)
-        ran = []
-        linalg._run_tasks([functools.partial(ran.append, i)
-                           for i in range(tasks)])
+        monkeypatch.setattr(linalg, "_WORKERS", linalg._Workers())
+        caller, ran = threading.current_thread(), []
+
+        def record(i):
+            ran.append((i, threading.current_thread()))
+
+        for _ in range(50):
+            ran.clear()
+            linalg._run_tasks([functools.partial(record, i)
+                               for i in range(tasks)])
+            assert sorted(i for i, _ in ran) == list(range(tasks))
+            if min(tasks, cpus) <= 1:
+                assert ran == [(i, caller) for i in range(tasks)]
         assert len(started) == threads
-        assert sorted(ran) == list(range(tasks))
-        if threads == 0:
-            assert ran == list(range(tasks))
+        assert all(thread.daemon for thread in started)
+
+    def test_concurrent_callers_share_the_workers(self, monkeypatch):
+        """Two threads fan tasks out at once over more workers than cores,
+        with a short switch interval: every task of every call runs once,
+        and no call returns before its own tasks have ended."""
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(linalg, "_WORKERS", linalg._Workers())
+        rounds, failures = 30, []
+
+        def caller(counts):
+            try:
+                for done in range(1, rounds + 1):
+                    # each cell is touched by one task per call
+                    linalg._run_tasks([functools.partial(
+                        counts.__setitem__, i, done)
+                        for i in range(len(counts))])
+                    assert counts == [done] * len(counts)
+            except BaseException as err:
+                failures.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=([0] * 64,))
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(linalg._WORKERS.threads) == 5
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_workers(self, monkeypatch):
+        # the parent's workers do not exist in a forked child: without a
+        # fresh pool there the child's tasks would wait for them forever
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        ran = []
+        linalg._run_tasks([functools.partial(ran.append, i) for i in range(4)])
+        parent_pool = linalg._WORKERS
+        assert parent_pool.threads
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)
+                linalg._run_tasks([functools.partial(ran.append, i)
+                                   for i in range(4, 8)])
+                if (linalg._WORKERS is not parent_pool
+                        and sorted(ran) == list(range(8))):
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_failures_raise_in_sequential_order(self, monkeypatch, cpus):

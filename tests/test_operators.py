@@ -1,10 +1,13 @@
 """Matrix-free operator wrappers, combinators, and the symmetry probe."""
 
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from specdens import linalg, operators
 from specdens.decomp import build_decomposition, identity_residual
 from specdens.deflation import top_eigenpairs
 from specdens.errors import (
@@ -19,6 +22,7 @@ from specdens.linalg import dense_eig
 from specdens.net import hessian_operator, linearize
 from specdens.operators import (
     _PANEL_ROWS,
+    _SPLIT_ROWS,
     NormalizationMap,
     SymmetricOperator,
     affine_operator,
@@ -177,6 +181,116 @@ class TestDenseOperator:
         block = dense_operator(A).apply(V)
         assert block.flags.f_contiguous
         assert block.tobytes("F") == loop.tobytes("F")
+
+
+def _symmetric(rng, p):
+    A = rng.standard_normal((p, p))
+    return (A + A.T) / 2
+
+
+def _panel_loop(A, V):
+    loop = np.empty(V.shape, order="F")
+    for i in range(0, A.shape[0], _PANEL_ROWS):
+        loop[i:i + _PANEL_ROWS] = A[i:i + _PANEL_ROWS] @ V
+    return loop
+
+
+class TestSplitDenseProduct:
+    """From ``_SPLIT_ROWS`` rows on, the panels of a dense product are cut
+    into one range per usable CPU and the ranges run on the worker
+    threads, with the bits of the one-thread panel loop."""
+
+    @staticmethod
+    def split_operator(monkeypatch, A, cpus, split_rows=_SPLIT_ROWS):
+        ranges = []
+
+        def counted(tasks):
+            ranges.append(len(tasks))
+            run(tasks)
+
+        run = linalg._run_tasks
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(operators, "_SPLIT_ROWS", split_rows)
+        monkeypatch.setattr(operators, "_run_tasks", counted)
+        return dense_operator(A), ranges
+
+    @pytest.mark.parametrize("split_rows", [_SPLIT_ROWS, 0],
+                             ids=["threshold", "always"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("p", [31, 96, 500, 1000, 2003])
+    def test_split_is_the_panel_loop_bit_for_bit(self, rng, monkeypatch, p,
+                                                 cpus, split_rows):
+        # 2003 rows are 62 whole panels (20, 21 and 21 at three CPUs) and a
+        # short one; 96 rows are three panels and 31 rows no whole one. At
+        # the threshold, p = 500 and 1000 stay on the calling thread
+        A = _symmetric(rng, p)
+        op, ranges = self.split_operator(monkeypatch, A, cpus, split_rows)
+        panels = p // _PANEL_ROWS
+        parts = min(cpus, panels) if p >= split_rows else 1
+        for k in (1, 3, 10):
+            V = rng.standard_normal((p, k))
+            block = op.apply(V)
+            assert block.flags.f_contiguous
+            assert block.tobytes("F") == _panel_loop(A, V).tobytes("F")
+        # a lone vector: the column of its one-column block
+        assert op.apply(V[:, 0]).tobytes() == \
+            _panel_loop(A, V[:, :1])[:, 0].tobytes()
+        # one range runs inline
+        assert ranges == ([parts] * 4 if parts > 1 else [])
+
+    @staticmethod
+    def one_range_per_thread(monkeypatch, failure=None):
+        """Hold the calling thread in its range until a worker has taken
+        another, so that a worker surely runs one; ``failure`` is raised
+        there instead of its product."""
+        caller, product = threading.current_thread(), operators._panel_product
+        taken = threading.Event()
+
+        def forced(*job):
+            if threading.current_thread() is caller:
+                assert taken.wait(timeout=30)
+                taken.clear()
+            else:
+                taken.set()
+                if failure is not None:
+                    raise failure
+            product(*job)
+
+        monkeypatch.setattr(operators, "_panel_product", forced)
+
+    def test_overflow_warns_from_no_thread(self, monkeypatch):
+        """The workers run under the caller's ``errstate``: an overflow the
+        caller ignores raises no warning in a worker, and ``apply`` names
+        the operator that returned the infinite block."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        A = np.full((200, 200), 1e300)
+        op, ranges = self.split_operator(monkeypatch, A, 2, split_rows=0)
+        self.one_range_per_thread(monkeypatch)
+        for shape in [(200, 3), (200,)]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(over="ignore"), pytest.raises(
+                        NumericalError,
+                        match="^operator dense returned a non-finite vector$"):
+                    op.apply(np.full(shape, 1e10))
+            assert caught == []
+        assert ranges == [2, 2]
+        assert escaped == []
+
+    def test_failed_range_raises_on_the_caller(self, rng, monkeypatch):
+        """A range that fails in a worker is raised on the calling thread,
+        after the caller's own range, and the next product runs."""
+        A = _symmetric(rng, 2003)
+        op, _ = self.split_operator(monkeypatch, A, 2)
+        product = operators._panel_product
+        self.one_range_per_thread(monkeypatch, RuntimeError("range failed"))
+        V = rng.standard_normal((2003, 3))
+        with pytest.raises(RuntimeError, match="^range failed$"):
+            op.apply(V)
+        monkeypatch.setattr(operators, "_panel_product", product)
+        assert op.apply(V).tobytes("F") == _panel_loop(A, V).tobytes("F")
 
 
 class TestNormalizationMap:
