@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -446,87 +446,85 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
+# name -> (dtype save_checkpoint writes, dtype kinds a loaded member may
+# have, ndim), in archive order, which decides the zip bytes; only velocity
+# may be absent
+_MEMBERS = {
+    "format_version": (np.int64, "iu", 0),
+    "layer_dims": (np.int64, "iu", 1),
+    "activation": (np.str_, "U", 0),
+    "theta": (np.float64, "f", 1),
+    "epoch": (np.int64, "iu", 0),
+    "seed": (np.int64, "iu", 0),
+    "lr": (np.float64, "f", 0),
+    "meta_json": (np.str_, "U", 0),
+    "velocity": (np.float64, "f", 1),
+}
+
+
 def save_checkpoint(path, ck: Checkpoint) -> None:
-    payload = {
-        "format_version": np.int64(_CHECKPOINT_VERSION),
-        "layer_dims": np.asarray(ck.spec.layer_dims, dtype=np.int64),
-        "activation": np.str_(ck.spec.activation),
-        "theta": np.asarray(ck.theta, dtype=np.float64),
-        "epoch": np.int64(ck.epoch),
-        "seed": np.int64(ck.seed),
-        "lr": np.float64(ck.lr),
-        "meta_json": np.str_(json.dumps(ck.meta, sort_keys=True)),
-    }
-    if ck.velocity is not None:
-        payload["velocity"] = np.asarray(ck.velocity, dtype=np.float64)
+    values = {"format_version": _CHECKPOINT_VERSION,
+              "layer_dims": ck.spec.layer_dims,
+              "activation": ck.spec.activation, "theta": ck.theta,
+              "epoch": ck.epoch, "seed": ck.seed, "lr": ck.lr,
+              "meta_json": json.dumps(ck.meta, sort_keys=True),
+              "velocity": ck.velocity}
     buf = io.BytesIO()
-    np.savez(buf, **payload)
+    np.savez(buf, **{name: np.asarray(values[name], dtype=dtype)
+                     for name, (dtype, _, _) in _MEMBERS.items()
+                     if values[name] is not None})
     atomic_write_bytes(path, buf.getvalue())
-
-
-def _checkpoint_field(z, name: str, ndim: int = 0) -> np.ndarray:
-    """Archive member ``name``, refused unless it has ``ndim`` axes."""
-    value = z[name]
-    if value.ndim != ndim:
-        want = "a scalar" if ndim == 0 else "a vector"
-        raise InputFormatError(
-            f"checkpoint {name} has shape {value.shape}, want {want}")
-    return value
-
-
-def _checkpoint_counts(z, name: str, ndim: int = 0) -> np.ndarray:
-    """Archive member ``name`` with ``ndim`` axes, refused unless stored as
-    nonnegative integers: ``int()`` would truncate 2.7 to 2 and True to 1."""
-    value = _checkpoint_field(z, name, ndim)
-    if value.dtype.kind not in "iu":
-        raise InputFormatError(f"checkpoint {name} is {value.tolist()!r} "
-                               f"({value.dtype}), want an integer type")
-    if (value < 0).any():
-        raise InputFormatError(
-            f"checkpoint {name} is {value.tolist()}, want >= 0")
-    return value
 
 
 def load_checkpoint(path) -> Checkpoint:
     try:
-        with np.load(path, allow_pickle=False) as z:
-            version = int(_checkpoint_counts(z, "format_version"))
-            if version != _CHECKPOINT_VERSION:
-                raise InputFormatError(
-                    f"checkpoint format version {version} unsupported "
-                    f"(expected {_CHECKPOINT_VERSION})"
-                )
-            layer_dims = _checkpoint_counts(z, "layer_dims", 1)
-            activation = str(z["activation"])
-            theta = np.asarray(z["theta"], dtype=np.float64)
-            velocity = (np.asarray(z["velocity"], dtype=np.float64)
-                        if "velocity" in z.files else None)
-            lr = float(_checkpoint_field(z, "lr"))
-            if not math.isfinite(lr):
-                raise InputFormatError(
-                    f"checkpoint lr is {lr}, want a finite number")
-            epoch = int(_checkpoint_counts(z, "epoch"))
-            seed = int(_checkpoint_counts(z, "seed"))
-            meta = json.loads(str(z["meta_json"]))
-    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
-            zipfile.BadZipFile) as err:
+        # NpzFile, not np.load: that returns a .npy file as an array, and
+        # leaks its own handle when the zip is refused
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as z:
+            # one read each: NpzFile re-reads a member on every z[name]
+            m = {name: z[name] for name in _MEMBERS if name in z.files}
+    except (OSError, EOFError, ValueError, NotImplementedError, MemoryError,
+            zipfile.BadZipFile, zlib.error) as err:
         raise InputFormatError(f"unreadable checkpoint {path}: {err}") from err
-    # a readable archive can still describe no network
+    missing = sorted(_MEMBERS.keys() - m.keys() - {"velocity"})
+    if missing:
+        raise InputFormatError(f"checkpoint lacks {', '.join(missing)}")
+    for name, value in m.items():
+        dtype, kinds, ndim = _MEMBERS[name]
+        # a kind and a safe cast: no bool or int theta, no uint64 count, no
+        # longdouble that float64 cannot hold
+        if (value.dtype.kind not in kinds
+                or not np.can_cast(value.dtype, dtype)):
+            raise InputFormatError(f"checkpoint {name} has dtype {value.dtype}"
+                                   f", want {np.dtype(dtype).name}")
+        if value.ndim != ndim:
+            raise InputFormatError(f"checkpoint {name} has shape {value.shape}"
+                                   f", want {('a scalar', 'a vector')[ndim]}")
+        m[name] = value = value.astype(dtype, copy=False)
+        if kinds == "f" and not np.isfinite(value).all():
+            raise InputFormatError(f"checkpoint {name} has non-finite entries")
+        if kinds == "iu" and (value < 0).any():
+            raise InputFormatError(
+                f"checkpoint {name} is {value.tolist()}, want >= 0")
+    version = int(m["format_version"])
+    if version != _CHECKPOINT_VERSION:
+        raise InputFormatError(f"checkpoint format version {version} "
+                               f"unsupported (expected {_CHECKPOINT_VERSION})")
     try:
-        spec = MlpSpec(layer_dims=layer_dims, activation=activation)
+        spec = MlpSpec(layer_dims=m["layer_dims"],
+                       activation=str(m["activation"]))
     except UsageError as err:
         raise InputFormatError(f"checkpoint {path}: {err}") from err
-    ck = Checkpoint(spec=spec, theta=theta, epoch=epoch, seed=seed, lr=lr,
-                    velocity=velocity, meta=meta)
+    try:
+        meta = json.loads(str(m["meta_json"]))
+    except (ValueError, RecursionError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise InputFormatError("checkpoint meta_json is not a JSON object")
     for name in ("theta", "velocity"):
-        arr = getattr(ck, name)
-        if arr is None:
-            continue
-        if arr.shape != (spec.param_count,):
-            raise InputFormatError(
-                f"checkpoint {name} has {arr.shape}, spec wants "
-                f"({spec.param_count},)")
-        if not np.isfinite(arr).all():
-            raise InputFormatError(
-                f"checkpoint {path}: {name} has non-finite entries")
-    return ck
+        if name in m and m[name].shape != (spec.param_count,):
+            raise InputFormatError(f"checkpoint {name} has {m[name].shape}, "
+                                   f"spec wants ({spec.param_count},)")
+    return Checkpoint(spec=spec, theta=m["theta"], epoch=int(m["epoch"]),
+                      seed=int(m["seed"]), lr=float(m["lr"]),
+                      velocity=m.get("velocity"), meta=meta)

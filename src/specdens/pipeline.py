@@ -247,8 +247,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
-        if self.lr < 0:
-            raise UsageError("lr must be nonnegative")
+        for name in ("lr", "weight_decay", "anneal_factor"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be nonnegative")
         if not 0 <= self.momentum < 1:
             raise UsageError("momentum must be in [0, 1)")
         if self.batch_size < 1:

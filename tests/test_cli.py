@@ -665,6 +665,28 @@ GMM_DATA = {"kind": "gmm", "classes": 3, "n_per_class": 20, "dim": 4,
             "separation": 3.0, "std": 1.0, "seed": 5}
 
 
+# checkpoint members by the dtype save_checkpoint writes
+CHECKPOINT_COUNTS = ("format_version", "layer_dims", "epoch", "seed")
+CHECKPOINT_FLOATS = ("theta", "lr", "velocity")
+CHECKPOINT_STRINGS = ("activation", "meta_json")
+# (member, fault): every member missing (but velocity may be), with one
+# axis too many, and with each wrong dtype kind that fits it; every float
+# non-finite and every count negative; then faults of single members
+CHECKPOINT_FAULTS = [
+    *[(field, fault) for field in CHECKPOINT_COUNTS
+      for fault in ("missing", "stacked", "fractional", "bool", "str",
+                    "negative")],
+    *[(field, fault) for field in CHECKPOINT_FLOATS
+      for fault in ("missing", "stacked", "complex", "bool", "int", "str",
+                    "nan")
+      if (field, fault) != ("velocity", "missing")],
+    *[(field, fault) for field in CHECKPOINT_STRINGS
+      for fault in ("missing", "stacked", "int", "bytes")],
+    ("seed", "uint64"), ("velocity", "shape"), ("layer_dims", "zero"),
+    ("activation", "unknown"), ("meta_json", "list"), ("meta_json", "nested"),
+]
+
+
 @pytest.fixture(scope="module")
 def train_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("train")
@@ -919,40 +941,32 @@ class TestCheckpointAnalysis:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field,fault", [
-        ("theta", "nan"), ("velocity", "nan"), ("velocity", "shape"),
-        ("lr", "stacked"), ("layer_dims", "stacked"), ("seed", "negative"),
-        ("epoch", "negative"), ("lr", "nan"), ("epoch", "fractional"),
-        ("seed", "fractional"), ("format_version", "fractional"),
-        ("layer_dims", "fractional"), ("layer_dims", "bool"),
-        ("layer_dims", "zero"), ("activation", "unknown")])
+    @pytest.mark.parametrize("field,fault", CHECKPOINT_FAULTS)
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "train"])
     def test_bad_checkpoint_arrays_are_input_errors(self, train_run, tmp_path,
                                                     capsys, command, field,
                                                     fault):
-        # caught at load, before a product, the decomposition or --out-dir;
-        # written by hand, since save_checkpoint cannot store a 2-D
-        # layer_dims or a fractional or bool count
+        # every member x every fault class, caught at load, before a
+        # product, the decomposition or --out-dir; written by hand, since
+        # save_checkpoint writes none of these
         with np.load(train_run["final"]) as z:
             payload = dict(z)
-        values = payload[field]
-        if fault == "nan" and field == "lr":
-            values = np.float64(np.nan)
-            message = "lr is nan, want a finite number"
-        elif fault == "nan":
-            values[3] = np.nan
-            message = f"{field} has non-finite entries"
-        elif fault in ("fractional", "bool"):
-            # int() would truncate it to the stored count without a word
-            values = values + 0.5 if fault == "fractional" else values > 0
-            message = (f"{field} is {values.tolist()!r} ({values.dtype}), "
-                       "want an integer")
-        elif fault == "shape":
-            values = values[:5]
-            message = f"{field} has (5,)"
+        values = payload[field].copy()
+        if fault == "missing":
+            del payload[field]
+            message = f"checkpoint lacks {field}"
         elif fault == "stacked":
             values = np.stack([values, values])
             message = f"{field} has shape {values.shape}, want a"
+        elif fault == "nan":
+            values.flat[0] = np.nan
+            message = f"{field} has non-finite entries"
+        elif fault == "negative":
+            values = -1 - values
+            message = f"{field} is {values.tolist()}, want >= 0"
+        elif fault == "shape":
+            values = values[:5]
+            message = f"{field} has (5,)"
         elif fault == "zero":
             # a readable archive whose spec is refused: the spec's message
             values[1] = 0
@@ -960,10 +974,26 @@ class TestCheckpointAnalysis:
         elif fault == "unknown":
             values = np.str_("relu6")
             message = "unknown activation 'relu6'"
+        elif fault in ("list", "nested"):
+            # valid JSON that is no object, and JSON too deep to parse
+            depth = 1 if fault == "list" else 100_000
+            values = np.str_("[" * depth + "]" * depth)
+            message = "meta_json is not a JSON object"
         else:
-            values = np.int64(-1)
-            message = f"{field} is -1, want >= 0"
-        payload[field] = values
+            # a wrong dtype: int() would truncate a fractional count or
+            # take a bool, a float cast would drop an imaginary part
+            values = {"fractional": lambda v: v + 0.5,
+                      "bool": lambda v: v > 0,
+                      "str": lambda v: v.astype(str),
+                      "bytes": lambda v: v.astype(bytes),
+                      "complex": lambda v: v + 1j,
+                      "int": lambda v: np.ones(v.shape, dtype=np.int64),
+                      "uint64": lambda v: v.astype(np.uint64)}[fault](values)
+            written = ("int64" if field in CHECKPOINT_COUNTS else
+                       "float64" if field in CHECKPOINT_FLOATS else "str")
+            message = f"{field} has dtype {values.dtype}, want {written}"
+        if fault != "missing":
+            payload[field] = values
         bad = tmp_path / "bad.npz"
         np.savez(bad, **payload)
         out = tmp_path / "out"
@@ -977,6 +1007,8 @@ class TestCheckpointAnalysis:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert message in err and "unreadable" not in err
+        # the spec's own message speaks of layer widths
+        assert field in err or fault == "zero"
         assert not out.exists()
 
     def test_decompose_rerun_is_byte_identical(self, train_run, tmp_path):
@@ -1327,6 +1359,8 @@ WRONG_TYPES = [
     ("train", "batch_size", 2.5),
     ("train", "seed", "s"),
     ("train", "seed", -1),
+    ("train", "anneal_factor", -0.5),
+    ("train", "weight_decay", -1e-4),
     ("data", "seed", "s"),
     ("data", "seed", -1),
     ("data", "n_per_class", 2.5),

@@ -6,7 +6,10 @@ quantities, and exact structural identities (the curvature split, layout
 round-trips). The finite-difference oracles live in oracles.py.
 """
 
+import io
 import math
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -610,15 +613,32 @@ class TestCheckpoints:
         )
 
     def test_round_trip_is_exact(self, tmp_path):
-        ck = self.make_checkpoint()
-        path = tmp_path / "ck.npz"
-        save_checkpoint(path, ck)
-        back = load_checkpoint(path)
-        assert back.spec == ck.spec
-        assert np.array_equal(back.theta, ck.theta)
-        assert np.array_equal(back.velocity, ck.velocity)
-        assert (back.epoch, back.seed, back.lr) == (7, 42, 0.025)
-        assert back.meta == ck.meta
+        # the archive layout: member order and dtypes decide the zip bytes
+        meta_dtype = "<U38"  # len('{"note": "fixture", "train_loss": 0.5}')
+        layout = [("format_version", "<i8", ()), ("layer_dims", "<i8", (3,)),
+                  ("activation", "<U4", ()), ("theta", "<f8", (67,)),
+                  ("epoch", "<i8", ()), ("seed", "<i8", ()),
+                  ("lr", "<f8", ()), ("meta_json", meta_dtype, ()),
+                  ("velocity", "<f8", (67,))]
+        for with_velocity in (True, False):
+            ck = self.make_checkpoint(with_velocity)
+            path = tmp_path / "ck.npz"
+            save_checkpoint(path, ck)
+            with zipfile.ZipFile(path) as zf:
+                assert zf.namelist() == [
+                    f"{name}.npy" for name, _, _ in layout[:8 + with_velocity]]
+            with np.load(path) as z:
+                assert [(name, z[name].dtype.str, z[name].shape)
+                        for name in z.files] == layout[:8 + with_velocity]
+            back = load_checkpoint(path)
+            assert back.spec == ck.spec
+            assert np.array_equal(back.theta, ck.theta)
+            if with_velocity:
+                assert np.array_equal(back.velocity, ck.velocity)
+            else:
+                assert back.velocity is None
+            assert (back.epoch, back.seed, back.lr) == (7, 42, 0.025)
+            assert back.meta == ck.meta
 
     def test_velocity_is_optional(self, tmp_path):
         ck = self.make_checkpoint(with_velocity=False)
@@ -635,6 +655,36 @@ class TestCheckpoints:
         path.write_bytes(b"not an archive at all")
         with pytest.raises(InputFormatError):
             load_checkpoint(path)
+
+    def test_archives_numpy_cannot_read_are_format_errors(self, tmp_path):
+        # np.load returns a .npy file as an array, which has no members; a
+        # compressed archive can fail in zlib rather than in zipfile; a
+        # member header can claim more than the address space holds
+        np.save(tmp_path / "theta.npy", np.zeros(67))
+        save_checkpoint(tmp_path / "ck.npz", self.make_checkpoint())
+        with np.load(tmp_path / "ck.npz") as z:
+            np.savez_compressed(tmp_path / "packed.npz", **z)
+        blob = bytearray((tmp_path / "packed.npz").read_bytes())
+        with zipfile.ZipFile(tmp_path / "packed.npz") as zf:
+            info = zf.getinfo("theta.npy")
+        # theta's deflate stream opens with a block of reserved type 3
+        start = info.header_offset + 30 + sum(struct.unpack(
+            "<HH", blob[info.header_offset + 26:info.header_offset + 30]))
+        blob[start] = 0b111
+        (tmp_path / "damaged.npz").write_bytes(bytes(blob))
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "<f8", "fortran_order": False, "shape": (2 ** 56,)})
+        with (zipfile.ZipFile(tmp_path / "ck.npz") as zin,
+              zipfile.ZipFile(tmp_path / "huge.npz", "w") as zout):
+            for name in zin.namelist():
+                data = zin.read(name)
+                if name == "theta.npy":
+                    data = header.getvalue() + data[-67 * 8:]
+                zout.writestr(name, data)
+        for name in ("theta.npy", "damaged.npz", "huge.npz"):
+            with pytest.raises(InputFormatError, match="unreadable"):
+                load_checkpoint(tmp_path / name)
 
     def test_wrong_version_rejected(self, tmp_path):
         ck = self.make_checkpoint()
