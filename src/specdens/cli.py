@@ -178,6 +178,14 @@ def cmd_synth(args) -> int:
     if overrides:
         ens = dataclasses.replace(ens, **overrides)
 
+    # a small alpha overflows the Pareto powers: refuse the sample as a whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = sample(ens)
+    # max and min propagate NaN and expose +-inf without a temporary
+    if not (np.isfinite(Y.max()) and np.isfinite(Y.min())):
+        raise NumericalError(f"the {ens.kind} sample has non-finite entries: "
+                             "its values overflow float64")
+
     out = _out_dir(args)
     manifest = build_manifest(
         "synth",
@@ -187,7 +195,6 @@ def cmd_synth(args) -> int:
         },
     )
 
-    Y = sample(ens)
     matrix_path = out / "matrix.spdm"
     write_matrix(matrix_path, Y)
     outputs = [matrix_path]
@@ -247,6 +254,13 @@ def cmd_spectrum(args) -> int:
     if args.deflate is not None and args.deflate >= op.dim:
         raise UsageError(f"--deflate takes 1 to p - 1 = {op.dim - 1}, "
                          f"got {args.deflate}")
+    # a linear density gains nothing from more steps than p; a log one is
+    # not clamped: its bulk occupies a sliver of the linear range, and only
+    # the nodes of iterations past p resolve it
+    run_steps = steps if args.log else min(steps, op.dim)
+    if run_steps < 2:
+        raise UsageError(f"--steps is clamped to the operator dimension "
+                         f"{op.dim}; a linear density needs at least 2")
 
     est_params = {
         "steps": steps, "grid_points": args.grid_points, "n_vec": args.n_vec,
@@ -267,7 +281,7 @@ def cmd_spectrum(args) -> int:
             kappa=args.kappa, epsilon=args.epsilon, seed=args.seed)
     else:
         density = approx_spectrum(
-            op, steps=steps, grid_points=args.grid_points, n_vec=args.n_vec,
+            op, steps=run_steps, grid_points=args.grid_points, n_vec=args.n_vec,
             kappa=args.kappa, seed=args.seed)
 
     csv_path = out / "density.csv"
@@ -310,6 +324,11 @@ def cmd_decompose(args) -> int:
     check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
                     args.epsilon)
     lin, params, inputs = _curvature_inputs(args)
+    C = lin.spec.class_count
+    if C * C + C > DENSE_SIZE_CAP:
+        # the C^2 + C factor rows have a Gram matrix that dense_eig solves
+        raise UsageError(f"decompose refuses {C} classes: their C^2 + C = "
+                         f"{C * C + C} factor rows exceed {DENSE_SIZE_CAP}")
     estimator = {
         "steps": steps,
         "grid_points": args.grid_points,

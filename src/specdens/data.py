@@ -6,33 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Inputs (n, d) float64 and integer labels (n,) in [0, class_count)."""
+    """Inputs (n, d) float64 and int64 labels (n,) in [0, class_count).
+
+    Stored as given: the readers that build one (:mod:`specdens.pipeline`)
+    produce those types, and :func:`specdens.net.linearize` checks the set
+    against the network it is fed to.
+    """
 
     x: np.ndarray
     y: np.ndarray
     class_count: int
     split: str = ""
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
-        if x.ndim != 2:
-            raise UsageError(f"inputs must be 2-d, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise UsageError(
-                f"labels shape {y.shape} does not match {x.shape[0]} examples"
-            )
-        if self.class_count < 1:
-            raise UsageError("class_count must be >= 1")
-        if y.size and (y.min() < 0 or y.max() >= self.class_count):
-            raise UsageError("labels out of range")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError
 from .lanczos import _BREAKDOWN_TOL
 from .operators import SymmetricOperator, deflated_operator
 
@@ -56,7 +56,7 @@ class TopSpectrum:
 def top_eigenpairs(op: SymmetricOperator, count: int,
                    seed: int = 0) -> TopSpectrum:
     """The ``count`` eigenpairs of largest magnitude, by thick-restart
-    Lanczos.
+    Lanczos, for ``count`` in [1, dim - 1].
 
     The basis holds at most ``ncv + 1`` vectors, ``ncv = min(p, max(2 *
     count + 1, 20))``. Each step applies the operator once to the newest
@@ -83,8 +83,6 @@ def top_eigenpairs(op: SymmetricOperator, count: int,
     :class:`NumericalError` for a non-finite product.
     """
     p = op.dim
-    if not 1 <= count < p:
-        raise UsageError(f"count must be in [1, {p - 1}], got {count}")
     matvecs = 0
 
     def matvec(v):
@@ -201,8 +199,8 @@ def low_rank_deflation(op: SymmetricOperator, count: int,
     """Find the top ``count`` eigenpairs and project them out.
 
     Returns the extracted spectrum and the deflated operator P A P with
-    P = I - Q Q^T. ``count`` must be in [1, dim - 1], as
-    :func:`top_eigenpairs` checks.
+    P = I - Q Q^T, for ``count`` in [1, dim - 1]; the ``spectrum`` command
+    checks ``--deflate`` against that range.
     """
     top = top_eigenpairs(op, count, seed=seed)
     return top, deflated_operator(op, top.basis)

@@ -24,7 +24,6 @@ smoothing routine, so estimator-vs-oracle comparisons are apples to apples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,9 +252,8 @@ def fast_lanczos(op: SymmetricOperator, steps: int,
     the log-scale estimator depends on this. A breakdown (beta below
     1e-12) ends the run early, with the shorter tridiagonal matrix, and
     the summary flags it. One :func:`eig_tridiagonal` solve gives it.
+    ``steps`` is at least 1.
     """
-    if steps < 1:
-        raise UsageError(f"steps must be >= 1, got {steps}")
     v1 = _start_vector(op.dim, np.random.default_rng(seed))
     [run] = _three_term(op, v1[:, None], steps)
     return run[0], _summary(run, eig_tridiagonal(run[0]), seed)
@@ -284,11 +282,8 @@ def estimate_range(op: SymmetricOperator, seed=0) -> NormalizationMap:
 
 def sigma_for(steps: int, kappa: float) -> float:
     """Bump width on the normalized axis: the kernel falls to 1/kappa of its
-    peak across one resolution element 2/(steps-1)."""
-    if steps < 2:
-        raise UsageError("need at least two steps for a finite bump width")
-    if not (math.isfinite(kappa) and kappa > 1.0):
-        raise UsageError(f"kappa must be a finite number above 1, got {kappa}")
+    peak across one resolution element 2/(steps-1). Takes ``steps >= 2``
+    and a finite ``kappa > 1``, as :func:`check_estimator` requires."""
     return 2.0 / ((steps - 1) * math.sqrt(8.0 * math.log(kappa)))
 
 
@@ -300,15 +295,12 @@ def accumulate_bumps(centers: np.ndarray, weights: np.ndarray,
     mass (CDF differences) into the cells within 6 sigma, so the result
     integrates to sum(weights) regardless of how sigma compares to the
     cell width. Mass falling outside the grid is dropped — the caller's
-    margin is supposed to prevent that.
+    margin is supposed to prevent that. The grid is uniform, increasing
+    and at least two points long.
     """
     grid = np.asarray(grid, dtype=np.float64)
     K = grid.size
-    if K < 2:
-        raise UsageError("grid needs at least two points")
     h = (grid[-1] - grid[0]) / (K - 1)
-    if h <= 0:
-        raise UsageError("grid must be increasing")
     edges = np.empty(K + 1)
     edges[1:-1] = 0.5 * (grid[1:] + grid[:-1])
     edges[0] = grid[0] - 0.5 * h
@@ -382,20 +374,20 @@ def _smooth(nodes, grid: np.ndarray, t_grid: np.ndarray, sigma: float,
 
 
 def check_estimator(steps: int, grid_points: int, n_vec: int, kappa: float,
-                    epsilon: float | None = None) -> float:
-    """Reject estimator settings no density can be built from, and return
-    the bump width ``sigma_for(steps, kappa)``. ``epsilon`` is checked only
-    when given, for the log axis. Raises :class:`UsageError`; cheap, so
-    callers can check before they build or write anything."""
+                    epsilon: float) -> None:
+    """Reject estimator settings no density can be built from, with
+    :class:`UsageError`. The estimators themselves trust their settings;
+    the commands call this before they build or write anything."""
     if n_vec < 1:
         raise UsageError("n_vec must be >= 1")
     if steps < 2:
         raise UsageError("need at least two Lanczos steps for a density")
     if grid_points < 2:
         raise UsageError("grid needs at least two points")
-    if epsilon is not None:
-        _require_log_shift(epsilon)
-    return sigma_for(steps, kappa)
+    if not (math.isfinite(kappa) and kappa > 1.0):
+        raise UsageError(f"kappa must be a finite number above 1, got {kappa}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise UsageError(f"epsilon must be a finite positive number, got {epsilon}")
 
 
 def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
@@ -410,7 +402,7 @@ def _estimate(op: SymmetricOperator, steps: int, grid_points: int, n_vec: int,
     go one at a time, so a network operator sees one vector per product
     and keeps O(p) working memory.
     """
-    sigma = check_estimator(steps, grid_points, n_vec, kappa, epsilon)
+    sigma = sigma_for(steps, kappa)
     lin_map = estimate_range(op, seed=[seed, 0])
     aop = affine_operator(op, lin_map)
     seeds = [[seed, 1 + l] for l in range(n_vec)]
@@ -460,14 +452,10 @@ def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
     Gaussian bump of width ``sigma_for(steps, kappa)`` at each Ritz value
     with its weight, averages the passes, and maps the grid back to
     eigenvalue coordinates. Identical seeds give bit-identical densities.
-    ``steps`` above the operator dimension is clamped with a warning.
+    ``steps`` runs as given, past the operator dimension too (see
+    :func:`fast_lanczos`); the ``spectrum`` command clamps it to the
+    dimension.
     """
-    if steps > op.dim:
-        warnings.warn(
-            f"steps = {steps} exceeds operator dim {op.dim}; clamping",
-            stacklevel=2,
-        )
-        steps = op.dim
     return _estimate(op, steps, grid_points, n_vec, kappa, seed)
 
 
@@ -485,11 +473,6 @@ def _log_bounds(raw_min: float, raw_max: float, epsilon: float) -> tuple[float, 
     return math.log(epsilon), math.log(max(raw_max, -raw_min) + epsilon)
 
 
-def _require_log_shift(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise UsageError(f"epsilon must be a finite positive number, got {epsilon}")
-
-
 def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
                         grid_points: int = DEFAULT_GRID, n_vec: int = 1,
                         kappa: float = DEFAULT_KAPPA,
@@ -505,9 +488,6 @@ def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,
     Ritz values at or below -epsilon land in the mirrored ``negative``
     branch and are tallied in ``negative_mass``.
     """
-    # unlike the linear estimator, steps are NOT clamped at the dimension:
-    # on the log axis the bulk occupies a sliver of the linear range, and
-    # only the nodes contributed by iterations past dim resolve it
     return _estimate(op, steps, grid_points, n_vec, kappa, seed, epsilon)
 
 
@@ -521,13 +501,11 @@ def exact_log_spectrum(eigenvalues: np.ndarray, dim: int, steps: int,
     ``steps``-step estimate: the same bump width, on the grid an estimate
     would get if its range bracket were the exact extremes, widened by
     the default range margin. The zeros go in as one node carrying their
-    total weight. No Lanczos runs, so ``ritz`` is empty.
+    total weight. No Lanczos runs, so ``ritz`` is empty. Takes 1 to
+    ``dim`` eigenvalues.
     """
-    _require_log_shift(epsilon)
     eig = np.asarray(eigenvalues, dtype=np.float64)
     zeros = dim - eig.size
-    if eig.size == 0 or zeros < 0:
-        raise UsageError(f"need 1 to {dim} eigenvalues, got {eig.size}")
     values, weights = eig, np.full(eig.size, 1.0 / dim)
     if zeros:
         values, weights = np.append(values, 0.0), np.append(weights, zeros / dim)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import AsymmetricInputError, ConvergenceError, UsageError
 
-# dense_eig refuses larger matrices: beyond this, estimate matrix-free
+# the commands solve no larger matrix with dense_eig (synth's oracle,
+# decompose's factor Gram matrix): beyond this, estimate matrix-free
 DENSE_SIZE_CAP = 4096
 # rows per panel of the symmetry check, whose buffer is 64 x p doubles
 _SYMMETRY_PANEL_ROWS = 64
@@ -42,27 +43,16 @@ _SYMMETRY_PANEL_ROWS = 64
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix: diagonal ``alpha``, subdiagonal ``beta``.
+    """Symmetric tridiagonal matrix: diagonal ``alpha``, subdiagonal ``beta``,
+    1-d float64 arrays of lengths M >= 1 and M - 1.
 
-    ``beta`` entries are required nonnegative — they arise as vector norms
-    in the recurrences that build these matrices, and the eigensolver
-    relies on that convention only for reproducibility, not correctness.
+    ``beta`` entries are nonnegative — they arise as vector norms in the
+    recurrences that build these matrices, and the eigensolver relies on
+    that convention only for reproducibility, not correctness.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if alpha.ndim != 1 or alpha.size < 1:
-            raise UsageError("alpha must be a nonempty 1-d array")
-        if beta.shape != (alpha.size - 1,):
-            raise UsageError("beta must have length len(alpha) - 1")
-        if beta.size and float(np.min(beta)) < 0.0:
-            raise UsageError("beta entries must be nonnegative")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
     @property
     def order(self) -> int:
@@ -357,17 +347,10 @@ def _require_symmetric(A: np.ndarray) -> None:
 
 
 def dense_eig(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a dense symmetric matrix, ascending (LAPACK).
+    """Eigenvalues of a dense symmetric float64 matrix, ascending (LAPACK).
 
-    Refuses matrices larger than ``DENSE_SIZE_CAP``: beyond that, use the
-    matrix-free estimators in :mod:`specdens.lanczos`, which is what they
-    are for.
+    Only the lower triangle is read. The commands call it on matrices of
+    at most ``DENSE_SIZE_CAP`` rows: beyond that, use the matrix-free
+    estimators in :mod:`specdens.lanczos`, which is what they are for.
     """
-    A = np.asarray(A, dtype=np.float64)
-    _require_symmetric(A)
-    if A.shape[0] > DENSE_SIZE_CAP:
-        raise UsageError(
-            f"dense_eig refuses p = {A.shape[0]} > {DENSE_SIZE_CAP}; "
-            "use the matrix-free spectrum estimators for operators this large"
-        )
     return np.linalg.eigvalsh(A)

@@ -94,12 +94,9 @@ class MlpSpec:
 
 
 def unflatten(spec: MlpSpec, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a flat parameter vector into per-layer (weights, biases)."""
+    """Split a flat parameter vector of ``spec.param_count`` entries into
+    per-layer (weights, biases), views of ``theta``."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.param_count,):
-        raise UsageError(
-            f"theta has {theta.shape} entries, spec wants ({spec.param_count},)"
-        )
     Ws, bs = [], []
     pos = 0
     for din, dout in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
@@ -402,9 +399,6 @@ def _check_data(spec: MlpSpec, data: LabeledDataset) -> None:
         )
 
 
-_WHICH = ("hess", "g", "h")
-
-
 def hessian_operator(lin: Linearization, which: str = "hess") -> SymmetricOperator:
     """Curvature of the mean loss on ``lin``'s batch as a matrix-free
     operator.
@@ -414,8 +408,6 @@ def hessian_operator(lin: Linearization, which: str = "hess") -> SymmetricOperat
     ``lin``. The label records both the kind and the data split, so derived
     operators read e.g. "hess[train]-g[train]".
     """
-    if which not in _WHICH:
-        raise UsageError(f"which must be one of {_WHICH}, got {which!r}")
     if which == "g":
         def matvec(v):
             return gnvp(lin, v)

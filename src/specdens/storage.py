@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputFormatError, UsageError
+from .errors import InputFormatError
 
 MATRIX_MAGIC = b"SPDM"
 MATRIX_VERSION = 1
@@ -65,20 +65,19 @@ def sha256_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 def write_matrix(path, A: np.ndarray) -> None:
-    """Write ``A`` as a matrix file. The header goes out first, then the
-    array's own buffer: a C-ordered little-endian float64 array is written
-    without a copy, any other layout with one."""
+    """Write the square matrix ``A`` as a matrix file. The header goes out
+    first, then the array's own buffer: a C-ordered little-endian float64
+    array is written without a copy, any other layout with one."""
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise UsageError(f"matrix file holds square matrices; got {A.shape}")
     header = MATRIX_MAGIC + struct.pack("<IQ", MATRIX_VERSION, A.shape[0])
     payload = np.ascontiguousarray(A, dtype="<f8")
     atomic_write_bytes(path, header, payload)
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix file into one float64 array, checking magic, version
-    and the file size before the payload is allocated."""
+    """Read a matrix file into one float64 array, checking magic, version,
+    the file size and a nonzero dimension before the payload is allocated,
+    and finiteness after."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:4] != MATRIX_MAGIC:
@@ -94,6 +93,8 @@ def read_matrix(path) -> np.ndarray:
                 f"{path}: truncated or padded payload "
                 f"({size} bytes, expected {expected} for dim {dim})"
             )
+        if dim == 0:
+            raise InputFormatError(f"{path}: a 0 x 0 matrix has no spectrum")
         A = np.empty((dim, dim), dtype="<f8")
         got = fh.readinto(A)
     if got != A.nbytes:
@@ -101,7 +102,7 @@ def read_matrix(path) -> np.ndarray:
             f"{path}: truncated payload ({16 + got} bytes read, "
             f"expected {expected} for dim {dim})")
     # max and min propagate NaN and expose +-inf without a temporary
-    if A.size and not (np.isfinite(A.max()) and np.isfinite(A.min())):
+    if not (np.isfinite(A.max()) and np.isfinite(A.min())):
         raise InputFormatError(f"{path}: matrix has non-finite entries")
     return A.astype(np.float64, copy=False)
 

@@ -7,6 +7,7 @@ what a command imports and on BLAS thread counts need a fresh one.
 
 import dataclasses
 import gzip
+import hashlib
 import json
 import math
 import os
@@ -28,7 +29,7 @@ import specdens
 from specdens import decomp
 from specdens.cli import main
 from specdens.decomp import validate_report
-from specdens.errors import InputFormatError, UsageError
+from specdens.errors import InputFormatError
 from specdens.net import (
     Checkpoint,
     MlpSpec,
@@ -107,10 +108,6 @@ class TestMatrixFile:
         path = tmp_path / "a.spdm"
         write_matrix(path, A)
         assert np.array_equal(read_matrix(path), A)
-
-    def test_rejects_nonsquare(self, tmp_path):
-        with pytest.raises(UsageError, match="square"):
-            write_matrix(tmp_path / "a.spdm", np.zeros((2, 3)))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.spdm"
@@ -235,6 +232,15 @@ class TestExitCodes:
                 capsys.readouterr().err
         assert afile.read_text() == "kept\n"
 
+    def test_empty_matrix_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.spdm"
+        write_matrix(path, np.empty((0, 0)))
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--matrix", str(path), "--out-dir", str(out)])
+        assert rc == 3
+        assert "empty.spdm: a 0 x 0 matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_matrix_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spdm"
         bad.write_bytes(b"GARBAGE DATA PADDED OUT")
@@ -301,6 +307,24 @@ class TestSynth:
         _, _, _, rows = read_csv(spiked_dir / "oracle_spectrum.csv")
         top = np.sort(rows[:, 1])[-2:]
         assert (top > 4.5).all()  # gamma=1 bulk ends near 4
+
+    @pytest.mark.parametrize("cap", [None, 5], ids=["oracle", "no-oracle"])
+    def test_overflowing_sample_is_numerical_failure(self, tmp_path, capsys,
+                                                     monkeypatch, cap):
+        # alpha = 0.01 raises uniforms to the power -100; with the oracle
+        # capped below p, no eigensolve would catch the non-finite matrix
+        if cap is not None:
+            monkeypatch.setattr("specdens.cli.DENSE_SIZE_CAP", cap)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["synth", "--kind", "pareto_wishart", "--p", "10",
+                       "--n", "20", "--alpha", "0.01", "--out-dir", str(out)])
+        assert rc == 4
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "pareto_wishart sample has non-finite entries" in err
+        assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the high-water mark in /proc")
@@ -644,6 +668,44 @@ class TestSpectrum:
         assert f"1 to p - 1 = {p - 1}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_by_one_linear_spectrum_is_usage(self, tmp_path, capsys):
+        # --steps is clamped to p = 1, too few for a bump width
+        path = tmp_path / "one.spdm"
+        write_matrix(path, np.array([[2.0]]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["spectrum", "--matrix", str(path),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "operator dimension 1" in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "50"]],
+                             ids=["default", "50"])
+    def test_linear_steps_are_clamped_to_the_dimension(self, tmp_path, steps):
+        """A 2 x 2 matrix runs 2 steps and the manifest keeps the count
+        asked for. The digests are of the outputs less their manifest ids,
+        which depend on the matrix path."""
+        path = tmp_path / "two.spdm"
+        write_matrix(path, np.array([[2.0, 1.0], [1.0, 3.0]]))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--matrix", str(path), *steps,
+                     "--out-dir", str(out)]) == 0
+        csv = (out / "density.csv").read_text().splitlines(keepends=True)
+        report = json.loads((out / "density.json").read_text())
+        report.pop("manifest")
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in
+                   ("".join(csv[1:]), json.dumps(report, sort_keys=True))]
+        assert digests == [
+            "9ba990320e9793555f91584cbced208bc6ac680c388605be276308a904ea1142",
+            "78747315a35b27b6cab642d8dcfa907ad7df367a320e45f836bc09af03f5f785"]
+        assert [r["steps"] for r in report["density"]["ritz"]] == [2]
+        asked = int(steps[1]) if steps else 128
+        assert manifest_of(out, "spectrum")["params"]["steps"] == asked
+
     def test_log_axis_route(self, spiked_dir, tmp_path):
         rc = main(["spectrum", "--matrix", str(spiked_dir / "matrix.spdm"),
                    "--log", "--steps", "64", "--n-vec", "2",
@@ -849,6 +911,26 @@ def decompose_args(checkpoint, data, out_dir, *extra):
 
 
 class TestCheckpointAnalysis:
+    def test_too_many_classes_is_usage_before_any_density(
+            self, tmp_path, capsys, monkeypatch):
+        # C^2 + C = 4160 factor rows: a Gram matrix past DENSE_SIZE_CAP
+        spec = MlpSpec(layer_dims=(64, 2, 64))
+        ck = tmp_path / "ck.npz"
+        save_checkpoint(ck, Checkpoint(spec=spec, theta=init_params(spec),
+                                       epoch=0, seed=0, lr=0.1))
+        data = write_json(tmp_path / "data.json", {
+            "kind": "gmm", "classes": 64, "n_per_class": 2, "dim": 64,
+            "separation": 1.0})
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the attribution ran")
+
+        monkeypatch.setattr("specdens.cli.component_attribution", not_reached)
+        out = tmp_path / "out"
+        assert main(decompose_args(ck, data, out)) == 2
+        assert "refuses 64 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_from_checkpoint(self, train_run, tmp_path):
         rc = main(["spectrum", "--checkpoint", str(train_run["final"]),
                    "--data", str(train_run["data"]), "--which", "hess",

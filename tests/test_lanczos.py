@@ -111,10 +111,6 @@ class TestFastLanczos:
                                  "coefficient at step 1$"):
             lanczos._three_term(op, V1, 5)
 
-    def test_zero_steps_rejected(self):
-        with pytest.raises(UsageError):
-            fast_lanczos(dense_operator(np.eye(3)), 0, seed=0)
-
     def test_theta_within_spectral_range(self):
         A = random_symmetric(40, 2)
         lo, hi = dense_eig(A)[[0, -1]]
@@ -176,6 +172,25 @@ class TestLockstep:
             assert np.array_equal(T.alpha, alone.alpha)
             assert np.array_equal(T.beta, alone.beta)
             assert (residual, broke) == (alone_residual, alone_broke)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -40, 2.0 ** 60])
+    def test_every_tridiagonal_is_finite_with_nonnegative_beta(self, rng,
+                                                               scale):
+        """What a TridiagonalMatrix takes on trust, for a broken-down run
+        and runs past the dimension, at any operator scale."""
+        A = np.diag(np.arange(1.0, 13.0))
+        A[:6, :6] += random_symmetric(6, 3)
+        V1 = rng.standard_normal((12, 3))
+        V1[:, 0] = np.eye(12)[9]            # an eigenvector: breaks at step 1
+        V1 /= np.linalg.norm(V1, axis=0)
+        runs = lanczos._three_term(dense_operator(scale * A),
+                                   np.asfortranarray(V1), 30)
+        assert runs[0][2]
+        for T, _, _ in runs:
+            assert T.alpha.dtype == T.beta.dtype == np.float64
+            assert T.alpha.ndim == 1 and T.beta.shape == (T.order - 1,)
+            assert np.isfinite(T.alpha).all() and np.isfinite(T.beta).all()
+            assert (T.beta >= 0.0).all()
 
     def test_network_operator_gets_one_vector_at_a_time(self, monkeypatch,
                                                         trained_tiny_net):
@@ -318,12 +333,6 @@ class TestSigmaFor:
     def test_shrinks_with_steps(self):
         assert sigma_for(256, 3.0) < sigma_for(64, 3.0) < sigma_for(16, 3.0)
 
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            sigma_for(1, 3.0)
-        with pytest.raises(UsageError):
-            sigma_for(16, 1.0)
-
 
 class TestAccumulateBumps:
     def test_mass_conserved_even_for_narrow_bumps(self, rng):
@@ -395,14 +404,6 @@ class TestAccumulateBumps:
             assert got.negative is not None
             assert np.array_equal(got.negative.values, ref.negative.values)
 
-    def test_grid_validation(self):
-        with pytest.raises(UsageError):
-            accumulate_bumps(np.array([0.0]), np.array([1.0]),
-                             np.array([0.0]), 0.1)
-        with pytest.raises(UsageError):
-            accumulate_bumps(np.array([0.0]), np.array([1.0]),
-                             np.array([1.0, 0.0]), 0.1)
-
 
 # ---------------------------------------------------------------------------
 # linear-scale density estimation
@@ -428,12 +429,6 @@ class TestApproxSpectrum:
         est = approx_spectrum(dense_operator(A), steps=64, n_vec=8, seed=3)
         ref = density_from_eigenvalues(dense_eig(A), like=est)
         assert tv_distance(est, ref) <= 0.2
-
-    def test_steps_clamped_at_dimension_with_warning(self):
-        op = dense_operator(random_symmetric(10, 10))
-        with pytest.warns(UserWarning, match="clamp"):
-            est = approx_spectrum(op, steps=50, seed=0)
-        assert all(s.steps <= 10 for s in est.ritz)
 
     def test_degenerate_operator_is_refused(self):
         # lambda*I breaks down at step 1 and its range has no width
@@ -551,11 +546,6 @@ class TestApproxLogSpectrum:
         ref = density_from_eigenvalues(dense_eig(A), like=est)
         assert tv_distance(est, ref) <= 0.3
 
-    def test_epsilon_validation(self):
-        op = dense_operator(np.diag([1.0, 2.0]))
-        with pytest.raises(UsageError):
-            approx_log_spectrum(op, epsilon=0.0)
-
 
 class TestExactLogSpectrum:
     eig = np.array([3.0, 1.0, 0.2, 1e-3, -1e-17])
@@ -589,17 +579,6 @@ class TestExactLogSpectrum:
             rtol=0, atol=1e-14)
         np.testing.assert_allclose(est.grid, exact.grid, rtol=0, atol=1e-13)
         assert est.sigma == exact.sigma
-
-    def test_validation(self):
-        def exact(eig, dim, epsilon=DEFAULT_LOG_EPSILON):
-            return exact_log_spectrum(eig, dim, steps=16, grid_points=64,
-                                      kappa=DEFAULT_KAPPA, epsilon=epsilon)
-        with pytest.raises(UsageError):
-            exact(self.eig, 4)
-        with pytest.raises(UsageError):
-            exact(np.array([]), 4)
-        with pytest.raises(UsageError):
-            exact(self.eig, 10, epsilon=0.0)
 
 
 class TestTvDistance:
