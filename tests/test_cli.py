@@ -308,6 +308,21 @@ class TestSynth:
         top = np.sort(rows[:, 1])[-2:]
         assert (top > 4.5).all()  # gamma=1 bulk ends near 4
 
+    def test_no_oracle_above_the_size_cap(self, tmp_path, monkeypatch):
+        # dense_eig takes any size: the command alone keeps to the cap
+        monkeypatch.setattr("specdens.cli.DENSE_SIZE_CAP", 9)
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("dense_eig ran above the cap")
+
+        monkeypatch.setattr("specdens.cli.dense_eig", not_reached)
+        assert main(["synth", "--kind", "goe", "--p", "10", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "matrix.spdm", "synth.manifest.json"}
+        outputs = manifest_of(tmp_path, "synth")["outputs"]
+        assert [Path(out).name for out in outputs] == ["matrix.spdm"]
+
     @pytest.mark.parametrize("cap", [None, 5], ids=["oracle", "no-oracle"])
     def test_overflowing_sample_is_numerical_failure(self, tmp_path, capsys,
                                                      monkeypatch, cap):
@@ -666,6 +681,16 @@ class TestSpectrum:
                    "--out-dir", str(out)])
         assert rc == 2
         assert f"1 to p - 1 = {p - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_curvature_kind_is_usage(self, tmp_path, capsys):
+        # hessian_operator takes the kinds the parser lets through
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--checkpoint", str(tmp_path / "ck.npz"),
+                   "--data", str(tmp_path / "data.json"), "--which", "fisher",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "invalid choice: 'fisher'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_by_one_linear_spectrum_is_usage(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from specdens.lanczos import (
     accumulate_bumps,
     approx_log_spectrum,
     approx_spectrum,
+    check_estimator,
     density_from_eigenvalues,
     estimate_range,
     exact_log_spectrum,
@@ -332,6 +333,40 @@ class TestSigmaFor:
 
     def test_shrinks_with_steps(self):
         assert sigma_for(256, 3.0) < sigma_for(64, 3.0) < sigma_for(16, 3.0)
+
+
+ESTIMATOR_REFUSALS = [
+    ("n_vec", 0, "n_vec must be >= 1"),
+    ("steps", 1, "at least two Lanczos steps"),
+    ("grid_points", 1, "grid needs at least two points"),
+    ("kappa", 1.0, "kappa must be a finite number above 1"),
+    ("kappa", math.nan, "kappa must be a finite number above 1"),
+    ("kappa", math.inf, "kappa must be a finite number above 1"),
+    ("epsilon", 0.0, "epsilon must be a finite positive number"),
+    ("epsilon", -1.0, "epsilon must be a finite positive number"),
+    ("epsilon", math.nan, "epsilon must be a finite positive number"),
+    ("epsilon", math.inf, "epsilon must be a finite positive number"),
+]
+
+
+class TestCheckEstimator:
+    """The one check on estimator settings. The commands call it before
+    they read or write anything; sigma_for, accumulate_bumps and the
+    estimators take what passed on trust."""
+
+    SMALLEST = dict(steps=2, grid_points=2, n_vec=1, kappa=1.5,
+                    epsilon=1e-300)
+
+    def test_smallest_settings_pass(self):
+        assert check_estimator(**self.SMALLEST) is None
+        sigma = sigma_for(self.SMALLEST["steps"], self.SMALLEST["kappa"])
+        assert math.isfinite(sigma) and sigma > 0.0
+
+    @pytest.mark.parametrize("key,value,message", ESTIMATOR_REFUSALS,
+                             ids=[f"{k}={v}" for k, v, _ in ESTIMATOR_REFUSALS])
+    def test_refuses_each_bad_setting(self, key, value, message):
+        with pytest.raises(UsageError, match=message):
+            check_estimator(**{**self.SMALLEST, key: value})
 
 
 class TestAccumulateBumps:

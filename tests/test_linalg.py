@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdens import lanczos, linalg
+from specdens import cli, lanczos, linalg
 from specdens.errors import AsymmetricInputError, ConvergenceError, UsageError
 from specdens.lanczos import (
     accumulate_bumps,
@@ -579,6 +579,11 @@ class TestDenseEig:
         values = dense_eig(A)
         assert abs(values.sum() - np.trace(A)) <= 1e-8 * 80 * np.abs(values).max()
 
+    def test_size_cap_is_one_constant_the_commands_share(self):
+        """dense_eig takes a matrix of any size; synth's oracle and
+        decompose's factor Gram matrix stop at this one public cap."""
+        assert linalg.DENSE_SIZE_CAP == 4096
+        assert cli.DENSE_SIZE_CAP is linalg.DENSE_SIZE_CAP
 
 
 # ---------------------------------------------------------------------------
