@@ -30,7 +30,7 @@ from .data import LabeledDataset
 from .decomp import component_attribution
 from .deflation import low_rank_deflation
 from .errors import (
-    AsymmetricInputError,
+    DimensionMismatchError,
     InputFormatError,
     NumericalError,
     UsageError,
@@ -136,15 +136,21 @@ def _datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset, list]:
 
 
 def _curvature_inputs(args) -> tuple:
-    """Load ``--checkpoint`` and the set ``--data`` names, and linearize the
-    network on that set once; return the linearization, the manifest
-    params and the input files."""
+    """Load ``--checkpoint`` and the set ``--data`` names, check that the set
+    fits the network, and linearize the network on it once; return the
+    linearization, the manifest params and the input files."""
     ck_path = _require_file(args.checkpoint, "checkpoint")
     ck = load_checkpoint(ck_path)
     data_path = _require_file(args.data, "data config")
     data_cfg = _load_json(data_path, "data config")
     train, test, data_files = _datasets(data_cfg)
     data = test if data_cfg.get("split") == "test" else train
+    if data.input_dim != ck.spec.input_dim:
+        raise DimensionMismatchError(f"data dim {data.input_dim} != network "
+                                     f"input dim {ck.spec.input_dim}")
+    if data.class_count != ck.spec.class_count:
+        raise DimensionMismatchError(f"data classes {data.class_count} != "
+                                     f"network classes {ck.spec.class_count}")
     params = {"checkpoint": str(ck_path), "data": data_cfg, "epoch": ck.epoch}
     return (linearize(ck.spec, ck.theta, data), params,
             [ck_path, data_path, *data_files])
@@ -222,11 +228,7 @@ def _spectrum_operator(args) -> tuple:
         raise UsageError("give either --matrix or --checkpoint, not both")
     if args.matrix is not None:
         path = _require_file(args.matrix, "matrix file")
-        try:
-            op = dense_operator(read_matrix(path), label=f"matrix:{path.name}")
-        except AsymmetricInputError as err:
-            # the file format holds symmetric matrices only
-            raise InputFormatError(f"{path}: {err}") from err
+        op = dense_operator(read_matrix(path), label=f"matrix:{path.name}")
         return op, {"matrix": str(path)}, [path]
     if args.checkpoint is None:
         raise UsageError("need an input: --matrix FILE, or --checkpoint with --data")
@@ -376,6 +378,15 @@ def cmd_train(args) -> int:
         resume_path = _require_file(args.resume, "resume checkpoint")
         resume = load_checkpoint(resume_path)
         inputs.append(resume_path)
+    # the test set is the train set or a draw from the same spec
+    if (train_data.input_dim != spec.input_dim
+            or train_data.class_count != spec.class_count):
+        raise UsageError("training data does not match the network spec")
+    if resume is not None and resume.spec != spec:
+        raise UsageError("checkpoint spec does not match requested network")
+    if resume is not None and resume.epoch > config.epochs:
+        raise UsageError(f"checkpoint is at epoch {resume.epoch}, beyond "
+                         f"epochs={config.epochs}")
 
     out = _out_dir(args)
     manifest = build_manifest(

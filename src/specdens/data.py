@@ -12,8 +12,8 @@ class LabeledDataset:
     """Inputs (n, d) float64 and int64 labels (n,) in [0, class_count).
 
     Stored as given: the readers that build one (:mod:`specdens.pipeline`)
-    produce those types, and :func:`specdens.net.linearize` checks the set
-    against the network it is fed to.
+    produce those types and at least one example, and the commands in
+    :mod:`specdens.cli` check the set against the network it is fed to.
     """
 
     x: np.ndarray

@@ -24,10 +24,6 @@ class NumericalError(SpecdensError):
     """A numerical procedure failed to produce a trustworthy result."""
 
 
-class AsymmetricInputError(UsageError):
-    """A matrix that must be symmetric is not (beyond tolerance)."""
-
-
 class DimensionMismatchError(InputFormatError):
     """Two artifacts that must agree on dimensions do not."""
 

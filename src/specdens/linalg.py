@@ -23,7 +23,6 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
-import math
 import os
 import queue
 import sys
@@ -32,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricInputError, ConvergenceError, UsageError
+from .errors import ConvergenceError
 
 # the commands solve no larger matrix with dense_eig (synth's oracle,
 # decompose's factor Gram matrix): beyond this, estimate matrix-free
 DENSE_SIZE_CAP = 4096
-# rows per panel of the symmetry check, whose buffer is 64 x p doubles
-_SYMMETRY_PANEL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -318,32 +315,6 @@ def eig_tridiagonal(T: TridiagonalMatrix) -> EigenPairs:
     of :func:`ritz_pairs`.
     """
     return ritz_pairs([T])[0]
-
-
-def _require_symmetric(A: np.ndarray) -> None:
-    """Refuse ``A`` unless square, finite and symmetric to 1e-12 relative."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise UsageError(f"expected a square matrix, got shape {A.shape}")
-    if not A.size:
-        return
-    # max(max, -min) rather than max|A|: no |A| temporary, and NaN propagates
-    scale = max(float(A.max()), -float(A.min()))
-    if not math.isfinite(scale):
-        raise UsageError("matrix has non-finite entries")
-    # max|A - A^T| over row panels of the upper triangle, A[i:i+b, i:]
-    # against A[i:, i:i+b]^T: the same exact max, in one b x p buffer
-    # instead of a p x p temporary
-    p, b = A.shape[0], _SYMMETRY_PANEL_ROWS
-    panel = np.empty((min(b, p), p))
-    defect = 0.0
-    for i in range(0, p, b):
-        D = panel[:min(b, p - i), :p - i]
-        np.subtract(A[i:i + b, i:], A[i:, i:i + b].T, out=D)
-        defect = max(defect, float(np.abs(D, out=D).max()))
-    if defect > 1e-12 * max(scale, 1e-300):
-        raise AsymmetricInputError(
-            f"matrix asymmetric: max|A - A^T| = {defect:.3e} vs scale {scale:.3e}"
-        )
 
 
 def dense_eig(A: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DimensionMismatchError, InputFormatError, UsageError
+from .errors import InputFormatError, UsageError
 from .operators import SymmetricOperator
 from .storage import atomic_write_bytes
 
@@ -63,9 +63,9 @@ class MlpSpec:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
         if len(dims) < 3:
-            raise UsageError("need at least one hidden layer")
+            raise UsageError("layer_dims needs at least one hidden layer")
         if any(d < 1 for d in dims):
-            raise UsageError("all layer widths must be >= 1")
+            raise UsageError("all layer_dims widths must be >= 1")
         if self.activation not in _ACTIVATIONS:
             raise UsageError(
                 f"unknown activation {self.activation!r}; pick from {_ACTIVATIONS}"
@@ -199,7 +199,6 @@ def loss_and_error(spec: MlpSpec, theta: np.ndarray,
                    data: LabeledDataset) -> tuple[float, float]:
     """Mean cross-entropy and misclassification fraction under argmax
     decoding, from one forward pass."""
-    _check_data(spec, data)
     Ws, bs = unflatten(spec, theta)
     _, _, Z = _forward(spec, Ws, bs, data.x)
     zmax = np.max(Z, axis=0)
@@ -313,10 +312,9 @@ def linearize(spec: MlpSpec, theta: np.ndarray,
     """Forward state of ``data`` at ``theta``, ready for JVPs, VJPs and
     curvature products.
 
-    Holds O(n * widths) floats; rejects data that does not fit the network
-    and empty data.
+    Holds O(n * widths) floats. ``data`` must fit the network and hold at
+    least one example: the commands check that where they read it.
     """
-    _check_data(spec, data)
     Ws, bs = unflatten(spec, np.array(theta, dtype=np.float64, copy=True))
     acts, primes, Z = _forward(spec, Ws, bs, data.x)
     P = _softmax(Z)
@@ -384,19 +382,6 @@ def hvp_h(spec: MlpSpec, theta: np.ndarray, data: LabeledDataset,
     on ``data`` at ``theta``: one forward pass and one fused
     forward-over-reverse pass."""
     return hvp(linearize(spec, theta, data), v, outer=False)
-
-
-def _check_data(spec: MlpSpec, data: LabeledDataset) -> None:
-    if data.n < 1:
-        raise UsageError("need at least one example")
-    if data.input_dim != spec.input_dim:
-        raise DimensionMismatchError(
-            f"data dim {data.input_dim} != network input dim {spec.input_dim}"
-        )
-    if data.class_count != spec.class_count:
-        raise DimensionMismatchError(
-            f"data classes {data.class_count} != network classes {spec.class_count}"
-        )
 
 
 def hessian_operator(lin: Linearization, which: str = "hess") -> SymmetricOperator:

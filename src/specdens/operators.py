@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericalError, UsageError
-from .linalg import _require_symmetric, _run_tasks, _usable_cpus
+from .linalg import _run_tasks, _usable_cpus
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,14 @@ class SymmetricOperator:
     vectors out. A product with a NaN or infinite entry raises
     :class:`NumericalError` naming the operator; combinators apply their
     inner operators through `apply`, so the first to produce one is named.
-    Symmetry is the caller's promise for hand-built matvecs; every
-    combinator below preserves it, and tests probe it stochastically.
+    Symmetry is the caller's promise for hand-built matvecs, as are a
+    dimension of at least 1 and input of one of those shapes; every
+    combinator below preserves symmetry, and tests probe it stochastically.
     """
 
     def __init__(self, dim: int, matvec: Callable[[np.ndarray], np.ndarray],
                  label: str,
                  matmat: Callable[[np.ndarray], np.ndarray] | None = None):
-        if dim < 1:
-            raise UsageError("operator dimension must be >= 1")
         self.dim = int(dim)
         self.label = label
         self._matvec = matvec
@@ -108,12 +107,6 @@ class SymmetricOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if not (v.ndim in (1, 2) and v.shape[0] == self.dim
-                and (v.ndim == 1 or v.shape[1] >= 1)):
-            raise UsageError(
-                f"operator {self.label} expects shape "
-                f"({self.dim},) or ({self.dim}, k), got {v.shape}"
-            )
         if v.ndim == 1:
             return self._checked(self._matvec, v)
         if v.shape[1] == 1:
@@ -159,7 +152,8 @@ def _panel_product(panels, first: int, tail, V: np.ndarray,
 
 
 def dense_operator(A: np.ndarray, label: str = "dense") -> SymmetricOperator:
-    """Wrap a dense symmetric matrix (validated to 1e-12 relative).
+    """Wrap a dense symmetric matrix, taken on trust: the matrix-file
+    reader :func:`~specdens.storage.read_matrix` is what checks symmetry.
 
     Every product is taken ``_PANEL_ROWS`` rows of A at a time, a lone
     vector as a one-column block: each panel product gives the same bits
@@ -178,7 +172,6 @@ def dense_operator(A: np.ndarray, label: str = "dense") -> SymmetricOperator:
     bits do not depend on the number of ranges.
     """
     A = np.asarray(A, dtype=np.float64)
-    _require_symmetric(A)
     p = A.shape[0]
     whole = p - p % _PANEL_ROWS
     # splitting the row axis is always a view, whatever A's layout
@@ -230,9 +223,8 @@ def deflated_operator(op: SymmetricOperator, basis: np.ndarray) -> SymmetricOper
     Q, k = basis, basis.shape[1]
 
     def matvec(v):
-        w = v - Q @ (Q.T @ v) if k else v
-        u = op.apply(w)
-        return u - Q @ (Q.T @ u) if k else u
+        u = op.apply(v - Q @ (Q.T @ v))
+        return u - Q @ (Q.T @ u)
 
     return _combined(op.dim, matvec, f"deflated({op.label},k={k})", op)
 

@@ -167,7 +167,8 @@ def load_idx(images_path, labels_path,
     the format. With ``limit_per_class``, keeps the first k examples of
     each class in file order — a deterministic subsample independent of
     any RNG. Raises :class:`InputFormatError` for bad magic, truncation,
-    or an image/label count mismatch.
+    or an image/label count mismatch, and :class:`UsageError` for a pair
+    with no images.
     """
     raw = _read_maybe_gzip(images_path)
     if len(raw) < 16:
@@ -200,8 +201,10 @@ def load_idx(images_path, labels_path,
         raise InputFormatError(
             f"image/label count mismatch: {count} images vs {count_l} labels"
         )
+    if count == 0:
+        raise UsageError(f"{images_path}: no images; need at least one example")
     y = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
-    class_count = int(y.max()) + 1 if y.size else 1
+    class_count = int(y.max()) + 1
 
     if limit_per_class is not None:
         if limit_per_class < 1:
@@ -324,22 +327,16 @@ def train_sgd(spec: MlpSpec, train: LabeledDataset, test: LabeledDataset,
     (non-finite epoch loss) stops the run and flags the result; the last
     recorded checkpoint is the last good state. When ``test`` is ``train``
     the test columns repeat the train numbers; the data is forwarded once.
+    The data must fit ``spec``, and ``resume_from`` must hold ``spec`` at an
+    epoch no later than ``config.epochs``: ``train`` checks both where it
+    reads them.
     """
-    if train.class_count != spec.class_count or train.input_dim != spec.input_dim:
-        raise UsageError("training data does not match the network spec")
     seed = config.seed
     if resume_from is None:
         theta = init_params(spec, seed)
         buf = np.zeros_like(theta)
         start_epoch = 0
     else:
-        if resume_from.spec != spec:
-            raise UsageError("checkpoint spec does not match requested network")
-        if resume_from.epoch > config.epochs:
-            raise UsageError(
-                f"checkpoint is at epoch {resume_from.epoch}, beyond "
-                f"epochs={config.epochs}"
-            )
         theta = resume_from.theta.copy()
         buf = (resume_from.velocity.copy() if resume_from.velocity is not None
                else np.zeros_like(theta))

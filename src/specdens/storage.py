@@ -23,6 +23,9 @@ from .errors import InputFormatError
 
 MATRIX_MAGIC = b"SPDM"
 MATRIX_VERSION = 1
+# rows per panel of the symmetry check, whose buffer is 32 x dim doubles:
+# at dim = 500 that is 6% of the matrix the reader holds
+_SYMMETRY_PANEL_ROWS = 32
 MANIFEST_SCHEMA = "run-manifest/v1"
 
 
@@ -77,7 +80,7 @@ def write_matrix(path, A: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file into one float64 array, checking magic, version,
     the file size and a nonzero dimension before the payload is allocated,
-    and finiteness after."""
+    and finiteness and symmetry to 1e-12 relative after."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:4] != MATRIX_MAGIC:
@@ -101,9 +104,30 @@ def read_matrix(path) -> np.ndarray:
         raise InputFormatError(
             f"{path}: truncated payload ({16 + got} bytes read, "
             f"expected {expected} for dim {dim})")
-    # max and min propagate NaN and expose +-inf without a temporary
-    if not (np.isfinite(A.max()) and np.isfinite(A.min())):
+    # max and min propagate NaN and expose +-inf without a temporary, and
+    # max(max, -min) is max|A| without an |A| temporary
+    scale = max(float(A.max()), -float(A.min()))
+    if not np.isfinite(scale):
         raise InputFormatError(f"{path}: matrix has non-finite entries")
+    # max|A - A^T| over row panels of the upper triangle, A[i:i+b, i:]
+    # against A[i:, i:i+b]^T: the same exact max, in one b x dim buffer
+    # instead of a dim x dim temporary. The panel is contiguous and is
+    # subtracted a row at a time: a ufunc over a strided 2-d block gets
+    # numpy iteration buffers (64 KiB an operand) that outweigh the panel
+    # of a small matrix
+    b = _SYMMETRY_PANEL_ROWS
+    panel = np.empty(min(b, dim) * dim)
+    defect = 0.0
+    for i in range(0, dim, b):
+        D = panel[:min(b, dim - i) * (dim - i)].reshape(-1, dim - i)
+        D[...] = A[i:, i:i + b].T
+        for k, row in enumerate(D):
+            np.subtract(A[i + k, i:], row, out=row)
+        defect = max(defect, float(np.abs(D, out=D).max()))
+    if defect > 1e-12 * max(scale, 1e-300):
+        raise InputFormatError(
+            f"{path}: matrix asymmetric: max|A - A^T| = {defect:.3e} "
+            f"vs scale {scale:.3e}")
     return A.astype(np.float64, copy=False)
 
 

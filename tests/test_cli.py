@@ -138,9 +138,10 @@ class TestMatrixFile:
             MATRIX_MAGIC + struct.pack("<IQ", 1, 5) + A.astype("<f8").tobytes()
 
     def test_read_holds_one_copy_of_the_matrix(self, tmp_path):
+        # and one panel of the symmetry check beside it, not a second matrix
         p = 500
         path = tmp_path / "a.spdm"
-        write_matrix(path, np.random.default_rng(4).standard_normal((p, p)))
+        write_matrix(path, sample(EnsembleSpec(kind="goe", p=p, seed=3)))
         read_matrix(path)
         tracemalloc.start()
         try:
@@ -150,6 +151,41 @@ class TestMatrixFile:
             tracemalloc.stop()
         assert A.shape == (p, p) and A.dtype == np.float64
         assert peak <= 1.1 * 8 * p * p
+
+    @pytest.mark.parametrize("faults", [
+        # met from the upper triangle, at [7, 140] and [2, 90]
+        [(140, 7, 3e-9), (2, 90, -1e-9)],
+        [(149, 131, 2e-9)],         # in the short last panel, rows 128-149
+        [(32, 31, -4e-9)],          # last row of a panel, next panel's column
+    ])
+    def test_asymmetry_defect_is_the_exact_max(self, tmp_path, faults):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((150, 150))
+        A = A + A.T
+        for i, j, delta in faults:
+            A[i, j] += delta
+        defect = float(np.abs(A - A.T).max())
+        scale = float(np.abs(A).max())
+        path = tmp_path / "a.spdm"
+        write_matrix(path, A)
+        with pytest.raises(InputFormatError) as info:
+            read_matrix(path)
+        assert str(info.value) == (f"{path}: matrix asymmetric: max|A - A^T| "
+                                   f"= {defect:.3e} vs scale {scale:.3e}")
+
+    @pytest.mark.parametrize("relative,refused", [(0.5e-12, False),
+                                                   (2e-12, True)])
+    def test_symmetry_tolerance_is_1e_12_relative(self, tmp_path, relative,
+                                                  refused):
+        A = np.diag(np.arange(1.0, 9.0))
+        A[2, 5] = relative * 8.0    # relative to the largest entry, 8
+        path = tmp_path / "a.spdm"
+        write_matrix(path, A)
+        if refused:
+            with pytest.raises(InputFormatError, match="asymmetric"):
+                read_matrix(path)
+        else:
+            assert np.array_equal(read_matrix(path), A)
 
     def test_oversized_header_is_rejected_before_allocating(self, tmp_path,
                                                             capsys):
@@ -817,6 +853,35 @@ class TestTrain:
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.velocity, b.velocity)
 
+    @pytest.mark.parametrize("fault,message", [
+        ("input width", "training data does not match the network spec"),
+        ("class count", "training data does not match the network spec"),
+        ("resume spec", "checkpoint spec does not match requested network"),
+        ("resume epoch", "checkpoint is at epoch 2, beyond epochs=1"),
+    ])
+    def test_input_fault_is_usage_before_out_dir(self, train_run, tmp_path,
+                                                 capsys, fault, message):
+        config = json.loads(train_run["config"].read_text())
+        resume = []
+        if fault == "input width":
+            config["model"]["layer_dims"] = [5, 8, 3]
+        elif fault == "class count":
+            config["model"]["layer_dims"] = [4, 5, 7]
+        elif fault == "resume spec":
+            config["model"]["layer_dims"] = [4, 6, 3]
+            resume = ["--resume",
+                      str(train_run["out"] / "checkpoint_epoch0001.npz")]
+        else:
+            config["train"]["epochs"] = 1
+            resume = ["--resume",
+                      str(train_run["out"] / "checkpoint_epoch0002.npz")]
+        cfg = write_json(tmp_path / "train.json", config)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), *resume,
+                     "--out-dir", str(out)]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_train_key_is_reported(self, train_run, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         doc = json.loads(train_run["config"].read_text())
@@ -1037,15 +1102,20 @@ class TestCheckpointAnalysis:
         assert rc == 3
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,message", [
+        ({"dim": 6}, "data dim 6 != network input dim 4"),
+        ({"classes": 2}, "data classes 2 != network classes 3"),
+        ({"dim": 6, "split": "test"}, "data dim 6 != network input dim 4"),
+    ])
     @pytest.mark.parametrize("command", ["spectrum", "decompose"])
     def test_data_mismatch_makes_no_out_dir(self, train_run, tmp_path, capsys,
-                                            command):
-        wrong = write_json(tmp_path / "data6.json", {**GMM_DATA, "dim": 6})
+                                            command, change, message):
+        wrong = write_json(tmp_path / "wrong.json", {**GMM_DATA, **change})
         out = tmp_path / "out"
         assert main([command, "--checkpoint", str(train_run["final"]),
                      "--data", str(wrong), "--steps", "16",
                      "--out-dir", str(out)]) == 3
-        assert "input error" in capsys.readouterr().err
+        assert f"input error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field,fault", CHECKPOINT_FAULTS)
@@ -1077,7 +1147,7 @@ class TestCheckpointAnalysis:
         elif fault == "zero":
             # a readable archive whose spec is refused: the spec's message
             values[1] = 0
-            message = "all layer widths must be >= 1"
+            message = "all layer_dims widths must be >= 1"
         elif fault == "unknown":
             values = np.str_("relu6")
             message = "unknown activation 'relu6'"
@@ -1114,8 +1184,7 @@ class TestCheckpointAnalysis:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert message in err and "unreadable" not in err
-        # the spec's own message speaks of layer widths
-        assert field in err or fault == "zero"
+        assert field in err
         assert not out.exists()
 
     def test_decompose_rerun_is_byte_identical(self, train_run, tmp_path):
@@ -1406,10 +1475,13 @@ class TestMatrixFuzz:
         A[0, 1] = 0.5
         path = tmp_path / "asym.spdm"
         write_matrix(path, A)
+        out = tmp_path / "out"
         rc = main(["spectrum", "--matrix", str(path), "--steps", "4",
-                   "--out-dir", str(tmp_path / "out")])
+                   "--out-dir", str(out)])
         assert rc == 3
-        assert "asym.spdm" in capsys.readouterr().err
+        assert (f"input error: {path}: matrix asymmetric: max|A - A^T| = "
+                "5.000e-01 vs scale 1.000e+00") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def idx_pair(pixels, labels) -> tuple[bytes, bytes]:

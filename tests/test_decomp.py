@@ -23,7 +23,7 @@ import pytest
 from specdens import cli
 from specdens import net as net_module
 from specdens.data import LabeledDataset, one_hot
-from specdens.errors import InputFormatError, NumericalError, UsageError
+from specdens.errors import InputFormatError, NumericalError
 from specdens.lanczos import (
     SpectralDensity,
     approx_log_spectrum,
@@ -344,13 +344,6 @@ class TestGaussNewtonParts:
         np.testing.assert_allclose(factor_eigenvalues(F), [4.0, 1.0],
                                    atol=1e-14)
         assert factor_eigenvalues(np.empty((0, 5))).size == 0
-
-    def test_empty_dataset_rejected(self):
-        spec = MlpSpec(layer_dims=(3, 5, 3))
-        empty = LabeledDataset(x=np.empty((0, 3)), y=np.empty(0, dtype=int),
-                               class_count=3)
-        with pytest.raises(UsageError, match="at least one"):
-            build_decomposition(linearize(spec, init_params(spec), empty))
 
 
 class TestMatrixFreeRoute:

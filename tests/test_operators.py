@@ -11,7 +11,6 @@ from specdens import linalg, operators
 from specdens.decomp import build_decomposition, identity_residual
 from specdens.deflation import top_eigenpairs
 from specdens.errors import (
-    AsymmetricInputError,
     DegenerateSpectrumError,
     NumericalError,
     UsageError,
@@ -45,12 +44,6 @@ class TestSymmetricOperator:
         op = dense_operator(A)
         np.testing.assert_array_equal(op.apply(np.ones(2)), [3.0, 3.0])
 
-    def test_wrong_shape_rejected(self):
-        op = SymmetricOperator(3, lambda v: v, label="id")
-        for shape in [(4,), (4, 1), (3, 0), (3, 1, 1)]:
-            with pytest.raises(UsageError):
-                op.apply(np.ones(shape))
-
     def test_block_product_of_wrong_shape_rejected(self):
         op = SymmetricOperator(3, lambda v: v, label="id",
                                matmat=lambda V: V[:, :1])
@@ -77,10 +70,6 @@ class TestSymmetricOperator:
         with pytest.raises(UsageError, match="operator net .* 3 columns"):
             op.apply(rng.standard_normal((4, 3)))
         assert seen == []
-
-    def test_zero_dim_rejected(self):
-        with pytest.raises(UsageError):
-            SymmetricOperator(0, lambda v: v, label="empty")
 
     def test_apply_is_deterministic(self, rng):
         A = rng.standard_normal((50, 50))
@@ -147,10 +136,6 @@ class TestDenseOperator:
         A = rng.standard_normal((500, 500))
         op = dense_operator((A + A.T) / 2)
         assert symmetry_defect(op, pairs=10, seed=1) <= 1e-12
-
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(AsymmetricInputError):
-            dense_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_panel_block_product_matches_gemm(self, rng):
         # 70 rows: two full 32-row panels and a short one
@@ -377,11 +362,12 @@ class TestDeflatedOperator:
             out = defl.apply(rng.standard_normal(25))
             assert np.max(np.abs(Q.T @ out)) <= 1e-10 * max(1.0, np.linalg.norm(out))
 
-    def test_empty_basis_is_identity_wrapper(self, rng):
+    @pytest.mark.parametrize("shape", [(10,), (10, 3)])
+    def test_empty_basis_is_identity_wrapper(self, rng, shape):
         A = rng.standard_normal((10, 10))
         op = dense_operator((A + A.T) / 2)
         defl = deflated_operator(op, np.empty((10, 0)))
-        v = rng.standard_normal(10)
+        v = rng.standard_normal(shape)
         assert np.array_equal(defl.apply(v), op.apply(v))
 
 

@@ -110,6 +110,11 @@ class TestLoadIdx:
         with pytest.raises(InputFormatError, match="mismatch"):
             load_idx(ip, lp)
 
+    def test_empty_pair_rejected(self, tmp_path):
+        ip, lp = write_pair(tmp_path, np.empty((0, 2, 2), dtype=np.uint8), [])
+        with pytest.raises(UsageError, match="at least one example"):
+            load_idx(ip, lp)
+
     def test_truncated_labels(self, tiny_idx):
         images, labels, tmp = tiny_idx
         ip, lp = write_pair(tmp, images, labels)
@@ -372,20 +377,3 @@ class TestTrainSgd:
         assert [m.epoch for m in result.metrics] == [0]
         assert result.checkpoints[-1].epoch == 0
         assert np.isfinite(result.checkpoints[-1].theta).all()
-
-    def test_mismatched_data_rejected(self, gmm_data, net_spec):
-        train, test = gmm_data
-        bad = MlpSpec(layer_dims=(5, 8, 3), activation="tanh")
-        with pytest.raises(UsageError, match="does not match"):
-            train_sgd(bad, train, test, TrainConfig(epochs=1, lr=0.1))
-
-    def test_resume_guards(self, gmm_data, net_spec):
-        train, test = gmm_data
-        cfg = TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=1)
-        result = train_sgd(net_spec, train, test, cfg)
-        other = MlpSpec(layer_dims=(4, 6, 3), activation="tanh")
-        with pytest.raises(UsageError, match="spec"):
-            train_sgd(other, train, test, cfg, resume_from=result.checkpoints[-1])
-        past = TrainConfig(epochs=1, lr=0.1, batch_size=16, seed=1)
-        with pytest.raises(UsageError, match="beyond"):
-            train_sgd(net_spec, train, test, past, resume_from=result.checkpoints[-1])
