@@ -1,7 +1,8 @@
 """Batch command-line surface: synth, spectrum, decompose, train.
 
-Every command writes its outputs atomically into ``--out-dir`` plus a
-manifest sidecar. The manifest id — a digest of the command, its
+Every command writes its outputs atomically into ``--out-dir``; once it
+has returned, :func:`main` adds the manifest sidecar that lists them, so a
+run that fails leaves none. The manifest id — a digest of the command, its
 parameters, and the input file digests — is embedded in each CSV/JSON
 output, so reruns are byte-identical and any output traces back to the
 run that produced it. Wall time lives only in the sidecar.
@@ -41,7 +42,6 @@ from .lanczos import (
     DEFAULT_LOG_EPSILON,
     DEFAULT_LOG_STEPS,
     DEFAULT_STEPS,
-    SpectralDensity,
     approx_log_spectrum,
     approx_spectrum,
     check_estimator,
@@ -65,7 +65,7 @@ from .pipeline import (
     load_idx,
     train_sgd,
 )
-from .rmt import EnsembleSpec, default_ensemble, sample
+from .rmt import default_ensemble, sample
 from .storage import (
     atomic_write_text,
     build_manifest,
@@ -100,14 +100,36 @@ def _load_json(path, what: str) -> dict:
     return doc
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as err:
-        raise UsageError(f"--out-dir {out} cannot be created: "
-                         f"{err.strerror}") from err
-    return out
+class _Run:
+    """One command's run record, made once its inputs are checked: it
+    creates ``--out-dir``, holds the manifest, and writes and records each
+    output. :func:`main` writes the sidecar from it after the command
+    returns, so a command that fails leaves none."""
+
+    def __init__(self, args, params: dict, inputs=()):
+        self.out = Path(args.out_dir)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as err:
+            raise UsageError(f"--out-dir {self.out} cannot be created: "
+                             f"{err.strerror}") from err
+        self.manifest = build_manifest(args.command, params, inputs=inputs)
+        self.id = self.manifest["id"]
+        self.outputs = []
+        self.exit_code = 0
+
+    def path(self, name: str) -> Path:
+        """Record the output ``name`` and return where it goes."""
+        path = self.out / name
+        self.outputs.append(path)
+        return path
+
+    def write_csv(self, name: str, columns, rows, schema: str) -> None:
+        atomic_write_text(self.path(name),
+                          csv_text(columns, rows, self.id, schema))
+
+    def write_json(self, name: str, doc: dict) -> None:
+        atomic_write_text(self.path(name), json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +191,7 @@ def _parse_spikes(text: str) -> tuple[float, ...]:
         raise UsageError(f"spikes must be comma-separated numbers, got {text!r}")
 
 
-def cmd_synth(args) -> int:
-    start = time.monotonic()
+def cmd_synth(args) -> _Run:
     ens = default_ensemble(args.kind, seed=args.seed)
     overrides = {}
     if args.p is not None:
@@ -192,30 +213,15 @@ def cmd_synth(args) -> int:
         raise NumericalError(f"the {ens.kind} sample has non-finite entries: "
                              "its values overflow float64")
 
-    out = _out_dir(args)
-    manifest = build_manifest(
-        "synth",
-        {
-            "kind": ens.kind, "p": ens.p, "n": ens.n,
-            "spikes": list(ens.spikes), "alpha": ens.alpha, "seed": ens.seed,
-        },
-    )
-
-    matrix_path = out / "matrix.spdm"
-    write_matrix(matrix_path, Y)
-    outputs = [matrix_path]
-
+    run = _Run(args, {
+        "kind": ens.kind, "p": ens.p, "n": ens.n,
+        "spikes": list(ens.spikes), "alpha": ens.alpha, "seed": ens.seed,
+    })
+    write_matrix(run.path("matrix.spdm"), Y)
     if ens.p <= DENSE_SIZE_CAP:
-        values = dense_eig(Y)
-        oracle_path = out / "oracle_spectrum.csv"
-        rows = [(i, float(v)) for i, v in enumerate(values)]
-        atomic_write_text(oracle_path, csv_text(
-            ("index", "eigenvalue"), rows, manifest["id"], ORACLE_CSV_SCHEMA))
-        outputs.append(oracle_path)
-
-    write_manifest(out / "synth.manifest.json", manifest,
-                   wall_time_s=time.monotonic() - start, outputs=outputs)
-    return 0
+        run.write_csv("oracle_spectrum.csv", ("index", "eigenvalue"),
+                      enumerate(dense_eig(Y)), ORACLE_CSV_SCHEMA)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +245,22 @@ def _spectrum_operator(args) -> tuple:
     return op, {**params, "which": args.which}, inputs
 
 
-def _density_rows(density: SpectralDensity) -> list:
-    return [(float(g), float(v)) for g, v in zip(density.grid, density.values)]
-
-
-def cmd_spectrum(args) -> int:
-    start = time.monotonic()
+def _estimator(args, log: bool) -> dict:
+    """The estimator flags, checked, with ``--steps`` defaulted for the
+    axis: the keyword arguments of ``approx_log_spectrum`` and
+    ``component_attribution``."""
     steps = args.steps
     if steps is None:
-        steps = DEFAULT_LOG_STEPS if args.log else DEFAULT_STEPS
+        steps = DEFAULT_LOG_STEPS if log else DEFAULT_STEPS
     check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
                     args.epsilon)
+    return {"steps": steps, "grid_points": args.grid_points,
+            "n_vec": args.n_vec, "kappa": args.kappa,
+            "epsilon": args.epsilon, "seed": args.seed}
+
+
+def cmd_spectrum(args) -> _Run:
+    est = _estimator(args, args.log)
     if args.deflate is not None and args.deflate < 1:
         raise UsageError("--deflate takes a positive count")
     op, in_params, inputs = _spectrum_operator(args)
@@ -259,106 +270,70 @@ def cmd_spectrum(args) -> int:
     # a linear density gains nothing from more steps than p; a log one is
     # not clamped: its bulk occupies a sliver of the linear range, and only
     # the nodes of iterations past p resolve it
-    run_steps = steps if args.log else min(steps, op.dim)
+    run_steps = est["steps"] if args.log else min(est["steps"], op.dim)
     if run_steps < 2:
         raise UsageError(f"--steps is clamped to the operator dimension "
                          f"{op.dim}; a linear density needs at least 2")
 
-    est_params = {
-        "steps": steps, "grid_points": args.grid_points, "n_vec": args.n_vec,
-        "kappa": args.kappa, "seed": args.seed, "log": bool(args.log),
-        "deflate": args.deflate, "epsilon": args.epsilon if args.log else None,
-    }
-    out = _out_dir(args)
-    manifest = build_manifest("spectrum", {**in_params, **est_params},
-                              inputs=inputs)
+    run = _Run(args, {**in_params, **est, "log": bool(args.log),
+                      "deflate": args.deflate,
+                      "epsilon": est["epsilon"] if args.log else None},
+               inputs=inputs)
 
     top = None
     if args.deflate is not None:
         top, op = low_rank_deflation(op, args.deflate, seed=args.seed)
 
     if args.log:
-        density = approx_log_spectrum(
-            op, steps=steps, grid_points=args.grid_points, n_vec=args.n_vec,
-            kappa=args.kappa, epsilon=args.epsilon, seed=args.seed)
+        density = approx_log_spectrum(op, **est)
     else:
         density = approx_spectrum(
-            op, steps=run_steps, grid_points=args.grid_points, n_vec=args.n_vec,
-            kappa=args.kappa, seed=args.seed)
+            op, steps=run_steps, grid_points=est["grid_points"],
+            n_vec=est["n_vec"], kappa=est["kappa"], seed=est["seed"])
 
-    csv_path = out / "density.csv"
-    atomic_write_text(csv_path, csv_text(
-        ("grid_value", "density"), _density_rows(density),
-        manifest["id"], DENSITY_CSV_SCHEMA))
-    json_path = out / "density.json"
-    report = {
+    run.write_csv("density.csv", ("grid_value", "density"),
+                  zip(density.grid, density.values), DENSITY_CSV_SCHEMA)
+    run.write_json("density.json", {
         "schema": DENSITY_JSON_SCHEMA,
-        "manifest": manifest["id"],
+        "manifest": run.id,
         "operator": op.label,
         "mass": density.mass(),
         "density": density.to_dict(),
-    }
-    atomic_write_text(json_path, json.dumps(report, indent=2) + "\n")
-    outputs = [csv_path, json_path]
-
+    })
     if top is not None:
-        top_path = out / "top_spectrum.json"
-        atomic_write_text(top_path, json.dumps({
+        run.write_json("top_spectrum.json", {
             "schema": TOP_JSON_SCHEMA,
-            "manifest": manifest["id"],
+            "manifest": run.id,
             "count": top.count,
             **top.to_dict(),
-        }, indent=2) + "\n")
-        outputs.append(top_path)
-
-    write_manifest(out / "spectrum.manifest.json", manifest,
-                   wall_time_s=time.monotonic() - start, outputs=outputs)
-    return 0
+        })
+    return run
 
 
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
 
-def cmd_decompose(args) -> int:
-    start = time.monotonic()
-    steps = args.steps if args.steps is not None else DEFAULT_LOG_STEPS
-    check_estimator(steps, args.grid_points, args.n_vec, args.kappa,
-                    args.epsilon)
+def cmd_decompose(args) -> _Run:
+    estimator = _estimator(args, log=True)
     lin, params, inputs = _curvature_inputs(args)
     C = lin.spec.class_count
     if C * C + C > DENSE_SIZE_CAP:
         # the C^2 + C factor rows have a Gram matrix that dense_eig solves
         raise UsageError(f"decompose refuses {C} classes: their C^2 + C = "
                          f"{C * C + C} factor rows exceed {DENSE_SIZE_CAP}")
-    estimator = {
-        "steps": steps,
-        "grid_points": args.grid_points,
-        "n_vec": args.n_vec,
-        "kappa": args.kappa,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-    }
-    out = _out_dir(args)
-    manifest = build_manifest("decompose", {**params, "estimator": estimator},
-                              inputs=inputs)
-
+    run = _Run(args, {**params, "estimator": estimator}, inputs=inputs)
     report = component_attribution(lin, **estimator)
-    report["manifest"] = manifest["id"]
-    report_path = out / "attribution.json"
-    atomic_write_text(report_path, json.dumps(report, indent=2) + "\n")
-
-    write_manifest(out / "decompose.manifest.json", manifest,
-                   wall_time_s=time.monotonic() - start, outputs=[report_path])
-    return 0
+    report["manifest"] = run.id
+    run.write_json("attribution.json", report)
+    return run
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(args) -> int:
-    start = time.monotonic()
+def cmd_train(args) -> _Run:
     cfg_path = _require_file(args.config, "train config")
     cfg = _load_json(cfg_path, "train config")
     unknown = set(cfg) - {"data", "model", "train"}
@@ -388,33 +363,20 @@ def cmd_train(args) -> int:
         raise UsageError(f"checkpoint is at epoch {resume.epoch}, beyond "
                          f"epochs={config.epochs}")
 
-    out = _out_dir(args)
-    manifest = build_manifest(
-        "train",
-        {"data": cfg["data"], "model": cfg["model"], "train": config.to_dict(),
-         "resume_epoch": resume.epoch if resume is not None else None},
-        inputs=inputs)
-
+    run = _Run(args, {
+        "data": cfg["data"], "model": cfg["model"], "train": config.to_dict(),
+        "resume_epoch": resume.epoch if resume is not None else None,
+    }, inputs=inputs)
     result = train_sgd(spec, train_data, test_data, config, resume_from=resume)
-
-    outputs = []
     for ck in result.checkpoints:
-        path = out / f"checkpoint_epoch{ck.epoch:04d}.npz"
-        save_checkpoint(path, ck)
-        outputs.append(path)
-    metrics_path = out / "metrics.csv"
-    atomic_write_text(metrics_path, csv_text(
-        METRICS_COLUMNS, [m.row() for m in result.metrics],
-        manifest["id"], METRICS_CSV_SCHEMA))
-    outputs.append(metrics_path)
-
-    write_manifest(out / "train.manifest.json", manifest,
-                   wall_time_s=time.monotonic() - start, outputs=outputs)
+        save_checkpoint(run.path(f"checkpoint_epoch{ck.epoch:04d}.npz"), ck)
+    run.write_csv("metrics.csv", METRICS_COLUMNS,
+                  (m.row() for m in result.metrics), METRICS_CSV_SCHEMA)
     if result.diverged:
         print("training diverged; wrote the last good checkpoint",
               file=sys.stderr)
-        return 4
-    return 0
+        run.exit_code = 4
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +490,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:                    # argparse already printed
         return int(exc.code or 0)
+    start = time.monotonic()
     try:
-        return args.func(args)
+        run = args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -539,6 +502,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
+    write_manifest(run.out / f"{args.command}.manifest.json", run.manifest,
+                   wall_time_s=time.monotonic() - start, outputs=run.outputs)
+    return run.exit_code
 
 
 if __name__ == "__main__":

@@ -462,15 +462,12 @@ def approx_spectrum(op: SymmetricOperator, steps: int = DEFAULT_STEPS,
 def _log_bounds(raw_min: float, raw_max: float, epsilon: float) -> tuple[float, float]:
     """Pre-margin bounds on the u = log(|lambda| + epsilon) axis.
 
-    Sign-definite ranges transform monotonically; a range straddling zero
-    contains magnitudes all the way down to ~0, so the lower bound is
-    log(epsilon).
+    The magnitudes in [raw_min, raw_max] run from the distance of the range
+    to zero — 0 when it straddles zero, so the lower bound is log(epsilon)
+    — up to its larger end's magnitude.
     """
-    if raw_min >= 0.0:
-        return math.log(raw_min + epsilon), math.log(raw_max + epsilon)
-    if raw_max <= 0.0:
-        return math.log(-raw_max + epsilon), math.log(-raw_min + epsilon)
-    return math.log(epsilon), math.log(max(raw_max, -raw_min) + epsilon)
+    return (math.log(max(raw_min, -raw_max, 0.0) + epsilon),
+            math.log(max(raw_max, -raw_min) + epsilon))
 
 
 def approx_log_spectrum(op: SymmetricOperator, steps: int = DEFAULT_LOG_STEPS,

@@ -300,12 +300,10 @@ class EpochMetrics:
     test_error: float
 
     def row(self) -> tuple:
-        return (self.epoch, self.lr, self.train_loss, self.train_error,
-                self.test_loss, self.test_error)
+        return dataclasses.astuple(self)
 
 
-METRICS_COLUMNS = ("epoch", "lr", "train_loss", "train_error",
-                   "test_loss", "test_error")
+METRICS_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
 
 
 @dataclass

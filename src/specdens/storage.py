@@ -55,11 +55,8 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ and stderr are observable without spawning interpreters. The checks on
 what a command imports and on BLAS thread counts need a fresh one.
 """
 
+import ast
 import dataclasses
 import gzip
 import hashlib
@@ -98,6 +99,29 @@ class TestImports:
         src = Path(specdens.__file__).resolve().parent
         assert sorted(p.stem for p in src.glob("*.py")
                       if p.stem != "__init__") == list(self.MODULES)
+
+    def test_no_module_imports_a_name_it_never_reads(self):
+        # the one lint this package keeps: an import that nothing reads is
+        # left over from code that has gone
+        src = Path(specdens.__file__).resolve().parent
+        unread = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            bound = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and \
+                        node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        bound[name] = node.lineno
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{line} {name}"
+                       for name, line in bound.items() if name not in read]
+        assert unread == []
 
 
 class TestMatrixFile:
@@ -662,6 +686,9 @@ class TestSpectrum:
         assert rc == 4
         err = capsys.readouterr().err
         assert "matrix:big.spdm" in err and "non-finite" in err
+        # the run got as far as --out-dir, but a failed run has no sidecar
+        assert (tmp_path / "out").is_dir()
+        assert not (tmp_path / "out" / "spectrum.manifest.json").exists()
 
     def test_overflowing_lanczos_coefficient_is_caught_at_its_step(
             self, tmp_path, capsys):
@@ -948,6 +975,8 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
         ck = load_checkpoint(tmp_path / "checkpoint_epoch0000.npz")
         assert ck.epoch == 0 and np.isfinite(ck.theta).all()
+        outputs = manifest_of(tmp_path, "train")["outputs"]
+        assert str(tmp_path / "checkpoint_epoch0000.npz") in outputs
 
     def test_start_up_loads_no_scipy(self, train_run, tmp_path):
         script = (
@@ -1423,6 +1452,28 @@ def _mutants(blob: bytes):
         return bytes(out)
 
     return st.one_of(prefixes, st.integers(0, 8 * len(blob) - 1).map(flip))
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(
+        "command", ["synth", "spectrum", "train", "decompose"],
+        ids=["synth", "spectrum-deflate", "train", "decompose"])
+    def test_sidecar_lists_exactly_the_outputs(self, goe_dir, train_run,
+                                               tmp_path, command):
+        argv = {
+            "synth": ["--kind", "goe", "--p", "20"],
+            "spectrum": ["--matrix", str(goe_dir / "matrix.spdm"),
+                         "--deflate", "2", "--steps", "16"],
+            "train": ["--config", str(train_run["config"])],
+            "decompose": ["--checkpoint", str(train_run["final"]),
+                          "--data", str(train_run["data"]), "--steps", "48",
+                          "--grid-points", "128"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out-dir", str(out)]) == 0
+        written = [str(p) for p in out.iterdir()
+                   if p.name != f"{command}.manifest.json"]
+        assert sorted(manifest_of(out, command)["outputs"]) == sorted(written)
 
 
 class TestDecomposeFuzz:

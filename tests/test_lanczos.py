@@ -582,6 +582,22 @@ class TestApproxLogSpectrum:
         assert tv_distance(est, ref) <= 0.3
 
 
+    @pytest.mark.parametrize("raw_min,raw_max,low,high", [
+        (0.5, 3.0, 0.5, 3.0),           # positive
+        (-3.0, -0.5, 0.5, 3.0),         # negative: the ends swap
+        (-2.0, 3.0, 0.0, 3.0),          # straddling: magnitudes reach 0
+        (-4.0, 1.0, 0.0, 4.0),
+        (0.0, 2.0, 0.0, 2.0),           # touching zero
+        (-2.0, -0.0, 0.0, 2.0),
+        (-0.0, 0.0, 0.0, 0.0),
+    ])
+    def test_log_bounds_span_the_magnitudes_of_the_range(
+            self, raw_min, raw_max, low, high):
+        eps = 1e-3
+        assert lanczos._log_bounds(raw_min, raw_max, eps) == (
+            math.log(low + eps), math.log(high + eps))
+
+
 class TestExactLogSpectrum:
     eig = np.array([3.0, 1.0, 0.2, 1e-3, -1e-17])
 
